@@ -18,7 +18,6 @@ from . import patterns as patterns_mod
 from .combs import UP_ONE
 from .errors import ArgumentError, ResourceError
 from .index_core import EMPTY, Letter, Node, enumerate_level
-from .transforms import _reindex
 
 UNION = "union"
 JOIN = "join"
@@ -440,7 +439,7 @@ def graph_to_weave_oracle(pattern_ci, d: int):
         raise ArgumentError(f"input is not a comb-graph pattern: {first}")
     level = enumerate_level(d)
     mapping = {node: v for v, node in enumerate(level)}
-    return _reindex(pattern_ci, mapping)
+    return patterns_mod.reindex(pattern_ci, mapping)
 
 
 def weave_to_graph_oracle(ci, tree: Cotree, check: bool = True):
@@ -466,7 +465,7 @@ def weave_to_graph_oracle(ci, tree: Cotree, check: bool = True):
     pad = Letter(0, 0).digit
     mapping = {v: Node(node.digits + pad * (d - embed_depth))
                for v, node in vmap.items()}
-    return _reindex(ci, mapping)
+    return patterns_mod.reindex(ci, mapping)
 
 
 def random_cotree(n_leaves: int, seed: int) -> Cotree:

@@ -14,6 +14,7 @@ witnessed at size k (subsets of combs, chains, and antichains stay in class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
@@ -37,8 +38,9 @@ class ConstructionError(ArgumentError):
 class SetSystem:
     """A family of subsets of a finite universe, keyed by arbitrary indices.
 
-    Atoms are stored as ids into `universe` so that family intersections stay
-    cheap; the JSON form uses the atom names.
+    Each index's atom set is one int bitmask over `universe`: atom i is bit i.
+    `set_of` returns that mask, intersection is `&` and consistency a nonzero
+    mask; `atom_names` decodes a mask.  The JSON form uses the atom names.
     """
 
     def __init__(self, universe: Iterable[str], family: dict):
@@ -46,12 +48,17 @@ class SetSystem:
         if len(set(self.universe)) != len(self.universe):
             raise ArgumentError("universe atoms must be distinct")
         self._atom_id = {name: i for i, name in enumerate(self.universe)}
-        packed = {}
-        for index, atoms in family.items():
-            ids = frozenset(self._pack(atom) for atom in atoms)
-            packed[index] = ids
-        self.family = packed
-        self.indices = frozenset(packed)
+        self.family = {index: self._mask(atoms) for index, atoms in family.items()}
+        self.indices = frozenset(self.family)
+
+    def _with_masks(self, family: dict) -> "SetSystem":
+        """A system over the same universe whose sets are given as masks."""
+        out = SetSystem.__new__(SetSystem)
+        out.universe = self.universe
+        out._atom_id = self._atom_id
+        out.family = family
+        out.indices = frozenset(family)
+        return out
 
     def _pack(self, atom) -> int:
         if isinstance(atom, int):
@@ -63,58 +70,56 @@ class SetSystem:
         except KeyError:
             raise ArgumentError(f"atom {atom!r} is not in the universe")
 
-    def atom_sets(self) -> dict:
-        return dict(self.family)
+    def _mask(self, atoms: Iterable) -> int:
+        # One byte per atom, read as a binary numeral: a single big-int
+        # conversion instead of one universe-wide `|` per atom.
+        bits = bytearray(len(self.universe))
+        atom_id = self._atom_id
+        for atom in atoms:
+            i = atom_id.get(atom) if type(atom) is str else None
+            bits[self._pack(atom) if i is None else i] = 1
+        return int(bits[::-1].translate(_BYTE_TO_DIGIT) or b"0", 2)
 
-    def set_of(self, index) -> frozenset:
+    def set_of(self, index) -> int:
         try:
             return self.family[index]
         except KeyError:
             raise ArgumentError(f"unknown index {index!r}")
 
-    def intersection(self, indices: Iterable) -> frozenset:
-        sets = sorted((self.set_of(i) for i in indices), key=len)
-        if not sets:
-            return frozenset(range(len(self.universe)))
-        out = sets[0]
-        for s in sets[1:]:
-            out = out & s
-            if not out:
-                break
+    def intersection(self, indices: Iterable) -> int:
+        masks = [self.set_of(i) for i in indices]
+        if not masks:
+            return (1 << len(self.universe)) - 1
+        out = masks[0]
+        for mask in masks[1:]:
+            out &= mask
         return out
 
     def consistent(self, indices: Iterable) -> bool:
         indices = list(indices)
         if not indices:
             return True
-        return bool(self.intersection(indices))
+        return self.intersection(indices) != 0
 
-    def atom_names(self, ids: Iterable[int]) -> list[str]:
-        return sorted(self.universe[i] for i in ids)
+    def common_atom(self, indices: Iterable) -> Optional[str]:
+        """The least atom name shared by every set of the family, or None."""
+        names = self.atom_names(self.intersection(indices))
+        return names[0] if names else None
+
+    def atom_names(self, mask: int) -> list[str]:
+        return sorted(compress(self.universe,
+                               bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BYTE)))
 
     def reindexed(self, mapping: dict) -> "SetSystem":
         """New system with family b'_new = b_old over the same universe."""
-        fam = {}
-        for new_index, old_index in mapping.items():
-            fam[new_index] = self.set_of(old_index)
-        out = SetSystem.__new__(SetSystem)
-        out.universe = self.universe
-        out._atom_id = self._atom_id
-        out.family = fam
-        out.indices = frozenset(fam)
-        return out
+        return self._with_masks({new_index: self.set_of(old_index)
+                                 for new_index, old_index in mapping.items()})
 
     def mutated_without(self, index, atom_name: str) -> "SetSystem":
         """Copy with one atom removed from one set (for perturbation tests)."""
-        atom = self._pack(atom_name)
-        fam = dict(self.family)
-        fam[index] = fam[index] - {atom}
-        out = SetSystem.__new__(SetSystem)
-        out.universe = self.universe
-        out._atom_id = self._atom_id
-        out.family = fam
-        out.indices = frozenset(fam)
-        return out
+        family = dict(self.family)
+        family[index] = self.set_of(index) & ~(1 << self._pack(atom_name))
+        return self._with_masks(family)
 
     def to_json(self, index_encoder: Callable = None) -> dict:
         enc = index_encoder or encode_index
@@ -128,8 +133,15 @@ class SetSystem:
     def from_json(cls, payload: dict, index_decoder: Callable) -> "SetSystem":
         family = {}
         for entry in payload["family"]:
-            family[index_decoder(entry["index"])] = entry["set"]
+            index = index_decoder(entry["index"])
+            if index in family:
+                raise ArgumentError(f"duplicate index {entry['index']!r}")
+            family[index] = entry["set"]
         return cls(payload["universe"], family)
+
+
+_BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class PredicateOracle:
@@ -147,6 +159,26 @@ class PredicateOracle:
         if unknown:
             raise ArgumentError(f"unknown index {sorted(unknown, key=repr)[0]!r}")
         return bool(self._predicate(family))
+
+    def common_atom(self, indices: Iterable) -> None:
+        """A predicate names no atoms."""
+        return None
+
+
+def reindex(ci, mapping: dict):
+    """b'_new = b_old along new -> old; preserves the interface flavor."""
+    if isinstance(ci, SetSystem):
+        return ci.reindexed(mapping)
+    image = {}
+    for new_index, old_index in mapping.items():
+        if old_index not in ci.indices:
+            raise ArgumentError(f"target index {old_index!r} is not in the family")
+        image[new_index] = old_index
+
+    def predicate(family):
+        return ci.consistent(frozenset(image[i] for i in family))
+
+    return PredicateOracle(image, predicate)
 
 
 def encode_index(index) -> str:
@@ -220,15 +252,20 @@ class Report:
 
 
 class _ViolationSink:
+    """Counts every violation; builds records only for the first `cap`."""
+
     def __init__(self, cap: int):
+        if not isinstance(cap, int) or cap < 0:
+            raise ArgumentError(f"max_violations must be a nonnegative integer, got {cap!r}")
         self.cap = cap
         self.items: list[Violation] = []
         self.total = 0
 
-    def add(self, violation: Violation) -> None:
+    def add(self, build: Callable[[], Violation]) -> None:
+        """Count one violation; call `build` now if the report has room."""
         self.total += 1
         if len(self.items) < self.cap:
-            self.items.append(violation)
+            self.items.append(build())
 
     def report(self, cap: int, truncated: bool) -> Report:
         return Report(
@@ -257,42 +294,53 @@ def _require_indices(ci, expected: Iterable, what: str) -> None:
         raise ArgumentError(f"{what} has unexpected index {encode_index(sample)}")
 
 
-def _needed_mask(entries, wanted) -> list[bool]:
-    """Entries whose intersections feed a wanted verdict: the wanted entries
-    plus their part ancestry (entries are topologically ordered)."""
-    needed = [False] * len(entries)
+_SKIP, _FOLD, _KEEP = 0, 1, 2
+
+
+def _fold_plan(entries, wanted) -> bytearray:
+    """Per entry: _SKIP, _FOLD (its verdict feeds the report), or _KEEP (also
+    a part of a folded compound, so its intersection must be kept).
+
+    Folded entries are the wanted ones (all when `wanted` is None) plus their
+    part ancestry.  Entries are topologically ordered, so one backward pass
+    marks every compound before its parts.
+    """
+    plan = bytearray(len(entries))
     for pos in range(len(entries) - 1, -1, -1):
-        if wanted(entries[pos]) or needed[pos]:
-            needed[pos] = True
-            entry = entries[pos]
-            if entry.a_index is not None:
-                needed[entry.a_index] = True
-                needed[entry.b_index] = True
-    return needed
+        entry = entries[pos]
+        if not plan[pos]:
+            if wanted is not None and not wanted(entry):
+                continue
+            plan[pos] = _FOLD
+        if entry.a_index is not None:
+            plan[entry.a_index] = _KEEP
+            plan[entry.b_index] = _KEEP
+    return plan
 
 
 def _family_consistency(ci, entries, level, wanted=None):
     """Bottom-up consistency evaluation over structured comb entries.
 
     For a set system, the intersection of a compound comb is the intersection
-    of its two parts, so one set-and per entry suffices.  When `wanted` is
-    given, only those entries (and the parts they are built from) are folded.
-    Returns a list of verdicts aligned with `entries` (None where skipped).
+    of its two parts, so one `&` per entry suffices; only the intersections
+    of parts are kept.  When `wanted` is given, only those entries (and the
+    parts they are built from) are folded.  Returns a list of verdicts
+    aligned with `entries` (None where skipped).
     """
     if isinstance(ci, SetSystem):
         sets = [ci.set_of(node) for node in level]
-        needed = _needed_mask(entries, wanted) if wanted else None
-        inters: list[frozenset] = [None] * len(entries)
+        parts: dict[int, int] = {}
         verdicts = [None] * len(entries)
-        for pos, entry in enumerate(entries):
-            if needed is not None and not needed[pos]:
+        for pos, (entry, role) in enumerate(zip(entries, _fold_plan(entries, wanted))):
+            if role == _SKIP:
                 continue
             if entry.a_index is None:
                 inter = sets[entry.mask.bit_length() - 1]
             else:
-                inter = inters[entry.a_index] & inters[entry.b_index]
-            inters[pos] = inter
-            verdicts[pos] = bool(inter)
+                inter = parts[entry.a_index] & parts[entry.b_index]
+            if role == _KEEP:
+                parts[pos] = inter
+            verdicts[pos] = inter != 0
         return verdicts
     return [ci.consistent(frozenset(combs_mod.mask_nodes(entry.mask, level)))
             if wanted is None or wanted(entry) else None
@@ -312,26 +360,25 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     """
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    sink = _ViolationSink(max_violations)
     level = enumerate_level(d)
     _require_indices(ci, level, "weave family")
     if cap is None:
         cap = default_cap(k, d)
-    sink = _ViolationSink(max_violations)
+
+    def violation(kind, entry, cls):
+        nodes = frozenset(combs_mod.mask_nodes(entry.mask, level))
+        atom = ci.common_atom(nodes) if kind == INCONSISTENCY else None
+        return Violation(kind, tuple(sorted(nodes)), is_comb(nodes, cls), atom)
 
     up_cls = CombClass("up", m)
     up_entries = comb_entries(d, up_cls, max(k, 1))
     up_verdicts = _family_consistency(ci, up_entries, level,
                                       wanted=lambda e: e.size == k)
-    for pos in _entry_report_order(up_entries):
-        entry = up_entries[pos]
-        if entry.size == k and up_verdicts[pos]:
-            nodes = frozenset(combs_mod.mask_nodes(entry.mask, level))
-            atom = None
-            if isinstance(ci, SetSystem):
-                inter = ci.intersection(nodes)
-                atom = ci.atom_names(inter)[0] if inter else None
-            sink.add(Violation(INCONSISTENCY, tuple(sorted(nodes)),
-                               is_comb(nodes, up_cls), atom))
+    consistent_k = [pos for pos, verdict in enumerate(up_verdicts)
+                    if verdict and up_entries[pos].size == k]
+    for pos in _report_order(up_entries, consistent_k):
+        sink.add(lambda: violation(INCONSISTENCY, up_entries[pos], up_cls))
 
     if strong:
         cons_cls = CombClass("wide-right", n, reading)
@@ -351,16 +398,15 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
         target = min(cap, 2 ** d)
         wanted = lambda e: e.size == target  # noqa: E731
     cons_verdicts = _family_consistency(ci, cons_entries, level, wanted=wanted)
-    for pos in _entry_report_order(cons_entries):
-        if cons_verdicts[pos] is False:
-            nodes = frozenset(combs_mod.mask_nodes(cons_entries[pos].mask, level))
-            sink.add(Violation(CONSISTENCY, tuple(sorted(nodes)),
-                               is_comb(nodes, cons_cls)))
+    inconsistent = [pos for pos, verdict in enumerate(cons_verdicts) if verdict is False]
+    for pos in _report_order(cons_entries, inconsistent):
+        sink.add(lambda: violation(CONSISTENCY, cons_entries[pos], cons_cls))
     return sink.report(cap, truncated=cap < 2 ** d)
 
 
-def _entry_report_order(entries) -> list[int]:
-    return sorted(range(len(entries)),
+def _report_order(entries, positions: list[int]) -> list[int]:
+    """The given entry positions by size, then by ascending level positions."""
+    return sorted(positions,
                   key=lambda i: (entries[i].size, combs_mod.mask_indices(entries[i].mask)))
 
 
@@ -454,24 +500,21 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
     if s < 1:
         raise ArgumentError(f"grid side must be positive, got {s}")
+    sink = _ViolationSink(max_violations)
     _require_indices(ci, grid_points(s), "grid family")
     if cap is None:
         cap = default_cap(k, s)
-    sink = _ViolationSink(max_violations)
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
-            atom = None
-            if isinstance(ci, SetSystem):
-                inter = ci.intersection(combo)
-                atom = ci.atom_names(inter)[0] if inter else None
-            sink.add(Violation(INCONSISTENCY, combo, {"structure": "antichain"}, atom))
+            sink.add(lambda: Violation(INCONSISTENCY, combo, {"structure": "antichain"},
+                                       ci.common_atom(combo)))
 
     families = chains(s, cap) if strong else strict_chains(s, cap)
     structure = "chain" if strong else "strict-chain"
     for fam in families:
         if not ci.consistent(fam):
-            sink.add(Violation(CONSISTENCY, fam, {"structure": structure}))
+            sink.add(lambda: Violation(CONSISTENCY, fam, {"structure": structure}))
     return sink.report(cap, truncated=cap < 2 * s - 1)
 
 
@@ -486,6 +529,7 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
     from itertools import combinations
     from math import comb as binom
 
+    sink = _ViolationSink(max_violations)
     vertices = list(range(graph.n))
     _require_indices(ci, vertices, "graph pattern family")
     if cap is None:
@@ -496,7 +540,6 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
         raise ResourceError(
             f"graph pattern check would scan {total} subsets, over the limit {limit}")
     masks = graph.adjacency_masks()
-    sink = _ViolationSink(max_violations)
     for size in range(1, cap + 1):
         for combo in combinations(vertices, size):
             seen = 0
@@ -510,14 +553,11 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
             independent = edge is None
             is_consistent = ci.consistent(combo)
             if independent and not is_consistent:
-                sink.add(Violation(CONSISTENCY, combo, {"structure": "independent"}))
+                sink.add(lambda: Violation(CONSISTENCY, combo, {"structure": "independent"}))
             elif not independent and is_consistent:
-                atom = None
-                if isinstance(ci, SetSystem):
-                    inter = ci.intersection(combo)
-                    atom = ci.atom_names(inter)[0] if inter else None
-                sink.add(Violation(INCONSISTENCY, combo,
-                                   {"structure": "edge", "edge": list(edge)}, atom))
+                sink.add(lambda: Violation(INCONSISTENCY, combo,
+                                           {"structure": "edge", "edge": list(edge)},
+                                           ci.common_atom(combo)))
     return sink.report(cap, truncated=cap < graph.n)
 
 

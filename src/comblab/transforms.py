@@ -19,7 +19,7 @@ from typing import Iterable, Union
 from .errors import ArgumentError, ResourceError
 from .index_core import (Letter, Node, decode, encode, enumerate_level,
                          depth_bound)
-from .patterns import PredicateOracle, SetSystem
+from .patterns import reindex
 
 GridPoint = tuple  # (x, y) under the product order
 
@@ -109,22 +109,6 @@ def strongify_index(d: int) -> IndexMap:
     return IndexMap(d, "level", mapping)
 
 
-def _reindex(ci, mapping: dict):
-    """b'_new = b_old along new -> old; preserves the interface flavor."""
-    if isinstance(ci, SetSystem):
-        return ci.reindexed(mapping)
-    image = {}
-    for new_index, old_index in mapping.items():
-        if old_index not in ci.indices:
-            raise ArgumentError(f"target index {old_index!r} is not in the family")
-        image[new_index] = old_index
-
-    def predicate(family):
-        return ci.consistent(frozenset(image[i] for i in family))
-
-    return PredicateOracle(image, predicate)
-
-
 def strongify_weave(ci):
     """Pull a family on level 2d back to level d along the strongify map.
 
@@ -143,7 +127,7 @@ def strongify_weave(ci):
     missing = [t for t in fmap.mapping.values() if t not in ci.indices]
     if missing:
         raise ArgumentError(f"family is missing image index {encode(missing[0])}")
-    return _reindex(ci, fmap.mapping)
+    return reindex(ci, fmap.mapping)
 
 
 def pullback(ci, mapping: Union[IndexMap, dict]):
@@ -169,7 +153,7 @@ def pullback(ci, mapping: Union[IndexMap, dict]):
                 f"prefix condition violated at {encode(node)}: image {encode(target) if isinstance(target, Node) else target!r}")
         if target not in ci.indices:
             raise ArgumentError(f"image index {encode(target)} is not in the family")
-    return _reindex(ci, table)
+    return reindex(ci, table)
 
 
 # Offsets of the four first-letter blocks inside a box of side 4W: chosen so
@@ -219,7 +203,7 @@ def grid_to_weave(ci, d: int):
     if set(ci.indices) != expected:
         raise ArgumentError(f"family must be indexed by the full {side}x{side} square")
     fmap = grid_embed_index(d)
-    return _reindex(ci, fmap.mapping)
+    return reindex(ci, fmap.mapping)
 
 
 def scale_point(point: GridPoint) -> tuple:
@@ -237,7 +221,7 @@ def epsilon_scale(ci):
     this limitation is deliberate and covered by tests.
     """
     mapping = {scale_point(pt): pt for pt in ci.indices}
-    return _reindex(ci, mapping)
+    return reindex(ci, mapping)
 
 
 def eps_leq(p: tuple, q: tuple) -> bool:

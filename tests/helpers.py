@@ -3,9 +3,11 @@ paths are checked against."""
 
 from itertools import combinations
 
-from comblab.combs import CombClass, RECURSIVE, is_comb
+from comblab.combs import (OMEGA, CombClass, RECURSIVE, comb_entries, is_comb,
+                           mask_indices, mask_nodes)
 from comblab.index_core import enumerate_level
-from comblab.patterns import SetSystem, k_inconsistent
+from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, SetSystem,
+                              Violation, k_inconsistent)
 
 SEED = 0xC0FFEE
 
@@ -51,6 +53,68 @@ def direct_grid_ok(ci, s, k, strong=False):
             if in_class and not ci.consistent(combo):
                 return False
     return True
+
+
+def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
+                          cap=None, max_violations=10):
+    """check_weave's report on a set system, computed the straightforward way:
+    a frozenset intersection for every comb entry, every entry sorted by
+    (size, level positions), and a certificate and atom for every violation
+    before the list is truncated."""
+    level = enumerate_level(d)
+    atoms = {node: frozenset(ci.atom_names(ci.set_of(node))) for node in level}
+    if cap is None:
+        cap = max(k, 2 * d, 8)
+
+    def intersections(entries):
+        out = []
+        for entry in entries:
+            if entry.a_index is None:
+                out.append(atoms[level[entry.mask.bit_length() - 1]])
+            else:
+                out.append(out[entry.a_index] & out[entry.b_index])
+        return out
+
+    def folded(entries, wanted):
+        # The checked entries: the wanted ones plus the parts they are built from.
+        keep = [False] * len(entries)
+        for pos in range(len(entries) - 1, -1, -1):
+            if wanted(entries[pos]) or keep[pos]:
+                keep[pos] = True
+                if entries[pos].a_index is not None:
+                    keep[entries[pos].a_index] = keep[entries[pos].b_index] = True
+        return keep
+
+    def report_order(entries):
+        return sorted(range(len(entries)),
+                      key=lambda i: (entries[i].size, mask_indices(entries[i].mask)))
+
+    violations = []
+    up_cls = CombClass("up", m)
+    up_entries = comb_entries(d, up_cls, max(k, 1))
+    up_inters = intersections(up_entries)
+    for pos in report_order(up_entries):
+        if up_entries[pos].size == k and up_inters[pos]:
+            nodes = frozenset(mask_nodes(up_entries[pos].mask, level))
+            violations.append(Violation(INCONSISTENCY, tuple(sorted(nodes)),
+                                        is_comb(nodes, up_cls), min(up_inters[pos])))
+
+    cons_cls = CombClass("wide-right", n, reading) if strong else CombClass("right", n)
+    cons_entries = comb_entries(d, cons_cls, cap)
+    cons_inters = intersections(cons_entries)
+    if n is OMEGA and cons_cls.reading == RECURSIVE:
+        target = min(cap, 2 ** d)
+        checked = folded(cons_entries, lambda e: e.size == target)
+    else:
+        checked = [True] * len(cons_entries)
+    for pos in report_order(cons_entries):
+        if checked[pos] and not cons_inters[pos]:
+            nodes = frozenset(mask_nodes(cons_entries[pos].mask, level))
+            violations.append(Violation(CONSISTENCY, tuple(sorted(nodes)),
+                                        is_comb(nodes, cons_cls)))
+    return Report(ok=not violations, cap=cap, truncated=cap < 2 ** d,
+                  violations=violations[:max_violations],
+                  violations_truncated=len(violations) > max_violations).to_json()
 
 
 def random_set_system(indices, rng, atoms=4):

@@ -45,6 +45,35 @@ def test_exit_code_usage(workdir):
     assert code == 2
 
 
+def test_negative_max_violations_rejected(workdir):
+    commands = (
+        ["check-weave", "--depth", "1", "-k", "2", "-m", "1", "-n", "omega",
+         "--strong", "--in", str(workdir / "weave1.json")],
+        ["check-grid", "--size", "3", "-k", "2", "--in", str(workdir / "grid3.json")],
+        ["check-graph-pattern", "--graph", str(workdir / "k2.json"),
+         "--in", str(workdir / "graphw.json")],
+    )
+    for argv in commands:
+        code, out, err = run_cli(argv + ["--max-violations", "-1"])
+        assert (code, out) == (2, ""), argv
+        assert "max_violations" in err
+        code, out, _ = run_cli(argv + ["--max-violations", "0"])
+        assert code == 0 and json.loads(out)["ok"]
+
+
+def test_duplicate_index_rejected(workdir, tmp_path):
+    # With the last duplicate winning, the empty set below used to surface as
+    # three bogus consistency violations (exit 1).
+    payload = json.loads((workdir / "weave1.json").read_text())
+    payload["family"].append({"index": payload["family"][0]["index"], "set": []})
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["check-weave", "--depth", "1", "-k", "2", "-m", "1",
+                              "-n", "omega", "--strong", "--in", str(path)])
+    assert (code, out) == (2, "")
+    assert "duplicate index '0'" in err
+
+
 def test_exit_code_missing_file():
     code, _, _ = run_cli(["find-p4", "--in", "/nonexistent/graph.json"])
     assert code == 2

@@ -3,11 +3,12 @@
 import pytest
 
 from comblab.combs import CombClass, OMEGA
-from comblab.cographs import comb_graph
+from comblab.cographs import Graph, comb_graph
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import Letter, decode, enumerate_level
-from comblab.patterns import (SetSystem, check_grid, grid_witness,
-                              triangle_free_demo, weave_witness)
+from comblab.patterns import (SetSystem, check_graph_pattern, check_grid, check_weave,
+                              graph_witness, grid_witness, triangle_free_demo,
+                              weave_witness)
 from comblab.transforms import grid_embed_index, strongify_index
 
 
@@ -37,6 +38,27 @@ def test_set_system_validation():
     ci = SetSystem(["a"], {0: {"a"}})
     with pytest.raises(ArgumentError):
         ci.set_of(99)
+
+
+def test_set_system_from_json_rejects_duplicate_index():
+    payload = weave_witness(1, 2, 1, 1).to_json()
+    payload["family"].append({"index": "0", "set": []})
+    with pytest.raises(ArgumentError, match="duplicate index '0'"):
+        SetSystem.from_json(payload, decode)
+
+
+def test_checkers_reject_negative_max_violations():
+    graph = Graph(2, [(0, 1)])
+    checks = (
+        lambda mv: check_weave(weave_witness(1, 2, 1, 1), 1, 2, 1, 1, max_violations=mv),
+        lambda mv: check_grid(grid_witness(2, 2), 2, 2, max_violations=mv),
+        lambda mv: check_graph_pattern(graph_witness(graph), graph, max_violations=mv),
+    )
+    for check in checks:
+        with pytest.raises(ArgumentError, match="max_violations"):
+            check(-1)
+        report = check(0)
+        assert report.ok and report.violations == []
 
 
 def test_witness_parameter_validation():

@@ -15,7 +15,8 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               grid_witness, k_inconsistent, realizable,
                               triangle_free_demo, weave_witness)
 
-from helpers import SEED, direct_grid_ok, direct_weave_ok, random_set_system
+from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_set_system,
+                     random_subsystem_mutations, reference_check_weave)
 
 
 def small_system():
@@ -31,6 +32,19 @@ def test_consistent_examples():
     assert consistent(ci, ["a", "b"])
     assert not consistent(ci, ["a", "c"])
     assert consistent(ci, [])
+
+
+def test_set_system_masks():
+    ci = small_system()  # universe order "1", "2", "3", "9" gives bits 0..3
+    assert ci.set_of("a") == 0b0011
+    assert ci.intersection(["a", "b"]) == 0b0010
+    assert ci.atom_names(ci.intersection(["a", "b"])) == ["2"]
+    assert ci.common_atom(["a", "b"]) == "2"
+    assert ci.common_atom(["a", "c"]) is None
+    assert ci.mutated_without("a", "2").set_of("a") == 0b0001
+    empty = SetSystem([], {0: set()})
+    assert empty.consistent([]) is True
+    assert empty.consistent([0]) is False
 
 
 def test_consistent_unknown_index():
@@ -142,6 +156,44 @@ def test_check_weave_agrees_with_direct_oracle_on_random_systems():
                 got = check_weave(ci, 1, 2, 1, n, strong=strong, reading=reading).ok
                 want = direct_weave_ok(ci, 1, 2, 1, n, strong=strong, reading=reading)
                 assert got == want, (trial, n, strong, reading)
+
+
+def test_check_weave_report_matches_reference(monkeypatch):
+    # Whole reports, not just verdicts: violation order, truncation, atoms and
+    # certificates must equal the straightforward computation, and a
+    # certificate is built only for a reported violation.
+    from comblab import patterns as patterns_mod
+    from comblab.combs import LITERAL, RECURSIVE
+
+    calls = [0]
+    real_is_comb = patterns_mod.is_comb
+
+    def counting_is_comb(nodes, cls):
+        calls[0] += 1
+        return real_is_comb(nodes, cls)
+
+    monkeypatch.setattr(patterns_mod, "is_comb", counting_is_comb)
+    rng = random.Random(SEED + 5)
+    settings = ((1, False, RECURSIVE), (2, True, RECURSIVE), (OMEGA, False, RECURSIVE),
+                (OMEGA, True, RECURSIVE), (OMEGA, True, LITERAL))
+    for d in (1, 2):
+        witness = weave_witness(d, 2, 1, OMEGA)
+        systems = [witness, weave_witness(d, 2, 1, 1)]
+        systems += [witness.mutated_without(index, atom)
+                    for index, atom in random_subsystem_mutations(witness, rng, 3)]
+        systems += [random_set_system(enumerate_level(d), rng) for _ in range(2)]
+        for ci in systems:
+            for k, m in ((2, 1), (3, OMEGA)):
+                for n, strong, reading in settings:
+                    for max_violations in (0, 1, 3, 10):
+                        calls[0] = 0
+                        got = check_weave(ci, d, k, m, n, strong=strong, reading=reading,
+                                          max_violations=max_violations).to_json()
+                        assert calls[0] == len(got["violations"])
+                        want = reference_check_weave(ci, d, k, m, n, strong=strong,
+                                                     reading=reading,
+                                                     max_violations=max_violations)
+                        assert got == want, (d, k, m, n, strong, reading, max_violations)
 
 
 def test_check_weave_literal_catches_non_extendable_pair():
