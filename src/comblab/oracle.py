@@ -174,6 +174,8 @@ def assignment_oracle(template, atoms: int) -> bool:
         return membership[key]
 
     def consistent_mask(family) -> int:
+        if not family:
+            return full  # the empty family is consistent by convention
         out = 0
         for atom in range(atoms):
             acc = full

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 from . import combs as combs_mod
 from .combs import (CombClass, RECURSIVE, comb_entries, is_comb,
                     wide_right)
-from .errors import ArgumentError, ResourceError
+from .errors import ArgumentError, ParseError, ResourceError
 from .index_core import Node, encode, enumerate_level
 
 DEFAULT_SEED = 0xC0FFEE
@@ -60,24 +60,17 @@ class SetSystem:
         out.indices = frozenset(family)
         return out
 
-    def _pack(self, atom) -> int:
-        if isinstance(atom, int):
-            if not 0 <= atom < len(self.universe):
-                raise ArgumentError(f"atom id {atom} out of range")
-            return atom
-        try:
-            return self._atom_id[atom]
-        except KeyError:
-            raise ArgumentError(f"atom {atom!r} is not in the universe")
-
     def _mask(self, atoms: Iterable) -> int:
+        """The mask of the named atoms; every atom is looked up by name."""
         # One byte per atom, read as a binary numeral: a single big-int
         # conversion instead of one universe-wide `|` per atom.
         bits = bytearray(len(self.universe))
         atom_id = self._atom_id
-        for atom in atoms:
-            i = atom_id.get(atom) if type(atom) is str else None
-            bits[self._pack(atom) if i is None else i] = 1
+        try:
+            for atom in atoms:
+                bits[atom_id[atom]] = 1
+        except KeyError:
+            raise ArgumentError(f"atom {atom!r} is not in the universe") from None
         return int(bits[::-1].translate(_BYTE_TO_DIGIT) or b"0", 2)
 
     def set_of(self, index) -> int:
@@ -118,7 +111,7 @@ class SetSystem:
     def mutated_without(self, index, atom_name: str) -> "SetSystem":
         """Copy with one atom removed from one set (for perturbation tests)."""
         family = dict(self.family)
-        family[index] = self.set_of(index) & ~(1 << self._pack(atom_name))
+        family[index] = self.set_of(index) & ~self._mask((atom_name,))
         return self._with_masks(family)
 
     def to_json(self, index_encoder: Callable = None) -> dict:
@@ -131,17 +124,33 @@ class SetSystem:
 
     @classmethod
     def from_json(cls, payload: dict, index_decoder: Callable) -> "SetSystem":
+        """Read {"universe": [...], "family": [{"index": ..., "set": [...]}]};
+        a malformed value raises ParseError naming where it is."""
+        if not isinstance(payload, dict):
+            raise ParseError(f"set system must be a JSON object, got {type(payload).__name__}")
+        for key in ("universe", "family"):
+            if not isinstance(payload.get(key), list):
+                raise ParseError(f"set system needs a {key!r} list")
         family = {}
-        for entry in payload["family"]:
-            index = index_decoder(entry["index"])
+        for pos, entry in enumerate(payload["family"]):
+            if not isinstance(entry, dict) or "index" not in entry:
+                raise ParseError(f"family[{pos}] must be an object with an 'index'")
+            if not isinstance(entry.get("set"), list):
+                raise ParseError(f"family[{pos}] needs a 'set' list")
+            try:
+                index = index_decoder(entry["index"])
+            except (ParseError, ValueError, TypeError) as err:
+                raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: {err}") from None
             if index in family:
-                raise ArgumentError(f"duplicate index {entry['index']!r}")
+                raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
             family[index] = entry["set"]
         return cls(payload["universe"], family)
 
 
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
+# _BIT_TO_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0".
+_BIT_TO_DIGIT = tuple(bytes(b"01"[value >> j & 1] for value in range(256)) for j in range(8))
 
 
 class PredicateOracle:
@@ -635,34 +644,47 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     family contains itself, so the consistency clause holds.  With genuine_k,
     every node subset of size < k joins the universe as well, which keeps
     k-inconsistency but defeats (k-1)-inconsistency on up-combs.
+
+    The witness is built from the comb masks of `comb_entries` alone: atom
+    names are read from mask bytes, the universe is sorted by name, and each
+    node's set is the column of that node's bit across the atom masks.
     """
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
     level = enumerate_level(d)
     entries = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
-    atom_sets = [tuple(node.digits for node in combs_mod.mask_nodes(entry.mask, level))
-                 for entry in entries]
+    masks = [entry.mask for entry in entries]
     if genuine_k:
         from itertools import combinations
         from math import comb as binom
 
         extra_total = sum(binom(len(level), size) for size in range(1, k))
-        if len(atom_sets) + extra_total > limit:
+        if len(masks) + extra_total > limit:
             raise ResourceError(
-                f"witness universe would have {len(atom_sets) + extra_total} atoms, "
+                f"witness universe would have {len(masks) + extra_total} atoms, "
                 f"over the limit {limit}")
-        digit_level = sorted(node.digits for node in level)
         for size in range(1, k):
-            for combo in combinations(digit_level, size):
-                atom_sets.append(combo)
-    atom_sets = sorted(set(atom_sets))
-    names = ["{" + ",".join(s or "-" for s in group) + "}" for group in atom_sets]
-    member = {node.digits: set() for node in level}
-    for name, group in zip(names, atom_sets):
-        for digit in group:
-            member[digit].add(name)
-    family = {node: member[node.digits] for node in level}
-    return SetSystem(names, family)
+            for combo in combinations(range(len(level)), size):
+                masks.append(sum(1 << i for i in combo))
+    width = (len(level) + 7) // 8
+    # Each mask as `width` little-endian bytes; tables[b][value] names the
+    # nodes of byte b set in `value`, each followed by a comma.
+    digits = [(node.digits or "-") + "," for node in level]
+    digits += [""] * (8 * width - len(level))
+    tables = [["".join(digits[8 * b + j] for j in range(8) if value >> j & 1)
+               for value in range(256)]
+              for b in range(width)]
+    raw_masks = [mask.to_bytes(width, "little") for mask in dict.fromkeys(masks)]
+    names = ["{" + "".join(map(list.__getitem__, tables, raw))[:-1] + "}"
+             for raw in raw_masks]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    names = [names[i] for i in order]
+    raw = b"".join([raw_masks[i] for i in order])
+    # Node i's set: bit i % 8 of byte i // 8 across all atoms, read as a
+    # binary numeral with atom 0 as its lowest digit.
+    family = {node: int(raw[i // 8::width].translate(_BIT_TO_DIGIT[i % 8])[::-1], 2)
+              for i, node in enumerate(level)}
+    return SetSystem(names, {})._with_masks(family)
 
 
 def _maximal(families: list[tuple], points: list[tuple], fits) -> list[tuple]:

@@ -19,6 +19,7 @@ from . import genericity as genericity_mod
 from . import patterns as patterns_mod
 from . import transforms as transforms_mod
 from .combs import OMEGA, CombClass, UP_ONE, WIDE_RIGHT_ONE
+from .errors import ResourceError
 from .index_core import enumerate_level
 from .patterns import DEFAULT_SEED
 
@@ -320,6 +321,8 @@ def run_battery(max_depth: int = 2, seed: int = DEFAULT_SEED) -> list[CheckResul
     for name, fn in scheduled:
         try:
             checks.append(fn())
+        except ResourceError:
+            raise  # a refused computation is a resource bound, not a failed check
         except Exception as err:  # a broken core should fail the battery, not crash it
             checks.append(CheckResult(name, False, f"unexpected error: {err!r}"))
     return checks

@@ -3,8 +3,9 @@ paths are checked against."""
 
 from itertools import combinations
 
-from comblab.combs import (OMEGA, CombClass, RECURSIVE, comb_entries, is_comb,
-                           mask_indices, mask_nodes)
+from comblab.combs import (DEFAULT_ENUM_LIMIT, OMEGA, CombClass, RECURSIVE, comb_entries,
+                           is_comb, mask_indices, mask_nodes, wide_right)
+from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import enumerate_level
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, SetSystem,
                               Violation, k_inconsistent)
@@ -115,6 +116,35 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
     return Report(ok=not violations, cap=cap, truncated=cap < 2 ** d,
                   violations=violations[:max_violations],
                   violations_truncated=len(violations) > max_violations).to_json()
+
+
+def reference_weave_witness(d, k, m, n, genuine_k=False, limit=DEFAULT_ENUM_LIMIT):
+    """weave_witness built the straightforward way: each comb as a sorted
+    tuple of node digit strings, one set of atom names per node, and the
+    names packed into masks by SetSystem."""
+    from math import comb as binom
+
+    if not isinstance(k, int) or k < 2:
+        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    level = enumerate_level(d)
+    entries = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
+    atom_sets = [tuple(node.digits for node in mask_nodes(entry.mask, level))
+                 for entry in entries]
+    if genuine_k:
+        extra_total = sum(binom(len(level), size) for size in range(1, k))
+        if len(atom_sets) + extra_total > limit:
+            raise ResourceError(f"witness universe would have "
+                                f"{len(atom_sets) + extra_total} atoms, over the limit {limit}")
+        digit_level = sorted(node.digits for node in level)
+        for size in range(1, k):
+            atom_sets.extend(combinations(digit_level, size))
+    atom_sets = sorted(set(atom_sets))
+    names = ["{" + ",".join(s or "-" for s in group) + "}" for group in atom_sets]
+    member = {node.digits: set() for node in level}
+    for name, group in zip(names, atom_sets):
+        for digit in group:
+            member[digit].add(name)
+    return SetSystem(names, {node: member[node.digits] for node in level})
 
 
 def random_set_system(indices, rng, atoms=4):

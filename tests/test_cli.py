@@ -74,6 +74,23 @@ def test_duplicate_index_rejected(workdir, tmp_path):
     assert "duplicate index '0'" in err
 
 
+def test_malformed_set_system_rejected_with_location(tmp_path):
+    # A top-level list used to surface as a bare TypeError, and a string set
+    # was read as its characters, so the second file passed the check.
+    cases = (
+        ([1, 2], "JSON object"),
+        ({"universe": ["a", "b"], "family": [{"index": "-", "set": "ab"}]},
+         "family[0] needs a 'set' list"),
+    )
+    for payload, where in cases:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["check-weave", "--depth", "0", "-k", "2", "-m", "1",
+                                  "-n", "omega", "--strong", "--in", str(path)])
+        assert (code, out) == (2, ""), payload
+        assert where in err and "malformed input" not in err
+
+
 def test_exit_code_missing_file():
     code, _, _ = run_cli(["find-p4", "--in", "/nonexistent/graph.json"])
     assert code == 2
@@ -126,6 +143,29 @@ def test_verify_paper_catches_classifier_mutation(monkeypatch):
     monkeypatch.setattr("comblab.combs.classify_pair", broken)
     code, _, _ = run_cli(["verify-paper", "--max-depth", "1"])
     assert code == 1
+
+
+def test_verify_paper_resource_error_exits_3(monkeypatch):
+    from comblab.errors import ResourceError
+
+    def refused(max_depth):
+        raise ResourceError("pair sweep over the limit")
+
+    monkeypatch.setattr("comblab.verify._pair_dichotomy", refused)
+    code, out, err = run_cli(["verify-paper", "--max-depth", "1"])
+    assert (code, out) == (3, "")
+    assert "pair sweep over the limit" in err
+
+
+def test_verify_paper_other_errors_fail_the_check(monkeypatch):
+    def broken():
+        raise RuntimeError("broken core")
+
+    monkeypatch.setattr("comblab.verify._triangle_demo", broken)
+    code, out, _ = run_cli(["verify-paper", "--max-depth", "1"])
+    assert code == 1
+    [check] = [c for c in json.loads(out)["checks"] if c["name"] == "triangle-demo"]
+    assert not check["ok"] and "broken core" in check["detail"]
 
 
 def test_verify_paper_catches_base_table_mutation(monkeypatch):

@@ -47,6 +47,22 @@ def test_set_system_from_json_rejects_duplicate_index():
         SetSystem.from_json(payload, decode)
 
 
+@pytest.mark.parametrize("payload, where", [
+    ([1, 2], "JSON object"),
+    ({"family": []}, "'universe' list"),
+    ({"universe": [], "family": {"index": "-", "set": []}}, "'family' list"),
+    ({"universe": ["a"], "family": ["-"]}, r"family\[0\] must be an object"),
+    ({"universe": ["a"], "family": [{"set": ["a"]}]}, r"family\[0\] must be an object"),
+    ({"universe": ["a", "b"], "family": [{"index": "-", "set": "ab"}]},
+     r"family\[0\] needs a 'set' list"),
+    ({"universe": ["a"], "family": [{"index": "-", "set": []}, {"index": "", "set": []}]},
+     r"family\[1\]: bad index ''"),
+])
+def test_set_system_from_json_rejects_malformed_payload(payload, where):
+    with pytest.raises(ParseError, match=where):
+        SetSystem.from_json(payload, decode)
+
+
 def test_checkers_reject_negative_max_violations():
     graph = Graph(2, [(0, 1)])
     checks = (

@@ -5,7 +5,7 @@ import pytest
 
 from comblab.combs import OMEGA
 from comblab.cographs import Graph
-from comblab.errors import ArgumentError
+from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
@@ -16,7 +16,8 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               triangle_free_demo, weave_witness)
 
 from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_set_system,
-                     random_subsystem_mutations, reference_check_weave)
+                     random_subsystem_mutations, reference_check_weave,
+                     reference_weave_witness)
 
 
 def small_system():
@@ -45,6 +46,20 @@ def test_set_system_masks():
     empty = SetSystem([], {0: set()})
     assert empty.consistent([]) is True
     assert empty.consistent([0]) is False
+
+
+def test_set_system_int_atoms_are_names():
+    # Integer atoms used to be read as positions: 1 decoded as 5, and 5 was
+    # refused as out of range.
+    ci = SetSystem([1, 5], {"a": {1}, "b": {5}, "c": {1, 5}})
+    assert ci.set_of("a") == 0b01 and ci.set_of("b") == 0b10
+    assert ci.atom_names(ci.set_of("a")) == [1]
+    assert ci.common_atom(["b", "c"]) == 5
+    assert ci.mutated_without("c", 5).set_of("c") == 0b01
+    with pytest.raises(ArgumentError, match="atom 0 is not in the universe"):
+        SetSystem([1, 5], {"a": {0}})
+    with pytest.raises(ArgumentError, match="atom 7 is not in the universe"):
+        ci.mutated_without("a", 7)
 
 
 def test_consistent_unknown_index():
@@ -262,6 +277,29 @@ def test_weave_witness_genuine_k():
     assert report.violations[0].kind == INCONSISTENCY
 
 
+def test_weave_witness_matches_reference():
+    def outcome(build, *args, **kwargs):
+        try:
+            return build(*args, **kwargs).to_json()
+        except (ArgumentError, ResourceError) as err:
+            return type(err)
+
+    for d in (0, 1, 2):
+        for k in (2, 3):
+            for n in (OMEGA, 0, 1, 2):
+                for genuine_k in (False, True):
+                    args = (d, k, 1, n, genuine_k)
+                    got = weave_witness(*args)
+                    assert got.to_json() == reference_weave_witness(*args).to_json(), args
+                    assert list(got.universe) == sorted(got.universe)
+    for args, kwargs in (((2, 1, 1, OMEGA), {}), ((2, 2, 1, OMEGA), {"limit": 10}),
+                         ((1, 3, 1, OMEGA, True), {"limit": 10}),
+                         ((1, 3, 1, OMEGA, True), {"limit": 17})):
+        got = outcome(weave_witness, *args, **kwargs)
+        assert got in (ArgumentError, ResourceError), (args, kwargs)
+        assert got == outcome(reference_weave_witness, *args, **kwargs)
+
+
 def test_witness_interfaces_monotone():
     rng = random.Random(SEED)
     cases = [
@@ -454,7 +492,14 @@ def test_assignment_oracle_bitparallel_matches_slow():
         mi = [frozenset(rng.sample(indices, rng.randint(1, index_count)))
               for _ in range(rng.randint(0, 2))]
         template = Template.make(indices, mc, mi, 2)
-        assert assignment_oracle(template, 3) == assignment_oracle_slow(template, 3)
+        for atoms in (0, 3):
+            assert assignment_oracle(template, atoms) == assignment_oracle_slow(template, atoms)
+
+
+def test_assignment_oracle_empty_family_is_consistent():
+    template = Template.make({0, 1}, [frozenset()], [], 2)
+    assert assignment_oracle_slow(template, 0) is True
+    assert assignment_oracle(template, 0) is True
 
 
 def test_template_validation():
