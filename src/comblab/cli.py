@@ -19,7 +19,8 @@ from . import patterns as patterns_mod
 from . import transforms as transforms_mod
 from . import verify as verify_mod
 from .combs import CombClass, LITERAL, OMEGA, RECURSIVE
-from .errors import ArgumentError, ComblabError, ParseError, ResourceError
+from .errors import (ArgumentError, ComblabError, ParseError, ResourceError,
+                     is_json_type, json_fields)
 from .index_core import decode, encode
 from .patterns import DEFAULT_SEED, SetSystem
 
@@ -59,28 +60,21 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _decode_node_index(raw):
-    return decode(raw)
+def _finish(payload, out_path: str, summary: str, code: int = EXIT_OK) -> int:
+    """Emit the payload and the summary line; return the exit code."""
+    _emit(payload, out_path)
+    _summary(summary)
+    return code
 
 
 def _decode_grid_index(raw) -> tuple:
-    if isinstance(raw, str):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"grid index must look like 'i,j', got {raw!r}")
-        return (int(parts[0]), int(parts[1]))
-    return (int(raw[0]), int(raw[1]))
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list) or len(parts) != 2:
+        raise ParseError(f"grid index must look like 'i,j', got {raw!r}")
+    return (int(parts[0]), int(parts[1]))
 
 
-def _decode_vertex_index(raw) -> int:
-    return int(raw)
-
-
-_INDEX_DECODERS = {
-    "node": _decode_node_index,
-    "grid": _decode_grid_index,
-    "vertex": _decode_vertex_index,
-}
+_INDEX_DECODERS = {"node": decode, "grid": _decode_grid_index, "vertex": int}
 
 
 def _load_system(path: str, kind: str) -> SetSystem:
@@ -95,10 +89,10 @@ def _comb_class(args) -> CombClass:
 
 
 def _report_exit(report, out_path: str) -> int:
-    _emit(report.to_json(), out_path)
-    _summary("ok" if report.ok else
-             f"FAILED with {len(report.violations)} reported violation(s)")
-    return EXIT_OK if report.ok else EXIT_FAILED
+    return _finish(report.to_json(), out_path,
+                   "ok" if report.ok else
+                   f"FAILED with {len(report.violations)} reported violation(s)",
+                   EXIT_OK if report.ok else EXIT_FAILED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,12 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="checkers, witnesses, and transforms for comb/weave/grid/cograph patterns")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--out", default="-", help="output path (default stdout)")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("enum-combs", help="enumerate combs of a class at a depth")
+    p = add("enum-combs", _cmd_enum_combs, help="enumerate combs of a class at a depth")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--kind", choices=("up", "right", "wide-right"), required=True)
     p.add_argument("-n", default="omega", help="size bound for lower parts (or 'omega')")
@@ -120,11 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal", action="store_true",
                    help="use the literal wide reading (parts must be narrow)")
 
-    p = add("classify-pair", help="up/wide dichotomy for two equal-depth nodes")
+    p = add("classify-pair", _cmd_classify_pair,
+            help="up/wide dichotomy for two equal-depth nodes")
     p.add_argument("first")
     p.add_argument("second")
 
-    p = add("check-weave", help="check the weave conditions on a node-indexed family")
+    p = add("check-weave", _cmd_check_weave,
+            help="check the weave conditions on a node-indexed family")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-m", default="omega")
@@ -135,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-violations", type=int, default=10)
 
-    p = add("check-grid", help="check the grid conditions on a square-indexed family")
+    p = add("check-grid", _cmd_check_grid,
+            help="check the grid conditions on a square-indexed family")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--strong", action="store_true")
@@ -143,16 +141,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-violations", type=int, default=10)
 
-    p = add("check-graph-pattern", help="check a vertex-indexed family against a graph")
+    p = add("check-graph-pattern", _cmd_check_graph_pattern,
+            help="check a vertex-indexed family against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--in", dest="path", default="-")
     p.add_argument("--cap", type=int, default=None)
     p.add_argument("--max-violations", type=int, default=10)
 
-    p = add("realizable", help="decide template realizability; emit a witness system")
+    p = add("realizable", _cmd_realizable,
+            help="decide template realizability; emit a witness system")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("witness", help="build a canonical passing family")
+    p = add("witness", _cmd_witness, help="build a canonical passing family")
     p.add_argument("kind", choices=("weave", "grid", "graph"))
     p.add_argument("--depth", type=int)
     p.add_argument("--size", type=int)
@@ -163,55 +163,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true")
     p.add_argument("--graph")
 
-    p = add("strongify", help="depth-doubling index map, or pull a family along it")
+    p = add("strongify", _cmd_strongify,
+            help="depth-doubling index map, or pull a family along it")
     p.add_argument("--depth", type=int)
     p.add_argument("--in", dest="path")
 
-    p = add("pullback", help="reindex a family along a prefix-respecting map")
+    p = add("pullback", _cmd_pullback, help="reindex a family along a prefix-respecting map")
     p.add_argument("--map", dest="map_path", required=True)
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("grid-embed", help="embedding of a level into the square")
+    p = add("grid-embed", _cmd_grid_embed, help="embedding of a level into the square")
     p.add_argument("--depth", type=int, required=True)
 
-    p = add("grid-to-weave", help="pull a grid family back onto a level")
+    p = add("grid-to-weave", _cmd_grid_to_weave, help="pull a grid family back onto a level")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("eps-scale", help="reindex a grid family by symbolic infinitesimal scaling")
+    p = add("eps-scale", _cmd_eps_scale,
+            help="reindex a grid family by symbolic infinitesimal scaling")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("cotree", help="recognize a cograph; emit its cotree orature path certificate")
+    p = add("cotree", _cmd_cotree,
+            help="recognize a cograph; emit its cotree or a four-path certificate")
     p.add_argument("--in", dest="path", default="-")
     p.add_argument("--dot", action="store_true")
 
-    p = add("find-p4", help="first induced four-path, if any")
+    p = add("find-p4", _cmd_find_p4, help="first induced four-path, if any")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("comb-graph", help="the up-pair graph of a level, with its cotree")
+    p = add("comb-graph", _cmd_comb_graph, help="the up-pair graph of a level, with its cotree")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dot", action="store_true")
 
-    p = add("embed-cograph", help="embed a cotree's vertices into a level")
+    p = add("embed-cograph", _cmd_embed_cograph, help="embed a cotree's vertices into a level")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("bridge", help="move between graph patterns and level families")
+    p = add("bridge", _cmd_bridge, help="move between graph patterns and level families")
     p.add_argument("direction", choices=("to-weave", "to-graph"))
     p.add_argument("--depth", type=int)
     p.add_argument("--cotree")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("triangle-free-demo", help="pair-indexed demo: inconsistent pairs vs a free side")
+    p = add("triangle-free-demo", _cmd_triangle_free_demo,
+            help="pair-indexed demo: inconsistent pairs vs a free side")
     p.add_argument("--len", dest="length", type=int, required=True)
 
-    p = add("generic-chain", help="meet dense requirements through a poset")
+    p = add("generic-chain", _cmd_generic_chain, help="meet dense requirements through a poset")
     p.add_argument("--in", dest="path")
     p.add_argument("--demo", action="store_true",
                    help="run the built-in binary-string length demo")
     p.add_argument("--steps", type=int)
     p.add_argument("--horizon", type=int, default=genericity_mod.DEFAULT_HORIZON)
 
-    p = add("verify-paper", help="run the structural self-check battery")
+    p = add("verify-paper", _cmd_verify_paper, help="run the structural self-check battery")
     p.add_argument("--max-depth", type=int, default=2)
     p.add_argument("--seed", type=lambda v: int(v, 0), default=DEFAULT_SEED)
 
@@ -222,16 +226,12 @@ def _cmd_enum_combs(args) -> int:
     cls = _comb_class(args)
     combs = list(combs_mod.enumerate_combs(args.depth, cls, args.max_size))
     payload = [sorted(encode(node) for node in comb) for comb in combs]
-    _emit(payload, args.out)
-    _summary(f"{len(payload)} comb(s)")
-    return EXIT_OK
+    return _finish(payload, args.out, f"{len(payload)} comb(s)")
 
 
 def _cmd_classify_pair(args) -> int:
     verdict = combs_mod.classify_pair(decode(args.first), decode(args.second))
-    _emit({"verdict": verdict}, args.out)
-    _summary(verdict)
-    return EXIT_OK
+    return _finish({"verdict": verdict}, args.out, verdict)
 
 
 def _cmd_check_weave(args) -> int:
@@ -259,21 +259,26 @@ def _cmd_check_graph_pattern(args) -> int:
     return _report_exit(report, args.out)
 
 
+def _names(value, where: str) -> list:
+    """A JSON list of scalar names; anything else is a ParseError at `where`."""
+    if not isinstance(value, list) or any(isinstance(v, (list, dict)) for v in value):
+        raise ParseError(f"{where} must be a list of names, got {value!r}")
+    return value
+
+
 def _cmd_realizable(args) -> int:
-    payload = _read_json(args.path)
+    indices, consist, inconsist, k = json_fields(
+        _read_json(args.path), "template",
+        indices=list, must_consist=list, must_k_inconsist=list, k=int)
     template = patterns_mod.Template.make(
-        payload["indices"],
-        [frozenset(s) for s in payload["must_consist"]],
-        [frozenset(s) for s in payload["must_k_inconsist"]],
-        payload["k"])
+        _names(indices, "indices"),
+        [_names(group, f"must_consist[{pos}]") for pos, group in enumerate(consist)],
+        [_names(group, f"must_k_inconsist[{pos}]") for pos, group in enumerate(inconsist)],
+        k)
     system = patterns_mod.realizable(template)
     if system is None:
-        _emit(None, args.out)
-        _summary("not realizable")
-        return EXIT_FAILED
-    _emit(system.to_json(), args.out)
-    _summary(f"realizable with {len(system.universe)} atom(s)")
-    return EXIT_OK
+        return _finish(None, args.out, "not realizable", EXIT_FAILED)
+    return _finish(system.to_json(), args.out, f"realizable with {len(system.universe)} atom(s)")
 
 
 def _cmd_witness(args) -> int:
@@ -291,9 +296,7 @@ def _cmd_witness(args) -> int:
             raise ArgumentError("witness graph requires --graph")
         graph = cographs_mod.Graph.from_json(_read_json(args.graph))
         system = patterns_mod.graph_witness(graph, materialize=True)
-    _emit(system.to_json(), args.out)
-    _summary(f"universe of {len(system.universe)} atom(s)")
-    return EXIT_OK
+    return _finish(system.to_json(), args.out, f"universe of {len(system.universe)} atom(s)")
 
 
 def _cmd_strongify(args) -> int:
@@ -301,38 +304,28 @@ def _cmd_strongify(args) -> int:
         if args.depth is None:
             raise ArgumentError("strongify requires --depth or --in")
         fmap = transforms_mod.strongify_index(args.depth)
-        _emit(fmap.to_json(), args.out)
-        _summary(f"map of {len(fmap.mapping)} node(s)")
-        return EXIT_OK
+        return _finish(fmap.to_json(), args.out, f"map of {len(fmap.mapping)} node(s)")
     ci = _load_system(args.path, "node")
     pulled = transforms_mod.strongify_weave(ci)
-    _emit(pulled.to_json(), args.out)
-    _summary(f"pulled back to {len(pulled.indices)} node(s)")
-    return EXIT_OK
+    return _finish(pulled.to_json(), args.out, f"pulled back to {len(pulled.indices)} node(s)")
 
 
 def _cmd_pullback(args) -> int:
     fmap = transforms_mod.IndexMap.from_json(_read_json(args.map_path))
     ci = _load_system(args.path, "node")
     pulled = transforms_mod.pullback(ci, fmap)
-    _emit(pulled.to_json(), args.out)
-    _summary(f"pulled back to {len(pulled.indices)} node(s)")
-    return EXIT_OK
+    return _finish(pulled.to_json(), args.out, f"pulled back to {len(pulled.indices)} node(s)")
 
 
 def _cmd_grid_embed(args) -> int:
     fmap = transforms_mod.grid_embed_index(args.depth)
-    _emit(fmap.to_json(), args.out)
-    _summary(f"map of {len(fmap.mapping)} node(s)")
-    return EXIT_OK
+    return _finish(fmap.to_json(), args.out, f"map of {len(fmap.mapping)} node(s)")
 
 
 def _cmd_grid_to_weave(args) -> int:
     ci = _load_system(args.path, "grid")
     pulled = transforms_mod.grid_to_weave(ci, args.depth)
-    _emit(pulled.to_json(), args.out)
-    _summary(f"pulled back to {len(pulled.indices)} node(s)")
-    return EXIT_OK
+    return _finish(pulled.to_json(), args.out, f"pulled back to {len(pulled.indices)} node(s)")
 
 
 def _cmd_eps_scale(args) -> int:
@@ -343,9 +336,8 @@ def _cmd_eps_scale(args) -> int:
         return json.dumps([index[0].to_json(), index[1].to_json()],
                           separators=(",", ":"))
 
-    _emit(scaled.to_json(index_encoder=encode_eps), args.out)
-    _summary(f"scaled {len(scaled.indices)} point(s)")
-    return EXIT_OK
+    return _finish(scaled.to_json(index_encoder=encode_eps), args.out,
+                   f"scaled {len(scaled.indices)} point(s)")
 
 
 def _cmd_cotree(args) -> int:
@@ -358,21 +350,15 @@ def _cmd_cotree(args) -> int:
             _emit(result.to_json(), args.out)
         _summary("cograph")
         return EXIT_OK
-    _emit(result.to_json(), args.out)
-    _summary(f"induced four-path {list(result)}")
-    return EXIT_FAILED
+    return _finish(result.to_json(), args.out, f"induced four-path {list(result)}", EXIT_FAILED)
 
 
 def _cmd_find_p4(args) -> int:
     graph = cographs_mod.Graph.from_json(_read_json(args.path))
     cert = cographs_mod.find_p4(graph)
     if cert is None:
-        _emit(None, args.out)
-        _summary("no induced four-path")
-        return EXIT_OK
-    _emit(cert.to_json(), args.out)
-    _summary(f"induced four-path {list(cert)}")
-    return EXIT_FAILED
+        return _finish(None, args.out, "no induced four-path")
+    return _finish(cert.to_json(), args.out, f"induced four-path {list(cert)}", EXIT_FAILED)
 
 
 def _cmd_comb_graph(args) -> int:
@@ -390,9 +376,7 @@ def _cmd_embed_cograph(args) -> int:
     depth, mapping = cographs_mod.embed_cograph(tree)
     payload = {"depth": depth,
                "map": {str(v): encode(node) for v, node in sorted(mapping.items())}}
-    _emit(payload, args.out)
-    _summary(f"embedded {len(mapping)} vertex(es) at depth {depth}")
-    return EXIT_OK
+    return _finish(payload, args.out, f"embedded {len(mapping)} vertex(es) at depth {depth}")
 
 
 def _cmd_bridge(args) -> int:
@@ -401,17 +385,13 @@ def _cmd_bridge(args) -> int:
             raise ArgumentError("bridge to-weave requires --depth")
         pattern = _load_system(args.path, "vertex")
         out = cographs_mod.graph_to_weave_oracle(pattern, args.depth)
-        _emit(out.to_json(), args.out)
-        _summary(f"weave family on {len(out.indices)} node(s)")
-        return EXIT_OK
+        return _finish(out.to_json(), args.out, f"weave family on {len(out.indices)} node(s)")
     if args.cotree is None:
         raise ArgumentError("bridge to-graph requires --cotree")
     tree = cographs_mod.Cotree.from_json(_read_json(args.cotree))
     ci = _load_system(args.path, "node")
     out = cographs_mod.weave_to_graph_oracle(ci, tree)
-    _emit(out.to_json(), args.out)
-    _summary(f"pattern on {len(out.indices)} vertex(es)")
-    return EXIT_OK
+    return _finish(out.to_json(), args.out, f"pattern on {len(out.indices)} vertex(es)")
 
 
 def _cmd_triangle_free_demo(args) -> int:
@@ -426,12 +406,11 @@ def _cmd_triangle_free_demo(args) -> int:
         "p_pairs_consistent": pair_checks,
         "q_full_family_consistent": q_side.consistent(range(length)),
     }
-    _emit(payload, args.out)
     ok = payload["p_singletons_consistent"] and \
         not any(row[2] for row in pair_checks) and \
         payload["q_full_family_consistent"]
-    _summary("demo holds" if ok else "demo violated")
-    return EXIT_OK if ok else EXIT_FAILED
+    return _finish(payload, args.out, "demo holds" if ok else "demo violated",
+                   EXIT_OK if ok else EXIT_FAILED)
 
 
 def _cmd_generic_chain(args) -> int:
@@ -444,26 +423,32 @@ def _cmd_generic_chain(args) -> int:
         if args.path is None:
             raise ArgumentError("generic-chain requires --in or --demo")
         payload = _read_json(args.path)
-        poset = genericity_mod.RequirementPoset.from_table(
-            payload["elements"], [tuple(p) for p in payload["order"]])
-        members = {entry["name"]: set(entry["members"]) for entry in payload["dense"]}
-        dense = [genericity_mod.DensePredicate(name, (lambda ms: lambda e: e in ms)(ms))
-                 for name, ms in members.items()]
-        start = payload["start"]
-        steps = args.steps if args.steps is not None else payload.get("steps", len(dense))
+        elements, order, entries, start = json_fields(
+            payload, "poset", elements=list, order=list, dense=list, start=object)
+        for pos, pair in enumerate(order):
+            if len(_names(pair, f"order[{pos}]")) != 2:
+                raise ParseError(f"order[{pos}] must be a pair of elements, got {pair!r}")
+        poset = genericity_mod.RequirementPoset.from_table(_names(elements, "elements"), order)
+        if start not in elements:
+            raise ParseError(f"poset start {start!r} is not an element")
+        dense = []
+        for pos, entry in enumerate(entries):
+            name, members = json_fields(entry, f"dense[{pos}]", name=str, members=list)
+            members = set(_names(members, f"dense[{pos}].members"))
+            dense.append(genericity_mod.DensePredicate(name, members.__contains__))
+        steps = payload.get("steps", len(dense)) if args.steps is None else args.steps
+        if not is_json_type(steps, int):
+            raise ParseError(f"poset 'steps' must be an integer, got {steps!r}")
     try:
         chain = genericity_mod.generic_chain(poset, dense, start, steps,
                                              horizon=args.horizon)
     except genericity_mod.DensityError as err:
-        _emit({"error": "density", "requirement": err.requirement,
-               "stuck_at": err.stuck_at}, args.out)
-        _summary(f"requirement {err.requirement!r} stuck at {err.stuck_at!r}")
-        return EXIT_FAILED
+        return _finish({"error": "density", "requirement": err.requirement,
+                        "stuck_at": err.stuck_at}, args.out,
+                       f"requirement {err.requirement!r} stuck at {err.stuck_at!r}", EXIT_FAILED)
     payload = [{"element": step.element, "satisfied": list(step.satisfied)}
                for step in chain]
-    _emit(payload, args.out)
-    _summary(f"chain of {len(chain)} element(s)")
-    return EXIT_OK
+    return _finish(payload, args.out, f"chain of {len(chain)} element(s)")
 
 
 def _cmd_verify_paper(args) -> int:
@@ -475,30 +460,6 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-_COMMANDS = {
-    "enum-combs": _cmd_enum_combs,
-    "classify-pair": _cmd_classify_pair,
-    "check-weave": _cmd_check_weave,
-    "check-grid": _cmd_check_grid,
-    "check-graph-pattern": _cmd_check_graph_pattern,
-    "realizable": _cmd_realizable,
-    "witness": _cmd_witness,
-    "strongify": _cmd_strongify,
-    "pullback": _cmd_pullback,
-    "grid-embed": _cmd_grid_embed,
-    "grid-to-weave": _cmd_grid_to_weave,
-    "eps-scale": _cmd_eps_scale,
-    "cotree": _cmd_cotree,
-    "find-p4": _cmd_find_p4,
-    "comb-graph": _cmd_comb_graph,
-    "embed-cograph": _cmd_embed_cograph,
-    "bridge": _cmd_bridge,
-    "triangle-free-demo": _cmd_triangle_free_demo,
-    "generic-chain": _cmd_generic_chain,
-    "verify-paper": _cmd_verify_paper,
-}
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -506,20 +467,14 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ResourceError as err:
         _summary(f"resource bound: {err}")
         return EXIT_RESOURCE
-    except (ArgumentError, ParseError) as err:
+    except (ComblabError, OSError) as err:
         _summary(f"error: {err}")
         return EXIT_USAGE
-    except ComblabError as err:
-        _summary(f"error: {err}")
-        return EXIT_USAGE
-    except FileNotFoundError as err:
-        _summary(f"error: {err}")
-        return EXIT_USAGE
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, RecursionError) as err:
         _summary(f"malformed input: {err!r}")
         return EXIT_USAGE
 

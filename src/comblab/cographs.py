@@ -16,7 +16,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 from . import combs as combs_mod
 from . import patterns as patterns_mod
 from .combs import UP_ONE
-from .errors import ArgumentError, ResourceError
+from .errors import (ArgumentError, ParseError, ResourceError, is_int_pair,
+                     json_fields)
 from .index_core import EMPTY, Letter, Node, enumerate_level
 
 UNION = "union"
@@ -90,7 +91,13 @@ class Graph:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Graph":
-        return cls(payload["n"], [tuple(e) for e in payload["edges"]])
+        """Read {"n": n, "edges": [[u, v], ...]}; a malformed value raises
+        ParseError naming where it is."""
+        n, edges = json_fields(payload, "graph", n=int, edges=list)
+        for pos, edge in enumerate(edges):
+            if not is_int_pair(edge):
+                raise ParseError(f"edges[{pos}] must be a pair of vertices, got {edge!r}")
+        return cls(n, [tuple(e) for e in edges])
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -148,10 +155,24 @@ class Cotree:
 
     @classmethod
     def from_json(cls, payload) -> "Cotree":
-        if payload["op"] == LEAF:
-            return leaf(payload["v"])
-        kids = tuple(cls.from_json(c) for c in payload["children"])
-        return cls(payload["op"], children=kids)
+        """Read {"op": "leaf", "v": v} or {"op": ..., "children": [...]}; a
+        malformed value raises ParseError naming where it is."""
+        def read(node, where: str) -> "Cotree":
+            (op,) = json_fields(node, where, op=str)
+            if op == LEAF:
+                (vertex,) = json_fields(node, where, v=int)
+                if vertex < 0:
+                    raise ParseError(f"{where}: leaf vertex must be nonnegative, got {vertex}")
+                return cls(LEAF, vertex=vertex)
+            (children,) = json_fields(node, where, children=list)
+            kids = tuple(read(child, f"{where}.children[{pos}]")
+                         for pos, child in enumerate(children))
+            try:
+                return cls(op, children=kids)
+            except ArgumentError as err:
+                raise ParseError(f"{where}: {err}") from None
+
+        return read(payload, "cotree")
 
     def to_dot(self) -> str:
         lines = ["digraph T {"]
@@ -209,16 +230,22 @@ def combine(op: str, g0: Graph, g1: Graph) -> Graph:
     return Graph(n, edges)
 
 
+def _distinct_leaves(tree: Cotree) -> list[int]:
+    """The tree's leaf vertices; a vertex on two leaves is an ArgumentError."""
+    labels = tree.leaves()
+    if len(set(labels)) != len(labels):
+        dup = next(v for v in labels if labels.count(v) > 1)
+        raise ArgumentError(f"duplicate leaf vertex {dup}")
+    return labels
+
+
 def eval_cotree(tree: Cotree) -> Graph:
     """The graph a cotree denotes: leaves are the vertices, and two leaves are
     adjacent exactly when their lowest common ancestor is a join.
 
     Leaf labels must be distinct and form 0..n-1 so the result is exact.
     """
-    labels = tree.leaves()
-    if len(set(labels)) != len(labels):
-        dup = next(v for v in labels if labels.count(v) > 1)
-        raise ArgumentError(f"duplicate leaf vertex {dup}")
+    labels = _distinct_leaves(tree)
     n = len(labels)
     if set(labels) != set(range(n)):
         raise ArgumentError(f"leaf vertices must be 0..{n - 1}, got {sorted(labels)}")
@@ -269,8 +296,10 @@ def find_p4(graph: Graph) -> Optional[P4Certificate]:
     return None
 
 
-def _components(vertices: int, masks) -> list[int]:
-    """Connected components of the induced subgraph on a vertex mask."""
+def _components(vertices: int, masks, complement: bool = False) -> list[int]:
+    """Connected components of the induced subgraph on a vertex mask, or of
+    its complement."""
+    flip = -1 if complement else 0  # mask ^ -1 == ~mask, the non-neighbours
     out = []
     remaining = vertices
     while remaining:
@@ -283,31 +312,8 @@ def _components(vertices: int, masks) -> list[int]:
             while f:
                 v_bit = f & -f
                 f ^= v_bit
-                grow |= masks[v_bit.bit_length() - 1]
+                grow |= masks[v_bit.bit_length() - 1] ^ flip
             grow &= vertices & ~comp
-            comp |= grow
-            frontier = grow
-        out.append(comp)
-        remaining &= ~comp
-    return out
-
-
-def _co_components(vertices: int, masks) -> list[int]:
-    """Components of the complement of the induced subgraph on a vertex mask."""
-    out = []
-    remaining = vertices
-    while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                v_bit = f & -f
-                f ^= v_bit
-                grow |= vertices & ~masks[v_bit.bit_length() - 1] & ~v_bit
-            grow &= ~comp
             comp |= grow
             frontier = grow
         out.append(comp)
@@ -334,7 +340,7 @@ def cotree_of(graph: Graph) -> Union[Cotree, P4Certificate]:
             return leaf(vertices.bit_length() - 1)
         comps = _components(vertices, masks)
         if len(comps) == 1:
-            comps = _co_components(vertices, masks)
+            comps = _components(vertices, masks, complement=True)
             if len(comps) == 1:
                 return None
             op = JOIN
@@ -394,8 +400,9 @@ def embed_cograph(tree: Cotree) -> tuple[int, dict]:
     Children are embedded recursively, right-padded with the letter (0,0) to a
     common depth (padding never moves a pair's meet), and a discriminator
     letter is prepended: (0,0)/(1,0) for a union, (0,0)/(0,1) for a join.
-    Multi-child vertices fold left.
+    Multi-child vertices fold left.  Leaf vertices must be distinct.
     """
+    _distinct_leaves(tree)
     pad = Letter(0, 0)
 
     def embed(t: Cotree) -> tuple[int, dict]:
@@ -439,33 +446,29 @@ def graph_to_weave_oracle(pattern_ci, d: int):
         raise ArgumentError(f"input is not a comb-graph pattern: {first}")
     level = enumerate_level(d)
     mapping = {node: v for v, node in enumerate(level)}
-    return patterns_mod.reindex(pattern_ci, mapping)
+    return pattern_ci.reindexed(mapping)
 
 
-def weave_to_graph_oracle(ci, tree: Cotree, check: bool = True):
+def weave_to_graph_oracle(ci, tree: Cotree):
     """Pull a level-indexed family back onto a cotree's vertices.
 
     Each vertex v maps to its embedding node right-padded to the family's
     depth; edges become up-pairs (inconsistent) and non-edges wide pairs
     (consistent), so the result is a pattern for the cotree's graph.
     """
-    depths = {node.depth for node in ci.indices if isinstance(node, Node)}
-    if len(depths) != 1:
-        raise ArgumentError("expected a family indexed by a single level")
-    (d,) = depths
+    d = patterns_mod.level_depth(ci)
     embed_depth, vmap = embed_cograph(tree)
     if embed_depth > d:
         raise ArgumentError(
             f"cotree needs depth {embed_depth}, family only has depth {d}")
-    if check:
-        report = patterns_mod.check_weave(ci, d, 2, 1, combs_mod.OMEGA, strong=True)
-        if not report.ok:
-            first = report.violations[0].to_json() if report.violations else None
-            raise ArgumentError(f"input fails the strong weave conditions: {first}")
+    report = patterns_mod.check_weave(ci, d, 2, 1, combs_mod.OMEGA, strong=True)
+    if not report.ok:
+        first = report.violations[0].to_json() if report.violations else None
+        raise ArgumentError(f"input fails the strong weave conditions: {first}")
     pad = Letter(0, 0).digit
     mapping = {v: Node(node.digits + pad * (d - embed_depth))
                for v, node in vmap.items()}
-    return patterns_mod.reindex(ci, mapping)
+    return ci.reindexed(mapping)
 
 
 def random_cotree(n_leaves: int, seed: int) -> Cotree:

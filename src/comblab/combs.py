@@ -262,7 +262,7 @@ def _recognize(digits: list[str], digit_map, cls: CombClass) -> Optional[CombCer
         if not a_part or not b_part:
             return None
         kind = wide_left()
-        sub_cls = cls if cls.reading == RECURSIVE else CombClass("right", cls.n)
+        sub_cls = _part_class(cls)
     if not size_within(len(a_part), cls.n):
         return None
     cert_a = _recognize(a_part, digit_map, sub_cls)
@@ -351,10 +351,6 @@ def mask_nodes(mask: int, level) -> list:
     return [level[i] for i in mask_indices(mask)]
 
 
-def _class_key(cls: CombClass) -> tuple:
-    return (cls.kind, cls.n if isinstance(cls.n, int) else "omega", cls.reading)
-
-
 # Block pairings for top splits, by digit of the first letter.
 _CROSS_BLOCKS = {
     "up": (("0", "1"), ("2", "3")),
@@ -377,19 +373,17 @@ def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENU
         raise ResourceError(f"depth {d} exceeds the configured bound {bound}")
     if max_size < 1:
         raise ArgumentError("max_size must be at least 1")
-    estimate = _count_combs(d, _class_key(cls), max_size)
+    estimate = sum(_count_vector(d, cls, max_size))
     if estimate > limit:
         raise ResourceError(
             f"enumeration would produce {estimate} combs, over the limit {limit}")
-    return _comb_entries_cached(d, _class_key(cls), max_size)
+    return _comb_entries_cached(d, cls, max_size)
 
 
+# Comb classes are frozen and OMEGA is a singleton, so a class is its own key.
 @lru_cache(maxsize=6)
-def _comb_entries_cached(d: int, class_key: tuple, max_size: int) -> list[CombEntry]:
-    kind, n, reading = class_key
-    cls = CombClass(kind, OMEGA if n == "omega" else n, reading)
-    cache: dict = {}
-    entries = _build_entries(d, cls, max_size, cache)
+def _comb_entries_cached(d: int, cls: CombClass, max_size: int) -> list[CombEntry]:
+    entries = _build_entries(d, cls, max_size, {})
     if cls.kind == "wide-right" and cls.reading == LITERAL:
         entries = _dedupe_entries(entries)
     return entries
@@ -402,7 +396,7 @@ def _part_class(cls: CombClass) -> CombClass:
 
 
 def _build_entries(d: int, cls: CombClass, max_size: int, cache: dict) -> list[CombEntry]:
-    key = (d, _class_key(cls), max_size)
+    key = (d, cls, max_size)
     if key in cache:
         return cache[key]
     if d == 0:
@@ -485,26 +479,18 @@ def _dedupe_entries(entries: list[CombEntry]) -> list[CombEntry]:
     return out
 
 
-def _count_combs(d: int, class_key: tuple, max_size: int) -> int:
-    counts = _count_vector(d, class_key, max_size)
-    return sum(counts)
-
-
 @lru_cache(maxsize=None)
-def _count_vector(d: int, class_key: tuple, max_size: int) -> tuple:
+def _count_vector(d: int, cls: CombClass, max_size: int) -> tuple:
     """counts[s] = number of size-(s+1) combs of the class at depth d."""
-    kind, n, reading = class_key
     if d == 0:
         return tuple([1] + [0] * (max_size - 1))
-    sub = _count_vector(d - 1, class_key, max_size)
-    if kind == "wide-right" and reading == LITERAL:
-        part = _count_vector(d - 1, ("right", n, RECURSIVE), max_size)
-    else:
-        part = sub
+    sub = _count_vector(d - 1, cls, max_size)
+    part_cls = _part_class(cls)
+    part = sub if part_cls is cls else _count_vector(d - 1, part_cls, max_size)
     out = [4 * c for c in sub]
-    pairings = len(_CROSS_BLOCKS[kind])
+    pairings = len(_CROSS_BLOCKS[cls.kind])
     for sa in range(1, max_size):
-        if not size_within(sa, OMEGA if n == "omega" else n):
+        if not size_within(sa, cls.n):
             continue
         ca = part[sa - 1]
         if ca == 0:

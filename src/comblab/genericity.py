@@ -40,6 +40,8 @@ class RequirementPoset:
         elements = list(elements)
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
+        if len(index) != n:
+            raise ArgumentError("poset elements must be distinct")
         reach = [1 << i for i in range(n)]  # reflexive
         for a, b in order_pairs:
             if a not in index or b not in index:

@@ -134,12 +134,7 @@ def extend(node: Node, letter: Letter) -> Node:
 
 def meet(a: Node, b: Node) -> Node:
     """Longest common prefix of two nodes."""
-    da, db = a.digits, b.digits
-    n = min(len(da), len(db))
-    i = 0
-    while i < n and da[i] == db[i]:
-        i += 1
-    return Node._raw(da[:i])
+    return meet_all((a, b))
 
 
 def meet_all(nodes: Iterable[Node]) -> Node:
@@ -188,6 +183,8 @@ def encode(node: Node) -> str:
 
 def decode(text: str) -> Node:
     """Inverse of :func:`encode`; raises ParseError with the offending position."""
+    if not isinstance(text, str):
+        raise ParseError(f"a node is written as a digit string, got {text!r}")
     if text == "-":
         return EMPTY
     if not text:

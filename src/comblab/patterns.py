@@ -66,11 +66,11 @@ class SetSystem:
         # conversion instead of one universe-wide `|` per atom.
         bits = bytearray(len(self.universe))
         atom_id = self._atom_id
-        try:
-            for atom in atoms:
+        for atom in atoms:
+            try:
                 bits[atom_id[atom]] = 1
-        except KeyError:
-            raise ArgumentError(f"atom {atom!r} is not in the universe") from None
+            except (KeyError, TypeError):  # an unhashable atom is not in the universe either
+                raise ArgumentError(f"atom {atom!r} is not in the universe") from None
         return int(bits[::-1].translate(_BYTE_TO_DIGIT) or b"0", 2)
 
     def set_of(self, index) -> int:
@@ -131,6 +131,12 @@ class SetSystem:
         for key in ("universe", "family"):
             if not isinstance(payload.get(key), list):
                 raise ParseError(f"set system needs a {key!r} list")
+        try:
+            system = cls(payload["universe"], {})
+        except TypeError:  # an unhashable atom; found only on failure, to keep loads fast
+            pos, atom = next((pos, atom) for pos, atom in enumerate(payload["universe"])
+                             if isinstance(atom, (list, dict)))
+            raise ParseError(f"universe[{pos}] must be a JSON scalar, got {atom!r}") from None
         family = {}
         for pos, entry in enumerate(payload["family"]):
             if not isinstance(entry, dict) or "index" not in entry:
@@ -143,8 +149,11 @@ class SetSystem:
                 raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: {err}") from None
             if index in family:
                 raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
-            family[index] = entry["set"]
-        return cls(payload["universe"], family)
+            try:
+                family[index] = system._mask(entry["set"])
+            except ArgumentError as err:
+                raise ArgumentError(f"family[{pos}]: {err}") from None
+        return system._with_masks(family)
 
 
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -173,21 +182,27 @@ class PredicateOracle:
         """A predicate names no atoms."""
         return None
 
+    def reindexed(self, mapping: dict) -> "PredicateOracle":
+        """New oracle with b'_new = b_old along new -> old."""
+        image = {}
+        for new_index, old_index in mapping.items():
+            if old_index not in self.indices:
+                raise ArgumentError(f"target index {old_index!r} is not in the family")
+            image[new_index] = old_index
 
-def reindex(ci, mapping: dict):
-    """b'_new = b_old along new -> old; preserves the interface flavor."""
-    if isinstance(ci, SetSystem):
-        return ci.reindexed(mapping)
-    image = {}
-    for new_index, old_index in mapping.items():
-        if old_index not in ci.indices:
-            raise ArgumentError(f"target index {old_index!r} is not in the family")
-        image[new_index] = old_index
+        def predicate(family):
+            return self.consistent(frozenset(image[i] for i in family))
 
-    def predicate(family):
-        return ci.consistent(frozenset(image[i] for i in family))
+        return PredicateOracle(image, predicate)
 
-    return PredicateOracle(image, predicate)
+
+def level_depth(ci) -> int:
+    """The depth of the single level whose nodes index the family."""
+    depths = {node.depth for node in ci.indices if isinstance(node, Node)}
+    if len(depths) != 1:
+        raise ArgumentError("expected a family indexed by a single level")
+    (depth,) = depths
+    return depth
 
 
 def encode_index(index) -> str:
@@ -208,10 +223,14 @@ def consistent(ci, indices: Iterable) -> bool:
     return ci.consistent(indices)
 
 
-def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
-    """Every k-element subfamily is inconsistent; vacuous below size k."""
+def _require_k(k) -> None:
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+
+
+def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
+    """Every k-element subfamily is inconsistent; vacuous below size k."""
+    _require_k(k)
     from itertools import combinations
 
     items = sorted(set(indices), key=encode_index)
@@ -288,6 +307,15 @@ class _ViolationSink:
 
 def default_cap(k: int, scale: int) -> int:
     return max(k, 2 * scale, 8)
+
+
+def _checked_cap(cap, default: int) -> int:
+    """The caller's size cap, or the default when it gave none."""
+    if cap is None:
+        return default
+    if not isinstance(cap, int) or cap < 1:
+        raise ArgumentError(f"cap must be an integer >= 1, got {cap!r}")
+    return cap
 
 
 def _require_indices(ci, expected: Iterable, what: str) -> None:
@@ -367,13 +395,11 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     complete because subsets of combs are combs; the consistency clause is
     capped at `cap` (default max(k, 2d, 8)) and the cap is reported.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     sink = _ViolationSink(max_violations)
     level = enumerate_level(d)
     _require_indices(ci, level, "weave family")
-    if cap is None:
-        cap = default_cap(k, d)
+    cap = _checked_cap(cap, default_cap(k, d))
 
     def violation(kind, entry, cls):
         nodes = frozenset(combs_mod.mask_nodes(entry.mask, level))
@@ -505,14 +531,12 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     comparable in the product order.  The default cap max(k, 2s, 8) covers
     every chain of the square, so grid checks are exact by default.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     if s < 1:
         raise ArgumentError(f"grid side must be positive, got {s}")
     sink = _ViolationSink(max_violations)
     _require_indices(ci, grid_points(s), "grid family")
-    if cap is None:
-        cap = default_cap(k, s)
+    cap = _checked_cap(cap, default_cap(k, s))
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
@@ -541,9 +565,7 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
     sink = _ViolationSink(max_violations)
     vertices = list(range(graph.n))
     _require_indices(ci, vertices, "graph pattern family")
-    if cap is None:
-        cap = graph.n
-    cap = min(cap, graph.n)
+    cap = min(_checked_cap(cap, graph.n), graph.n)
     total = sum(binom(graph.n, size) for size in range(1, cap + 1))
     if total > limit:
         raise ResourceError(
@@ -551,14 +573,7 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
     masks = graph.adjacency_masks()
     for size in range(1, cap + 1):
         for combo in combinations(vertices, size):
-            seen = 0
-            edge = None
-            for v in combo:
-                if masks[v] & seen:
-                    u = (masks[v] & seen).bit_length() - 1
-                    edge = (u, v)
-                    break
-                seen |= 1 << v
+            edge = _first_edge(combo, masks)
             independent = edge is None
             is_consistent = ci.consistent(combo)
             if independent and not is_consistent:
@@ -568,6 +583,17 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
                                            {"structure": "edge", "edge": list(edge)},
                                            ci.common_atom(combo)))
     return sink.report(cap, truncated=cap < graph.n)
+
+
+def _first_edge(vertices, masks) -> Optional[tuple]:
+    """The first edge (u, v) met scanning the vertices in order, v being the
+    later one; None when they are independent."""
+    seen = 0
+    for v in vertices:
+        if masks[v] & seen:
+            return ((masks[v] & seen).bit_length() - 1, v)
+        seen |= 1 << v
+    return None
 
 
 # --- templates ------------------------------------------------------------
@@ -588,8 +614,7 @@ class Template:
         indices = frozenset(indices)
         mc = tuple(frozenset(s) for s in must_consist)
         mi = tuple(frozenset(s) for s in must_k_inconsist)
-        if not isinstance(k, int) or k < 2:
-            raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+        _require_k(k)
         for group in mc + mi:
             if not group <= indices:
                 raise ArgumentError("constraint sets must be subsets of the indices")
@@ -649,8 +674,7 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     names are read from mask bytes, the universe is sorted by name, and each
     node's set is the column of that node's bit across the atom masks.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     level = enumerate_level(d)
     entries = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
     masks = [entry.mask for entry in entries]
@@ -704,8 +728,7 @@ def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     strong); b_(i,j) collects the chains through (i,j).  Incomparable points
     never share a chain, and every (strict) chain extends to a maximal one.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    _require_k(k)
     points = grid_points(s)
     if strong:
         base = chains(s, 2 * s - 1)
@@ -735,12 +758,7 @@ def graph_witness(graph, materialize: bool = False):
 
     if not materialize:
         def predicate(family):
-            seen = 0
-            for v in sorted(family):
-                if masks[v] & seen:
-                    return False
-                seen |= 1 << v
-            return True
+            return _first_edge(sorted(family), masks) is None
 
         return PredicateOracle(range(graph.n), predicate)
 

@@ -6,20 +6,21 @@
 - grid embedding: a closed-form map into the square under which up-pairs land
   incomparable and wide-right pairs land strictly comparable, so grid families
   pull back to strong weave families.
-- epsilon scaling: symbolic a - b*eps coordinates for the chain/strict-chain
-  comparison; ties in a coordinate survive scaling, which is recorded as a
-  known limitation rather than repaired.
+- epsilon scaling: symbolic a - b*eps coordinates, compared by the product
+  order helpers of `patterns`; ties in a coordinate survive scaling, which is
+  recorded as a known limitation rather than repaired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
-from .errors import ArgumentError, ResourceError
+from .errors import (ArgumentError, ParseError, ResourceError, is_int_pair,
+                     json_fields)
 from .index_core import (Letter, Node, decode, encode, enumerate_level,
                          depth_bound)
-from .patterns import reindex
+from .patterns import level_depth
 
 GridPoint = tuple  # (x, y) under the product order
 
@@ -29,7 +30,8 @@ class EpsCoord:
     """The value a - b*eps for an infinitesimal eps > 0.
 
     Ordered lexicographically with the epsilon part reversed: more epsilon
-    subtracted means smaller.
+    subtracted means smaller.  With `<`, `<=` and equality defined, the
+    product order helpers of `patterns` compare scaled points directly.
     """
 
     a: int
@@ -83,15 +85,28 @@ class IndexMap:
 
     @classmethod
     def from_json(cls, payload: dict) -> "IndexMap":
-        codomain = payload["codomain"]
+        """Read {"depth": d, "codomain": ..., "map": [[source, target], ...]};
+        a malformed value raises ParseError naming where it is."""
+        depth, codomain, pairs = json_fields(payload, "index map",
+                                             depth=int, codomain=str, map=list)
+        if codomain not in ("level", "grid"):
+            raise ParseError(f"index map codomain must be 'level' or 'grid', got {codomain!r}")
         mapping = {}
-        for source, target in payload["map"]:
-            node = decode(source)
-            if codomain == "level":
-                mapping[node] = decode(target)
-            else:
-                mapping[node] = (int(target[0]), int(target[1]))
-        return cls(payload["depth"], codomain, mapping)
+        for pos, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ParseError(f"map[{pos}] must be a [source, target] pair, got {pair!r}")
+            source, target = pair
+            if codomain == "grid" and not is_int_pair(target):
+                raise ParseError(f"map[{pos}]: grid target {target!r} is not an integer pair")
+            try:
+                node = decode(source)
+                target = decode(target) if codomain == "level" else tuple(target)
+            except ParseError as err:
+                raise ParseError(f"map[{pos}]: {err}") from None
+            if node in mapping:
+                raise ParseError(f"map[{pos}]: duplicate source {source!r}")
+            mapping[node] = target
+        return cls(depth, codomain, mapping)
 
 
 def strongify_index(d: int) -> IndexMap:
@@ -116,10 +131,7 @@ def strongify_weave(ci):
     the strong ones: narrow-below splits are preserved and narrow-left splits
     become wide-left ones.
     """
-    depths = {node.depth for node in ci.indices if isinstance(node, Node)}
-    if len(depths) != 1:
-        raise ArgumentError("expected a family indexed by a single level")
-    (depth2,) = depths
+    depth2 = level_depth(ci)
     if depth2 % 2:
         raise ArgumentError(f"expected an even depth, got {depth2}")
     d = depth2 // 2
@@ -127,7 +139,7 @@ def strongify_weave(ci):
     missing = [t for t in fmap.mapping.values() if t not in ci.indices]
     if missing:
         raise ArgumentError(f"family is missing image index {encode(missing[0])}")
-    return reindex(ci, fmap.mapping)
+    return ci.reindexed(fmap.mapping)
 
 
 def pullback(ci, mapping: Union[IndexMap, dict]):
@@ -153,7 +165,7 @@ def pullback(ci, mapping: Union[IndexMap, dict]):
                 f"prefix condition violated at {encode(node)}: image {encode(target) if isinstance(target, Node) else target!r}")
         if target not in ci.indices:
             raise ArgumentError(f"image index {encode(target)} is not in the family")
-    return reindex(ci, table)
+    return ci.reindexed(table)
 
 
 # Offsets of the four first-letter blocks inside a box of side 4W: chosen so
@@ -198,12 +210,15 @@ def grid_to_weave(ci, d: int):
     incomparable images (antichains) and wide-right combs are pairwise
     strictly comparable images (strict chains).
     """
+    if d < 0:
+        raise ArgumentError(f"depth must be nonnegative, got {d}")
     side = 4 ** d
-    expected = {(i, j) for i in range(side) for j in range(side)}
-    if set(ci.indices) != expected:
+    # The size test first: a deep request must not build its square.
+    if len(ci.indices) != side * side or \
+            ci.indices != {(i, j) for i in range(side) for j in range(side)}:
         raise ArgumentError(f"family must be indexed by the full {side}x{side} square")
     fmap = grid_embed_index(d)
-    return reindex(ci, fmap.mapping)
+    return ci.reindexed(fmap.mapping)
 
 
 def scale_point(point: GridPoint) -> tuple:
@@ -221,27 +236,4 @@ def epsilon_scale(ci):
     this limitation is deliberate and covered by tests.
     """
     mapping = {scale_point(pt): pt for pt in ci.indices}
-    return reindex(ci, mapping)
-
-
-def eps_leq(p: tuple, q: tuple) -> bool:
-    return p[0] <= q[0] and p[1] <= q[1]
-
-
-def eps_strictly_below(p: tuple, q: tuple) -> bool:
-    return p[0] < q[0] and p[1] < q[1]
-
-
-def eps_comparable(p: tuple, q: tuple) -> bool:
-    return eps_leq(p, q) or eps_leq(q, p)
-
-
-def is_eps_strict_chain(points: Iterable[tuple]) -> bool:
-    pts = sorted(set(points), key=lambda p: (p[0].key(), p[1].key()))
-    return all(eps_strictly_below(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-
-
-def is_eps_antichain(points: Iterable[tuple]) -> bool:
-    pts = sorted(set(points), key=lambda p: (p[0].key(), p[1].key()))
-    return all(not eps_comparable(pts[i], pts[j])
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+    return ci.reindexed(mapping)

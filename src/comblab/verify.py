@@ -19,7 +19,7 @@ from . import genericity as genericity_mod
 from . import patterns as patterns_mod
 from . import transforms as transforms_mod
 from .combs import OMEGA, CombClass, UP_ONE, WIDE_RIGHT_ONE
-from .errors import ResourceError
+from .errors import ArgumentError, ResourceError
 from .index_core import enumerate_level
 from .patterns import DEFAULT_SEED
 
@@ -35,12 +35,13 @@ class CheckResult:
 
 
 def _pair_dichotomy(max_depth: int) -> CheckResult:
+    up_cls, wide_cls = CombClass("up", 1), CombClass("wide-right", 1)
     for d in range(max_depth + 1):
         level = enumerate_level(d)
         for a, b in combinations(level, 2):
             verdict = combs_mod.classify_pair(a, b)
-            up_cert = combs_mod.is_comb({a, b}, CombClass("up", 1))
-            wide_cert = combs_mod.is_comb({a, b}, CombClass("wide-right", 1))
+            up_cert = combs_mod.is_comb({a, b}, up_cls)
+            wide_cert = combs_mod.is_comb({a, b}, wide_cls)
             if (up_cert is None) == (wide_cert is None):
                 return CheckResult("pair-dichotomy", False,
                                    f"pair {a!r},{b!r} fails exclusivity")
@@ -262,17 +263,17 @@ def _epsilon_scaling() -> CheckResult:
     for p, q in combinations(points, 2):
         sp, sq = transforms_mod.scale_point(p), transforms_mod.scale_point(q)
         before_strict = patterns_mod.strictly_below(p, q) or patterns_mod.strictly_below(q, p)
-        after_strict = transforms_mod.eps_strictly_below(sp, sq) or \
-            transforms_mod.eps_strictly_below(sq, sp)
+        after_strict = patterns_mod.strictly_below(sp, sq) or \
+            patterns_mod.strictly_below(sq, sp)
         if before_strict and not after_strict:
             return CheckResult("epsilon-scaling", False, f"strict pair {p},{q} lost")
-        if not patterns_mod.comparable(p, q) and transforms_mod.eps_comparable(sp, sq):
+        if not patterns_mod.comparable(p, q) and patterns_mod.comparable(sp, sq):
             return CheckResult("epsilon-scaling", False, f"antichain pair {p},{q} became comparable")
         distinct_coords = p[0] != q[0] and p[1] != q[1]
         if patterns_mod.comparable(p, q) and distinct_coords and not after_strict:
             return CheckResult("epsilon-scaling", False, f"tie-free chain pair {p},{q} not strict")
     tied = (transforms_mod.scale_point((0, 0)), transforms_mod.scale_point((0, 1)))
-    if transforms_mod.eps_strictly_below(*tied):
+    if patterns_mod.strictly_below(*tied):
         return CheckResult("epsilon-scaling", False,
                            "tied pair unexpectedly became strict; the recorded limitation moved")
     return CheckResult("epsilon-scaling", True, f"pairs at s={s}, tie preserved as documented")
@@ -302,6 +303,8 @@ def _genericity() -> CheckResult:
 
 def run_battery(max_depth: int = 2, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every check at the given depth scale; deterministic for a seed."""
+    if max_depth < 0:
+        raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
     rng = random.Random(seed)
     scheduled = [
         ("pair-dichotomy", lambda: _pair_dichotomy(max_depth)),

@@ -209,3 +209,96 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0, proc.stderr[-2000:]
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_directory_paths_exit_2(tmp_path):
+    # IsADirectoryError used to escape run() as a traceback.
+    for argv in (["check-weave", "--depth", "1", "-k", "2", "--in", str(tmp_path)],
+                 ["witness", "weave", "--depth", "1", "--out", str(tmp_path)]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert "Is a directory" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    # The JSON decoder's RecursionError used to escape run() as a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["find-p4", "--in", str(path)])
+    assert (code, out) == (2, "")
+    assert "RecursionError" in err
+
+
+POSET = {"elements": ["a", "b"], "order": [["a", "b"]],
+         "dense": [{"name": "reach-b", "members": ["b"]}], "start": "a"}
+
+
+@pytest.mark.parametrize("command, payload, where", [
+    # A top-level list used to print "malformed input: TypeError(...)".
+    (["find-p4", "--in", "{f}"], [1, 2], "graph must be a JSON object"),
+    (["cotree", "--in", "{f}"], [1, 2], "graph must be a JSON object"),
+    (["embed-cograph", "--in", "{f}"], [1, 2], "cotree must be a JSON object"),
+    (["realizable", "--in", "{f}"], [1, 2], "template must be a JSON object"),
+    (["generic-chain", "--in", "{f}"], [1, 2], "poset must be a JSON object"),
+    (["pullback", "--map", "{f}", "--in", "{root}/weave2.json"], [1, 2],
+     "index map must be a JSON object"),
+    (["check-graph-pattern", "--graph", "{f}", "--in", "{root}/graphw.json"], [1, 2],
+     "graph must be a JSON object"),
+    (["find-p4", "--in", "{f}"], {"n": 2, "edges": [[0]]}, "edges[0] must be a pair"),
+    (["embed-cograph", "--in", "{f}"], {"op": "leaf"}, "cotree needs 'v' as an integer"),
+    (["realizable", "--in", "{f}"],
+     {"indices": ["a", "b"], "must_consist": [["a"], [["b"]]], "must_k_inconsist": [],
+      "k": 2}, "must_consist[1] must be a list of names"),
+    (["generic-chain", "--in", "{f}"],
+     dict(POSET, dense=[{"name": "reach-b", "members": [["b"]]}]),
+     "dense[0].members must be a list of names"),
+    (["generic-chain", "--in", "{f}"], dict(POSET, order=[["a"]]),
+     "order[0] must be a pair of elements"),
+    (["generic-chain", "--in", "{f}"], dict(POSET, start="z"), "start 'z' is not an element"),
+    (["generic-chain", "--in", "{f}"], dict(POSET, steps="2"), "'steps' must be an integer"),
+    # A list atom used to fail as an unhashable type, and an unknown atom did
+    # not name its family entry.
+    (["check-weave", "--depth", "0", "-k", "2", "--in", "{f}"],
+     {"universe": [["a"]], "family": [{"index": "-", "set": []}]}, "universe[0]"),
+    (["check-weave", "--depth", "0", "-k", "2", "--in", "{f}"],
+     {"universe": ["a"], "family": [{"index": "-", "set": [["a"]]}]},
+     "family[0]: atom ['a'] is not in the universe"),
+    (["check-weave", "--depth", "0", "-k", "2", "--in", "{f}"],
+     {"universe": ["a"], "family": [{"index": "-", "set": ["zz"]}]},
+     "family[0]: atom 'zz' is not in the universe"),
+    # A list grid index used to raise IndexError out of run().
+    (["check-grid", "--size", "1", "-k", "2", "--in", "{f}"],
+     {"universe": ["a"], "family": [{"index": [], "set": ["a"]}]}, "family[0]: bad index []"),
+    (["pullback", "--map", "{f}", "--in", "{root}/weave2.json"],
+     {"depth": 0, "codomain": "grid", "map": [["-", [0]]]},
+     "map[0]: grid target [0] is not an integer pair"),
+])
+def test_json_readers_reject_bad_shapes_with_location(workdir, tmp_path, command,
+                                                      payload, where):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [arg.format(f=path, root=workdir) for arg in command]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, ""), err
+    assert where in err and "malformed input" not in err
+
+
+@pytest.mark.parametrize("command, message", [
+    # Each of these used to exit 0 or 1, or fail without naming the value.
+    (["check-grid", "--size", "3", "-k", "2", "--cap", "-3", "--in", "{root}/grid3.json"],
+     "cap must be an integer >= 1, got -3"),
+    (["check-grid", "--size", "3", "-k", "2", "--cap", "0", "--in", "{root}/grid3.json"],
+     "cap must be an integer >= 1, got 0"),
+    (["check-graph-pattern", "--cap", "0", "--graph", "{root}/k2.json",
+      "--in", "{root}/graphw.json"], "cap must be an integer >= 1, got 0"),
+    (["verify-paper", "--max-depth", "-1"], "max_depth must be nonnegative, got -1"),
+    (["grid-to-weave", "--depth", "-1", "--in", "{root}/grid16.json"],
+     "depth must be nonnegative, got -1"),
+    (["embed-cograph", "--in", "{root}/duplicate_leaf.json"], "duplicate leaf vertex 0"),
+])
+def test_contract_violations_exit_2(workdir, command, message):
+    (workdir / "duplicate_leaf.json").write_text(json.dumps(
+        {"op": "union", "children": [{"op": "leaf", "v": 0}, {"op": "leaf", "v": 0}]}))
+    code, out, err = run_cli([arg.format(root=workdir) for arg in command])
+    assert (code, out) == (2, "")
+    assert message in err

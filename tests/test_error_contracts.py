@@ -3,13 +3,17 @@
 import pytest
 
 from comblab.combs import CombClass, OMEGA
-from comblab.cographs import Graph, comb_graph
+from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, leaf,
+                              union)
 from comblab.errors import ArgumentError, ParseError, ResourceError
+from comblab.genericity import RequirementPoset
 from comblab.index_core import Letter, decode, enumerate_level
 from comblab.patterns import (SetSystem, check_graph_pattern, check_grid, check_weave,
                               graph_witness, grid_witness, triangle_free_demo,
                               weave_witness)
-from comblab.transforms import grid_embed_index, strongify_index
+from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave,
+                                strongify_index)
+from comblab.verify import run_battery
 
 
 def test_letter_from_digit_rejects_garbage():
@@ -126,3 +130,102 @@ def test_weave_witness_resource_limit():
 def test_negative_depths():
     with pytest.raises(ArgumentError):
         enumerate_level(-1)
+
+
+def test_set_system_from_json_names_bad_atoms():
+    # A list atom used to fail as "unhashable type: 'list'", and an unknown
+    # atom did not name its family entry.
+    with pytest.raises(ParseError, match=r"universe\[1\] must be a JSON scalar"):
+        SetSystem.from_json({"universe": ["a", ["b"]], "family": []}, decode)
+    for atom in (["a"], "zz"):
+        payload = {"universe": ["a"], "family": [{"index": "-", "set": ["a"]},
+                                                 {"index": "0", "set": [atom]}]}
+        with pytest.raises(ArgumentError, match=r"family\[1\]: atom .* is not in the universe"):
+            SetSystem.from_json(payload, decode)
+    with pytest.raises(ArgumentError, match="atom \\['a'\\] is not in the universe"):
+        SetSystem(["a"], {0: [["a"]]})
+
+
+@pytest.mark.parametrize("payload, where", [
+    ([1, 2], "graph must be a JSON object"),
+    ({"n": 2}, "graph needs 'edges' as a list"),
+    ({"n": 2, "edges": {}}, "graph needs 'edges' as a list"),
+    ({"n": True, "edges": []}, "graph needs 'n' as an integer"),
+    ({"n": 2, "edges": [[0]]}, r"edges\[0\] must be a pair of vertices"),
+    ({"n": 3, "edges": [[0, 1], ["1", 2]]}, r"edges\[1\] must be a pair of vertices"),
+])
+def test_graph_from_json_names_the_location(payload, where):
+    with pytest.raises(ParseError, match=where):
+        Graph.from_json(payload)
+
+
+@pytest.mark.parametrize("payload, where", [
+    ([1, 2], "cotree must be a JSON object"),
+    ({"op": "leaf"}, "cotree needs 'v' as an integer"),
+    ({"op": "leaf", "v": "0"}, "cotree needs 'v' as an integer"),
+    ({"op": "leaf", "v": -1}, "cotree: leaf vertex must be nonnegative"),
+    ({"op": "union", "children": [{"op": "leaf", "v": 0}]},
+     "cotree: a union node needs at least two children"),
+    ({"op": "join", "children": [{"op": "leaf", "v": 0}, {"v": 1}]},
+     r"cotree.children\[1\] needs 'op' as a string"),
+    ({"op": "fork", "children": [{"op": "leaf", "v": 0}, {"op": "leaf", "v": 1}]},
+     "cotree: unknown cotree op 'fork'"),
+])
+def test_cotree_from_json_names_the_location(payload, where):
+    with pytest.raises(ParseError, match=where):
+        Cotree.from_json(payload)
+
+
+@pytest.mark.parametrize("payload, where", [
+    ([1, 2], "index map must be a JSON object"),
+    ({"codomain": "level", "map": []}, "index map needs 'depth' as an integer"),
+    ({"depth": 0, "codomain": "tree", "map": []}, "codomain must be 'level' or 'grid'"),
+    ({"depth": 0, "codomain": "grid", "map": [["-", [0]]]}, r"map\[0\]: grid target \[0\]"),
+    ({"depth": 0, "codomain": "grid", "map": [["-", ["0", 0]]]}, r"map\[0\]: grid target"),
+    ({"depth": 0, "codomain": "level", "map": [["-"]]}, r"map\[0\] must be a \[source, target\]"),
+    ({"depth": 0, "codomain": "level", "map": ["-0"]}, r"map\[0\] must be a \[source, target\]"),
+    ({"depth": 0, "codomain": "level", "map": [[0, "0"]]}, r"map\[0\]: a node is written"),
+    ({"depth": 0, "codomain": "level", "map": [["-", "0x"]]}, r"map\[0\]: invalid letter digit"),
+    ({"depth": 1, "codomain": "level", "map": [["0", "00"], ["0", "01"]]},
+     r"map\[1\]: duplicate source '0'"),
+])
+def test_index_map_from_json_names_the_entry(payload, where):
+    with pytest.raises(ParseError, match=where):
+        IndexMap.from_json(payload)
+
+
+def test_decode_requires_a_string():
+    for raw in (0, ["0"], None, True):
+        with pytest.raises(ParseError, match="digit string"):
+            decode(raw)
+
+
+def test_poset_elements_must_be_distinct():
+    with pytest.raises(ArgumentError, match="distinct"):
+        RequirementPoset.from_table(["a", "b", "a"], [("a", "b")])
+
+
+def test_caps_below_one_rejected():
+    # check_grid and check_graph_pattern used to accept cap 0 or -3: the grid
+    # check then scanned every chain and the graph check scanned nothing.
+    graph = Graph(2, [(0, 1)])
+    for cap in (0, -3):
+        with pytest.raises(ArgumentError, match="cap must be an integer >= 1"):
+            check_grid(grid_witness(2, 2), 2, 2, cap=cap)
+        with pytest.raises(ArgumentError, match="cap must be an integer >= 1"):
+            check_graph_pattern(graph_witness(graph), graph, cap=cap)
+        with pytest.raises(ArgumentError, match="cap must be an integer >= 1"):
+            check_weave(weave_witness(1, 2, 1, 1), 1, 2, 1, 1, cap=cap)
+
+
+def test_negative_depths_rejected_by_battery_and_grid_bridge():
+    with pytest.raises(ArgumentError, match="max_depth must be nonnegative"):
+        run_battery(-1)
+    with pytest.raises(ArgumentError, match="depth must be nonnegative"):
+        grid_to_weave(grid_witness(1, 2), -1)
+
+
+def test_embed_cograph_rejects_duplicate_leaves():
+    # The second leaf 0 used to overwrite the first, dropping a vertex.
+    with pytest.raises(ArgumentError, match="duplicate leaf vertex 0"):
+        embed_cograph(union(leaf(0), leaf(1), leaf(0)))

@@ -9,14 +9,11 @@ from comblab.combs import (CombClass, NARROW_BELOW, NARROW_LEFT, OMEGA,
 from comblab.errors import ArgumentError
 from comblab.index_core import Letter, Node, decode, encode, enumerate_level
 from comblab.patterns import (SetSystem, check_grid, check_weave, comparable,
-                              grid_points, grid_witness, strictly_below,
-                              weave_witness)
+                              grid_points, grid_witness, is_antichain,
+                              is_strict_chain, strictly_below, weave_witness)
 from comblab.transforms import (EpsCoord, IndexMap, epsilon_scale,
-                                eps_comparable, eps_strictly_below,
-                                grid_embed_index, grid_to_weave,
-                                is_eps_antichain, is_eps_strict_chain,
-                                pullback, scale_point, strongify_index,
-                                strongify_weave)
+                                grid_embed_index, grid_to_weave, pullback,
+                                scale_point, strongify_index, strongify_weave)
 
 from helpers import SEED, subset_filter_combs
 
@@ -212,10 +209,10 @@ def test_eps_coord_order():
 
 
 def test_epsilon_scale_examples():
-    assert is_eps_strict_chain([scale_point((0, 0)), scale_point((1, 1))])
-    assert is_eps_antichain([scale_point((0, 1)), scale_point((1, 0))])
+    assert is_strict_chain([scale_point((0, 0)), scale_point((1, 1))])
+    assert is_antichain([scale_point((0, 1)), scale_point((1, 0))])
     tied = [scale_point((0, 0)), scale_point((0, 1))]
-    assert not is_eps_strict_chain(tied)  # the documented tie limitation
+    assert not is_strict_chain(tied)  # the documented tie limitation
     assert tied[0][0] == tied[1][0]
 
 
@@ -223,9 +220,9 @@ def test_epsilon_scale_pairs_exhaustive():
     for s in (2, 3, 4):
         for p, q in combinations(grid_points(s), 2):
             sp, sq = scale_point(p), scale_point(q)
-            assert comparable(p, q) == eps_comparable(sp, sq)
+            assert comparable(p, q) == comparable(sp, sq)
             before = strictly_below(p, q) or strictly_below(q, p)
-            after = eps_strictly_below(sp, sq) or eps_strictly_below(sq, sp)
+            after = strictly_below(sp, sq) or strictly_below(sq, sp)
             if before:
                 assert after
             tie_free = p[0] != q[0] and p[1] != q[1]
