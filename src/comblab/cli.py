@@ -67,14 +67,25 @@ def _finish(payload, out_path: str, summary: str, code: int = EXIT_OK) -> int:
     return code
 
 
+def _decode_integer(raw) -> int:
+    """A vertex or a grid coordinate: a string of decimal digits or a JSON
+    integer; a boolean, a float or any other string is refused rather than
+    read as a number."""
+    if is_json_type(raw, int):
+        return raw
+    if isinstance(raw, str) and raw.isascii() and raw.isdigit():
+        return int(raw)
+    raise ParseError(f"expected decimal digits or an integer, got {raw!r}")
+
+
 def _decode_grid_index(raw) -> tuple:
     parts = raw.split(",") if isinstance(raw, str) else raw
     if not isinstance(parts, list) or len(parts) != 2:
         raise ParseError(f"grid index must look like 'i,j', got {raw!r}")
-    return (int(parts[0]), int(parts[1]))
+    return (_decode_integer(parts[0]), _decode_integer(parts[1]))
 
 
-_INDEX_DECODERS = {"node": decode, "grid": _decode_grid_index, "vertex": int}
+_INDEX_DECODERS = {"node": decode, "grid": _decode_grid_index, "vertex": _decode_integer}
 
 
 def _load_system(path: str, kind: str) -> SetSystem:

@@ -94,6 +94,9 @@ class Graph:
         """Read {"n": n, "edges": [[u, v], ...]}; a malformed value raises
         ParseError naming where it is."""
         n, edges = json_fields(payload, "graph", n=int, edges=list)
+        if n > patterns_mod.SUBSET_ENUM_LIMIT:  # refused before the masks are allocated
+            raise ResourceError(f"graph has {n} vertices, over the limit "
+                                f"{patterns_mod.SUBSET_ENUM_LIMIT}")
         for pos, edge in enumerate(edges):
             if not is_int_pair(edge):
                 raise ParseError(f"edges[{pos}] must be a pair of vertices, got {edge!r}")

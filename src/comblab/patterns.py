@@ -14,7 +14,9 @@ witnessed at size k (subsets of combs, chains, and antichains stay in class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
+from operator import and_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
@@ -137,6 +139,12 @@ class SetSystem:
             pos, atom = next((pos, atom) for pos, atom in enumerate(payload["universe"])
                              if isinstance(atom, (list, dict)))
             raise ParseError(f"universe[{pos}] must be a JSON scalar, got {atom!r}") from None
+        if len(set(map(type, system.universe))) > 1:  # names of two types do not sort
+            first = type(system.universe[0])
+            pos, atom = next((pos, atom) for pos, atom in enumerate(system.universe)
+                             if type(atom) is not first)
+            raise ParseError(f"universe[{pos}] must have the type of universe[0] "
+                             f"({first.__name__}), got {atom!r}")
         family = {}
         for pos, entry in enumerate(payload["family"]):
             if not isinstance(entry, dict) or "index" not in entry:
@@ -480,24 +488,47 @@ def grid_points(s: int) -> list[tuple]:
     return [(i, j) for i in range(s) for j in range(s)]
 
 
-def _grow_chains(points: list[tuple], step_ok, max_size: int):
-    """All nonempty chains under the given pairwise step relation.
+def _above(points: list[tuple], related) -> list[list[int]]:
+    """For each point position i, the later positions j whose points are
+    related to it: the successor lists of a chain walk."""
+    return [[j for j in range(i + 1, len(points)) if related(points[i], points[j])]
+            for i in range(len(points))]
 
-    Points are consumed in lexicographic order; a sorted chain is generated
-    exactly once by extending from its largest element.
+
+def _walk_chains(above, max_size: int, step, root):
+    """Depth-first walk over the chains of an order, up to max_size elements.
+
+    above[i] lists the positions after i that may follow it, so a chain is a
+    path through `above`, written as the tuple of its positions.  Each chain
+    carries a state: step(root, chain) for a single element and
+    step(state of the chain without its last element, chain) otherwise, so a
+    fold costs one step per chain.  Yields (chain, state), depth first; a
+    state of None drops the chain and every extension of it.
     """
-    chains: list[tuple] = []
-    stack = [((pt,), idx) for idx, pt in enumerate(points)]
+    stack = [(root, (i,)) for i in range(len(above))]
     while stack:
-        chain, last_idx = stack.pop()
-        chains.append(chain)
-        if len(chain) == max_size:
+        parent, chain = stack.pop()
+        state = step(parent, chain)
+        if state is None:
             continue
-        for idx in range(last_idx + 1, len(points)):
-            if step_ok(chain[-1], points[idx]):
-                stack.append((chain + (points[idx],), idx))
-    chains.sort(key=lambda c: (len(c), c))
-    return chains
+        yield chain, state
+        if len(chain) < max_size:
+            stack.extend([(state, chain + (j,)) for j in above[chain[-1]]])
+
+
+def _grow_chains(points: list[tuple], related, max_size: int):
+    """All nonempty chains under the given pairwise relation, by size and
+    then lexicographically; points are in lexicographic order and a chain
+    lists its points in that order."""
+    # Each chain's state is the tuple of its points.
+    walk = _walk_chains(_above(points, related), max_size,
+                        lambda prefix, chain: prefix + (points[chain[-1]],), ())
+    return sorted((state for _, state in walk), key=_by_size)
+
+
+def _by_size(chain: tuple) -> tuple:
+    """The report order of families: by size, then lexicographically."""
+    return len(chain), chain
 
 
 def strict_chains(s: int, max_size: int) -> list[tuple]:
@@ -505,9 +536,8 @@ def strict_chains(s: int, max_size: int) -> list[tuple]:
 
 
 def chains(s: int, max_size: int) -> list[tuple]:
-    def step(p, q):
-        return product_leq(p, q) and p != q
-    return _grow_chains(grid_points(s), step, max_size)
+    # Later points are distinct, so product_leq is the strict order there.
+    return _grow_chains(grid_points(s), product_leq, max_size)
 
 
 def antichains_of_size(s: int, size: int) -> list[tuple]:
@@ -543,11 +573,20 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
             sink.add(lambda: Violation(INCONSISTENCY, combo, {"structure": "antichain"},
                                        ci.common_atom(combo)))
 
-    families = chains(s, cap) if strong else strict_chains(s, cap)
+    # Each chain's intersection is one `&` on its prefix's; for a predicate,
+    # which has no intersection, the state is the chain's verdict.
+    points = grid_points(s)
+    above = _above(points, product_leq if strong else strictly_below)
+    if isinstance(ci, SetSystem):
+        sets = [ci.set_of(pt) for pt in points]
+        walk = _walk_chains(above, cap, lambda inter, chain: inter & sets[chain[-1]], -1)
+    else:
+        walk = _walk_chains(above, cap, lambda _, chain: ci.consistent(
+            [points[i] for i in chain]), True)
     structure = "chain" if strong else "strict-chain"
-    for fam in families:
-        if not ci.consistent(fam):
-            sink.add(lambda: Violation(CONSISTENCY, fam, {"structure": structure}))
+    for chain in sorted((chain for chain, state in walk if not state), key=_by_size):
+        sink.add(lambda: Violation(CONSISTENCY, tuple(points[i] for i in chain),
+                                   {"structure": structure}))
     return sink.report(cap, truncated=cap < 2 * s - 1)
 
 
@@ -571,18 +610,49 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
         raise ResourceError(
             f"graph pattern check would scan {total} subsets, over the limit {limit}")
     masks = graph.adjacency_masks()
-    for size in range(1, cap + 1):
-        for combo in combinations(vertices, size):
-            edge = _first_edge(combo, masks)
-            independent = edge is None
-            is_consistent = ci.consistent(combo)
-            if independent and not is_consistent:
-                sink.add(lambda: Violation(CONSISTENCY, combo, {"structure": "independent"}))
-            elif not independent and is_consistent:
-                sink.add(lambda: Violation(INCONSISTENCY, combo,
-                                           {"structure": "edge", "edge": list(edge)},
-                                           ci.common_atom(combo)))
+    if isinstance(ci, SetSystem):
+        families = _graph_fold(ci, graph.n, masks, cap)
+    else:
+        # A predicate has no mask to carry: ask it once per subset.
+        families = ((combo, _first_edge(combo, masks), ci.consistent(combo))
+                    for size in range(1, cap + 1)
+                    for combo in combinations(vertices, size))
+    mismatches = [(combo, edge) for combo, edge, consistent in families
+                  if (edge is None) != bool(consistent)]
+    for combo, edge in sorted(mismatches, key=lambda item: _by_size(item[0])):
+        if edge is None:
+            sink.add(lambda: Violation(CONSISTENCY, combo, {"structure": "independent"}))
+        else:
+            sink.add(lambda: Violation(INCONSISTENCY, combo,
+                                       {"structure": "edge", "edge": list(edge)},
+                                       ci.common_atom(combo)))
     return sink.report(cap, truncated=cap < graph.n)
+
+
+def _graph_fold(ci: "SetSystem", n: int, masks, cap: int):
+    """(subset, first edge, intersection) for the vertex subsets up to `cap`
+    that can mismatch, walking them as the chains of the vertex order.
+
+    Each subset carries the vertices seen, its first edge as _first_edge
+    finds it and its intersection, each one step on its parent's.  Once a
+    subset has an edge and no common atom, so has every extension, and none
+    of them mismatches: the walk skips them.
+    """
+    sets = [ci.set_of(v) for v in range(n)]
+
+    def step(state, combo):
+        seen, edge, inter = state
+        v = combo[-1]
+        if edge is None and masks[v] & seen:
+            edge = ((masks[v] & seen).bit_length() - 1, v)
+        inter &= sets[v]
+        if edge is not None and not inter:
+            return None
+        return seen | 1 << v, edge, inter
+
+    later = [range(v + 1, n) for v in range(n)]
+    for combo, (_, edge, inter) in _walk_chains(later, cap, step, (0, None, -1)):
+        yield combo, edge, inter
 
 
 def _first_edge(vertices, masks) -> Optional[tuple]:
@@ -711,14 +781,14 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     return SetSystem(names, {})._with_masks(family)
 
 
-def _maximal(families: list[tuple], points: list[tuple], fits) -> list[tuple]:
-    out = []
-    for fam in families:
-        fam_set = set(fam)
-        if any(pt not in fam_set and fits(fam, pt) for pt in points):
-            continue
-        out.append(fam)
-    return out
+def _maximal(families: list[tuple], points: list[tuple], related) -> list[tuple]:
+    """The families that no outside point extends, `related` being symmetric:
+    a family is maximal iff every point related to all of its members is
+    one of them, a test on the AND of the members' masks."""
+    bit = {pt: 1 << i for i, pt in enumerate(points)}
+    fits = {pt: sum(bit[q] for q in points if related(pt, q)) for pt in points}
+    return [fam for fam in families
+            if not reduce(and_, map(fits.__getitem__, fam)) & ~sum(map(bit.__getitem__, fam))]
 
 
 def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
@@ -731,17 +801,10 @@ def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     _require_k(k)
     points = grid_points(s)
     if strong:
-        base = chains(s, 2 * s - 1)
-
-        def fits(fam, pt):
-            return all(comparable(pt, q) for q in fam)
+        maximal = _maximal(chains(s, 2 * s - 1), points, comparable)
     else:
-        base = strict_chains(s, s)
-
-        def fits(fam, pt):
-            return all(strictly_below(pt, q) or strictly_below(q, pt) for q in fam)
-
-    maximal = _maximal(base, points, fits)
+        maximal = _maximal(strict_chains(s, s), points,
+                           lambda p, q: strictly_below(p, q) or strictly_below(q, p))
     names = ["{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal]
     family = {pt: {name for name, fam in zip(names, maximal) if pt in fam}
               for pt in points}
@@ -770,17 +833,43 @@ def graph_witness(graph, materialize: bool = False):
 
 
 def _maximal_independent_sets(n: int, masks) -> list[tuple]:
+    """The maximal independent sets, as sorted vertex tuples in sorted order.
+
+    They are the maximal cliques of the complement, listed by the
+    Bron-Kerbosch recursion with a pivot over vertex masks.
+    """
     if n > 20:
         raise ResourceError(f"maximal independent set scan limited to 20 vertices, got {n}")
+    full = (1 << n) - 1
+    others = [full & ~masks[v] & ~(1 << v) for v in range(n)]  # non-neighbours
     out = []
-    for subset in range(1, 1 << n):
-        members = [v for v in range(n) if (subset >> v) & 1]
-        if any(masks[v] & subset for v in members):
-            continue
-        if any(not (subset >> v) & 1 and not (masks[v] & subset) for v in range(n)):
-            continue
-        out.append(tuple(members))
+
+    def expand(chosen: int, candidates: int, excluded: int) -> None:
+        if not candidates | excluded:
+            out.append(tuple(v for v in range(n) if chosen >> v & 1))
+            return
+        # Every maximal set still reachable holds the pivot or one of its
+        # neighbours in the graph, so only those open a branch.
+        pivot = max(_bits(candidates | excluded),
+                    key=lambda u: (candidates & others[u]).bit_count())
+        for v in _bits(candidates & ~others[pivot]):
+            expand(chosen | 1 << v, candidates & others[v], excluded & others[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    if n:
+        expand(0, full, 0)
     return sorted(out)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def triangle_free_demo(length: int):

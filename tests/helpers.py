@@ -7,8 +7,9 @@ from comblab.combs import (DEFAULT_ENUM_LIMIT, OMEGA, CombClass, RECURSIVE, comb
                            is_comb, mask_indices, mask_nodes, wide_right)
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import enumerate_level
-from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, SetSystem,
-                              Violation, k_inconsistent)
+from comblab.patterns import (CONSISTENCY, INCONSISTENCY, SUBSET_ENUM_LIMIT, Report,
+                              SetSystem, Violation, antichains_of_size, comparable,
+                              grid_points, k_inconsistent, product_leq, strictly_below)
 
 SEED = 0xC0FFEE
 
@@ -145,6 +146,133 @@ def reference_weave_witness(d, k, m, n, genuine_k=False, limit=DEFAULT_ENUM_LIMI
         for digit in group:
             member[digit].add(name)
     return SetSystem(names, {node: member[node.digits] for node in level})
+
+
+def reference_chains(s, max_size, strong=True):
+    """The chains (strict chains unless strong) of the s x s square with at
+    most max_size points, grown one point at a time from every start and
+    then sorted by size and lexicographically."""
+    points = grid_points(s)
+    if strong:
+        def step_ok(p, q):
+            return product_leq(p, q) and p != q
+    else:
+        step_ok = strictly_below
+    out = []
+    stack = [((pt,), idx) for idx, pt in enumerate(points)]
+    while stack:
+        chain, last_idx = stack.pop()
+        out.append(chain)
+        if len(chain) == max_size:
+            continue
+        for idx in range(last_idx + 1, len(points)):
+            if step_ok(chain[-1], points[idx]):
+                stack.append((chain + (points[idx],), idx))
+    out.sort(key=lambda c: (len(c), c))
+    return out
+
+
+def reference_check_grid(ci, s, k, strong=False, cap=None, max_violations=10):
+    """check_grid's report computed the straightforward way: every chain of
+    the square listed and sorted first, and each chain's intersection taken
+    from scratch through `consistent`."""
+    if cap is None:
+        cap = max(k, 2 * s, 8)
+    violations = []
+    for combo in antichains_of_size(s, k):
+        if ci.consistent(combo):
+            violations.append(Violation(INCONSISTENCY, combo, {"structure": "antichain"},
+                                        ci.common_atom(combo)))
+    structure = "chain" if strong else "strict-chain"
+    for fam in reference_chains(s, cap, strong):
+        if not ci.consistent(fam):
+            violations.append(Violation(CONSISTENCY, fam, {"structure": structure}))
+    return Report(ok=not violations, cap=cap, truncated=cap < 2 * s - 1,
+                  violations=violations[:max_violations],
+                  violations_truncated=len(violations) > max_violations).to_json()
+
+
+def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10,
+                                  limit=SUBSET_ENUM_LIMIT):
+    """check_graph_pattern's report computed the straightforward way: every
+    vertex subset by size, its first edge found by a scan and its
+    consistency asked from scratch."""
+    from math import comb as binom
+
+    cap = graph.n if cap is None else min(cap, graph.n)
+    total = sum(binom(graph.n, size) for size in range(1, cap + 1))
+    if total > limit:
+        raise ResourceError(
+            f"graph pattern check would scan {total} subsets, over the limit {limit}")
+    masks = graph.adjacency_masks()
+    violations = []
+    for size in range(1, cap + 1):
+        for combo in combinations(range(graph.n), size):
+            edge, seen = None, 0
+            for v in combo:
+                if masks[v] & seen:
+                    edge = ((masks[v] & seen).bit_length() - 1, v)
+                    break
+                seen |= 1 << v
+            is_consistent = ci.consistent(combo)
+            if edge is None and not is_consistent:
+                violations.append(Violation(CONSISTENCY, combo, {"structure": "independent"}))
+            elif edge is not None and is_consistent:
+                violations.append(Violation(INCONSISTENCY, combo,
+                                            {"structure": "edge", "edge": list(edge)},
+                                            ci.common_atom(combo)))
+    return Report(ok=not violations, cap=cap, truncated=cap < graph.n,
+                  violations=violations[:max_violations],
+                  violations_truncated=len(violations) > max_violations).to_json()
+
+
+def reference_maximal(families, points, fits):
+    """The families that no outside point fits, tested point by point."""
+    out = []
+    for fam in families:
+        fam_set = set(fam)
+        if any(pt not in fam_set and fits(fam, pt) for pt in points):
+            continue
+        out.append(fam)
+    return out
+
+
+def reference_grid_witness(s, k, strong=False):
+    """grid_witness built with the point-by-point maximality test."""
+    if not isinstance(k, int) or k < 2:
+        raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+    points = grid_points(s)
+    if strong:
+        base = reference_chains(s, 2 * s - 1)
+
+        def fits(fam, pt):
+            return all(comparable(pt, q) for q in fam)
+    else:
+        base = reference_chains(s, s, strong=False)
+
+        def fits(fam, pt):
+            return all(strictly_below(pt, q) or strictly_below(q, pt) for q in fam)
+
+    maximal = reference_maximal(base, points, fits)
+    names = ["{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal]
+    family = {pt: {name for name, fam in zip(names, maximal) if pt in fam}
+              for pt in points}
+    return SetSystem(sorted(names), family)
+
+
+def reference_maximal_independent_sets(n, masks):
+    """The maximal independent sets found by scanning every vertex subset."""
+    if n > 20:
+        raise ResourceError(f"maximal independent set scan limited to 20 vertices, got {n}")
+    out = []
+    for subset in range(1, 1 << n):
+        members = [v for v in range(n) if (subset >> v) & 1]
+        if any(masks[v] & subset for v in members):
+            continue
+        if any(not (subset >> v) & 1 and not (masks[v] & subset) for v in range(n)):
+            continue
+        out.append(tuple(members))
+    return sorted(out)
 
 
 def random_set_system(indices, rng, atoms=4):

@@ -302,3 +302,55 @@ def test_contract_violations_exit_2(workdir, command, message):
     code, out, err = run_cli([arg.format(root=workdir) for arg in command])
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("kind, position, index, good", [
+    # The vertex decoder was int(), so an index true or 1.5 was read as
+    # vertex 1 and the check passed; grid coordinates were read the same way.
+    ("vertex", 1, True, 1), ("vertex", 1, 1.5, 1), ("vertex", 1, "1.0", 1),
+    ("vertex", 1, " 1", 1), ("vertex", 1, "+1", 1), ("vertex", 1, "\u0661", 1),
+    ("grid", 3, [True, 1], [1, 1]), ("grid", 3, [1.5, 1], [1, 1]),
+    ("grid", 3, " 1,1", [1, 1]), ("grid", 3, "1,1.0", [1, 1]),
+])
+def test_index_integers_must_be_integers(workdir, tmp_path, kind, position, index, good):
+    if kind == "vertex":
+        source = workdir / "graphw.json"
+        command = ["check-graph-pattern", "--graph", str(workdir / "k2.json"), "--in"]
+    else:
+        source = tmp_path / "grid2.json"
+        assert run_cli(["witness", "grid", "--size", "2", "--out", str(source)])[0] == 0
+        command = ["check-grid", "--size", "2", "-k", "2", "--in"]
+    payload = json.loads(source.read_text())
+    payload["family"][position]["index"] = index
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(command + [str(path)])
+    assert (code, out) == (2, ""), err
+    assert f"family[{position}]: bad index" in err
+    payload["family"][position]["index"] = good  # JSON integers are still read
+    path.write_text(json.dumps(payload))
+    assert run_cli(command + [str(path)])[0] == 0
+
+
+def test_mixed_type_universe_exits_2(workdir, tmp_path):
+    # One atom renamed to a number used to fail in a later sort with an
+    # unlocated TypeError.
+    payload = json.loads((workdir / "weave2.json").read_text())
+    old = payload["universe"][3]
+    payload["universe"][3] = 7
+    for entry in payload["family"]:
+        entry["set"] = [7 if atom == old else atom for atom in entry["set"]]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["strongify", "--in", str(path)])
+    assert (code, out) == (2, ""), err
+    assert "universe[3] must have the type of universe[0]" in err
+    assert "TypeError" not in err
+
+
+def test_huge_graph_exits_3(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10 ** 9, "edges": []}))
+    code, out, err = run_cli(["find-p4", "--in", str(path)])
+    assert (code, out) == (3, ""), err
+    assert "over the limit" in err

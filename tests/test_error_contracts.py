@@ -229,3 +229,25 @@ def test_embed_cograph_rejects_duplicate_leaves():
     # The second leaf 0 used to overwrite the first, dropping a vertex.
     with pytest.raises(ArgumentError, match="duplicate leaf vertex 0"):
         embed_cograph(union(leaf(0), leaf(1), leaf(0)))
+
+
+def test_set_system_from_json_rejects_mixed_atom_types():
+    # A universe of names and numbers used to load, and every later sort of
+    # its names failed with an unlocated TypeError.
+    for universe, pos in ((["a", 7, "b"], 1), ([1, 2, "c"], 2), ([2, True], 1),
+                          (["a", None], 1), ([1, 2.5], 1)):
+        payload = {"universe": universe, "family": []}
+        with pytest.raises(ParseError, match=rf"universe\[{pos}\] must have the type of "
+                                             r"universe\[0\]"):
+            SetSystem.from_json(payload, decode)
+    system = SetSystem.from_json({"universe": [3, 1], "family": [{"index": "-", "set": [1]}]},
+                                 decode)
+    assert system.atom_names(system.set_of(decode("-"))) == [1]  # integer atoms stay names
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 18])
+def test_graph_from_json_bounds_the_vertex_count(n):
+    # A huge vertex count used to allocate its adjacency masks before
+    # anything refused.
+    with pytest.raises(ResourceError, match=f"graph has {n} vertices, over the limit"):
+        Graph.from_json({"n": n, "edges": []})

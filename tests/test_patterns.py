@@ -9,15 +9,18 @@ from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
-                              SetSystem, Template, check_graph_pattern,
+                              SetSystem, Template, chains, check_graph_pattern,
                               check_grid, check_weave, consistent, demo_edges,
                               encode_index, graph_witness, grid_points,
-                              grid_witness, k_inconsistent, realizable,
+                              grid_witness, k_inconsistent, realizable, strict_chains,
                               triangle_free_demo, weave_witness)
+from comblab.patterns import _maximal_independent_sets
 
-from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_set_system,
-                     random_subsystem_mutations, reference_check_weave,
-                     reference_weave_witness)
+from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_graph,
+                     random_set_system, random_subsystem_mutations,
+                     reference_chains, reference_check_graph_pattern, reference_check_grid,
+                     reference_check_weave, reference_grid_witness,
+                     reference_maximal_independent_sets, reference_weave_witness)
 
 
 def small_system():
@@ -398,6 +401,63 @@ def test_check_grid_agrees_with_direct_oracle_on_random_systems():
                 direct_grid_ok(ci, 2, 2, strong=strong)
 
 
+def _single_atom_mutations(system):
+    """The system and every copy of it with one atom removed from one set."""
+    return [system] + [system.mutated_without(index, atom)
+                       for index in sorted(system.family)
+                       for atom in system.atom_names(system.set_of(index))]
+
+
+def test_check_grid_report_matches_reference():
+    # Whole reports: the chain walk must find the same violations, in the
+    # same order and with the same truncation, as listing and sorting every
+    # chain and intersecting each from scratch.
+    for s in range(1, 5):
+        for witness_strong in (False, True):
+            witness = grid_witness(s, 2, strong=witness_strong)
+            for ci in _single_atom_mutations(witness):
+                for strong in (False, True):
+                    for cap in (None, 1, 2, 3):
+                        for max_violations in (0, 1, 3, 10):
+                            got = check_grid(ci, s, 2, strong=strong, cap=cap,
+                                             max_violations=max_violations).to_json()
+                            want = reference_check_grid(ci, s, 2, strong=strong, cap=cap,
+                                                        max_violations=max_violations)
+                            assert got == want, (s, witness_strong, strong, cap,
+                                                 max_violations)
+
+
+def test_check_grid_predicate_report_matches_reference():
+    # A predicate oracle has no mask to carry; its verdicts are asked per
+    # chain over the same walk.
+    rng = random.Random(SEED + 7)
+    for s in (2, 3):
+        systems = _single_atom_mutations(grid_witness(s, 2))
+        systems += [random_set_system(grid_points(s), rng, atoms=3) for _ in range(3)]
+        for system in systems:
+            ci = PredicateOracle(system.family, system.consistent)
+            for strong in (False, True):
+                for cap in (None, 2):
+                    got = check_grid(ci, s, 2, strong=strong, cap=cap, max_violations=3)
+                    assert got.to_json() == reference_check_grid(
+                        ci, s, 2, strong=strong, cap=cap, max_violations=3)
+
+
+def test_chains_match_reference():
+    for s in range(1, 6):
+        for max_size in range(1, 2 * s):
+            assert chains(s, max_size) == reference_chains(s, max_size), (s, max_size)
+            assert strict_chains(s, max_size) == \
+                reference_chains(s, max_size, strong=False), (s, max_size)
+
+
+def test_grid_witness_matches_reference():
+    for s in range(1, 6):
+        for strong in (False, True):
+            assert grid_witness(s, 2, strong=strong).to_json() == \
+                reference_grid_witness(s, 2, strong=strong).to_json(), (s, strong)
+
+
 # --- graph pattern checker --------------------------------------------------
 
 
@@ -431,6 +491,58 @@ def test_graph_witness_oracle_and_materialized_agree():
         for size in range(1, 5):
             for combo in combinations(range(6), size):
                 assert oracle.consistent(combo) == system.consistent(combo)
+
+
+def _flipped(oracle, family):
+    """The predicate oracle with its verdict on one family reversed."""
+    family = frozenset(family)
+    return PredicateOracle(oracle.indices,
+                           lambda fam: oracle.consistent(fam) != (fam == family))
+
+
+def _graph_pattern_cases(graph, rng):
+    """Both witnesses of the graph and their mutations: every single-atom
+    deletion of the set system, and the predicate flipped on a single
+    vertex, on the whole vertex set and on a random subset."""
+    oracle = graph_witness(graph)
+    cases = _single_atom_mutations(graph_witness(graph, materialize=True)) + [oracle]
+    if graph.n:
+        random_subset = [v for v in range(graph.n) if rng.random() < 0.5] or [0]
+        cases += [_flipped(oracle, family)
+                  for family in ([0], range(graph.n), random_subset)]
+    return cases
+
+
+def test_check_graph_pattern_report_matches_reference():
+    # Every labelled graph on at most 5 vertices, then seeded random graphs
+    # on up to 9: whole reports equal the subset-by-subset scan, and the
+    # maximal independent sets equal the scan over all vertex subsets.
+    rng = random.Random(SEED + 8)
+    graphs = []
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph(n, [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1])
+                   for chosen in range(1 << len(pairs))]
+    assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024
+    graphs += [random_graph(n, rng.random(), rng) for n in range(6, 10) for _ in range(4)]
+    for graph in graphs:
+        masks = graph.adjacency_masks()
+        assert _maximal_independent_sets(graph.n, masks) == \
+            reference_maximal_independent_sets(graph.n, masks), graph
+        settings = ((None, 10),) if graph.n <= 5 else \
+            ((None, 0), (None, 1), (None, 10), (2, 3), (3, 10))
+        for ci in _graph_pattern_cases(graph, rng):
+            for cap, max_violations in settings:
+                got = check_graph_pattern(ci, graph, cap=cap, max_violations=max_violations)
+                assert got.to_json() == reference_check_graph_pattern(
+                    ci, graph, cap=cap, max_violations=max_violations), (graph, cap)
+
+
+def test_maximal_independent_sets_limit():
+    with pytest.raises(ResourceError, match="limited to 20 vertices, got 21"):
+        _maximal_independent_sets(21, (0,) * 21)
+    empty = Graph(20, [])
+    assert _maximal_independent_sets(20, empty.adjacency_masks()) == [tuple(range(20))]
 
 
 def test_predicate_oracle_unknown_index():
