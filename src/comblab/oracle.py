@@ -1,9 +1,10 @@
 """Definition-faithful brute-force oracles.
 
 These deliberately avoid the insights the fast paths rely on: comb
-recognition searches every bipartition and every candidate split prefix, and
-template feasibility sweeps the full assignment space.  They exist to be slow
-and obviously right, so the fast implementations can be checked against them.
+membership builds the class from its inductive definition, trying every pair
+of parts and every candidate split prefix, and template feasibility sweeps
+the full assignment space.  They exist to be slow and obviously right, so the
+fast implementations can be checked against them.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from itertools import combinations
 
 from .combs import CombClass, LITERAL, size_within
 from .errors import ArgumentError
-from .index_core import common_prefix
+from .index_core import common_prefix, enumerate_level
 
 
 def _candidate_prefixes(digit_strings: list[str]) -> list[str]:
@@ -60,18 +61,37 @@ def widely_left(a_set: frozenset, b_set: frozenset) -> bool:
 
 
 def build_tree_comb_oracle(nodes: frozenset, cls: CombClass, memo: dict = None) -> bool:
-    """Membership by searching every inductive build: try all bipartitions
-    A, B, all part builds, and the branch relation of the class."""
-    if memo is None:
-        memo = {}
-    key = (nodes, cls)
-    if key in memo:
-        return memo[key]
+    """Membership in the comb class by its inductive definition, read as a
+    least fixed point.
+
+    At one level the class is the least family of node sets that holds the
+    singletons and holds A | B for all disjoint members A, B of the part
+    class with |A| within the class bound and the class's branch relation
+    holding from A to B.  The closure is grown size by size up to len(nodes)
+    and kept in `memo` under (cls, depth), so a query costs the closure of
+    its whole level up to its size.  Every caller stays at depth <= 2; a
+    deeper sweep would need an index of the candidate pairs.
+    """
     if not nodes:
         raise ArgumentError("oracle requires a nonempty set")
-    if len(nodes) == 1:
-        memo[key] = True
-        return True
+    depths = {node.depth for node in nodes}
+    if len(depths) != 1:
+        raise ArgumentError("oracle requires nodes of equal depth")
+    if memo is None:
+        memo = {}
+    (depth,) = depths
+    return frozenset(nodes) in _closure(cls, depth, len(nodes), memo)[len(nodes)]
+
+
+def _closure(cls: CombClass, depth: int, size: int, memo: dict) -> list[set]:
+    """The members of the class at one depth, by size: entry m holds those of
+    size m, for every m <= size."""
+    levels = memo.get((cls, depth))
+    if levels is None:
+        levels = memo[(cls, depth)] = [set(), {frozenset((node,)) for node in
+                                               enumerate_level(depth)}]
+    if len(levels) > size:
+        return levels
     if cls.kind == "up":
         relation, part_cls = narrowly_below, cls
     elif cls.kind == "right":
@@ -79,28 +99,19 @@ def build_tree_comb_oracle(nodes: frozenset, cls: CombClass, memo: dict = None) 
     else:
         relation = widely_left
         part_cls = CombClass("right", cls.n) if cls.reading == LITERAL else cls
-    items = sorted(nodes)
-    rest = items[1:]
-    result = False
-    # Fix items[0] in A to halve the bipartition count; the relation is
-    # orientation-specific, so also try items[0] in B via the swapped call.
-    for take in range(1 << len(rest)):
-        a_set = frozenset([items[0]] + [n for i, n in enumerate(rest) if (take >> i) & 1])
-        b_set = nodes - a_set
-        if not b_set:
-            continue
-        for first, second in ((a_set, b_set), (b_set, a_set)):
-            if not size_within(len(first), cls.n):
+    parts = levels if part_cls == cls else _closure(part_cls, depth, size - 1, memo)
+    while len(levels) <= size:
+        m = len(levels)
+        members = set()
+        for a_size in range(1, m):
+            if not size_within(a_size, cls.n):
                 continue
-            if relation(first, second) and \
-                    build_tree_comb_oracle(first, part_cls, memo) and \
-                    build_tree_comb_oracle(second, part_cls, memo):
-                result = True
-                break
-        if result:
-            break
-    memo[key] = result
-    return result
+            for a_set in parts[a_size]:
+                for b_set in parts[m - a_size]:
+                    if a_set.isdisjoint(b_set) and relation(a_set, b_set):
+                        members.add(a_set | b_set)
+        levels.append(members)
+    return levels
 
 
 def binary_right_comb_oracle(strings: frozenset, n, memo: dict = None) -> bool:

@@ -516,14 +516,24 @@ def _walk_chains(above, max_size: int, step, root):
             stack.extend([(state, chain + (j,)) for j in above[chain[-1]]])
 
 
-def _grow_chains(points: list[tuple], related, max_size: int):
-    """All nonempty chains under the given pairwise relation, by size and
-    then lexicographically; points are in lexicographic order and a chain
-    lists its points in that order."""
-    # Each chain's state is the tuple of its points.
-    walk = _walk_chains(_above(points, related), max_size,
-                        lambda prefix, chain: prefix + (points[chain[-1]],), ())
-    return sorted((state for _, state in walk), key=_by_size)
+def _grow_chains(points: list[tuple], related, max_size: int) -> list[list[tuple]]:
+    """The nonempty chains under the given pairwise relation, level by
+    level: entry m - 1 lists the chains of m points, for m up to max_size,
+    and the list stops early at an empty level.  Points are in lexicographic
+    order and a chain lists its points in that order.
+
+    Each chain of one level is extended by each later point related to its
+    last one, so every level comes out in lexicographic order without a
+    sort.
+    """
+    after = {pt: [points[j] for j in later]
+             for pt, later in zip(points, _above(points, related))}
+    level = [(pt,) for pt in points]
+    levels = [level]
+    while level and len(levels) < max_size:
+        level = [chain + (q,) for chain in level for q in after[chain[-1]]]
+        levels.append(level)
+    return levels
 
 
 def _by_size(chain: tuple) -> tuple:
@@ -532,22 +542,31 @@ def _by_size(chain: tuple) -> tuple:
 
 
 def strict_chains(s: int, max_size: int) -> list[tuple]:
-    return _grow_chains(grid_points(s), strictly_below, max_size)
+    """The strict chains of the s x s square with at most max_size points,
+    by size and then lexicographically."""
+    return [chain for level in _grow_chains(grid_points(s), strictly_below, max_size)
+            for chain in level]
 
 
 def chains(s: int, max_size: int) -> list[tuple]:
+    """The chains of the s x s square with at most max_size points, by size
+    and then lexicographically."""
     # Later points are distinct, so product_leq is the strict order there.
-    return _grow_chains(grid_points(s), product_leq, max_size)
+    return [chain for level in _grow_chains(grid_points(s), product_leq, max_size)
+            for chain in level]
+
+
+def _crossing(p: tuple, q: tuple) -> bool:
+    """q lies right of and below p: for p before q in lexicographic order,
+    exactly when the two are incomparable."""
+    return p[0] < q[0] and p[1] > q[1]
 
 
 def antichains_of_size(s: int, size: int) -> list[tuple]:
-    from itertools import combinations
-
-    out = []
-    for combo in combinations(grid_points(s), size):
-        if is_antichain(combo):
-            out.append(combo)
-    return out
+    """The antichains of the s x s square with `size` points, in
+    lexicographic order: the chains of the crossing order of that size."""
+    levels = _grow_chains(grid_points(s), _crossing, size)
+    return levels[-1] if len(levels) == size else []
 
 
 def check_grid(ci, s: int, k: int, *, strong: bool = False,
@@ -782,13 +801,16 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
 
 
 def _maximal(families: list[tuple], points: list[tuple], related) -> list[tuple]:
-    """The families that no outside point extends, `related` being symmetric:
-    a family is maximal iff every point related to all of its members is
-    one of them, a test on the AND of the members' masks."""
-    bit = {pt: 1 << i for i, pt in enumerate(points)}
-    fits = {pt: sum(bit[q] for q in points if related(pt, q)) for pt in points}
+    """The families that no outside point extends, `related` being symmetric.
+
+    Each point's mask holds its own bit and those of the points related to
+    it, so the AND of a family's masks holds the family and every point that
+    extends it: the family is maximal iff that AND has as many bits as the
+    family has points."""
+    fits = {pt: sum(1 << j for j, q in enumerate(points) if q == pt or related(pt, q))
+            for pt in points}
     return [fam for fam in families
-            if not reduce(and_, map(fits.__getitem__, fam)) & ~sum(map(bit.__getitem__, fam))]
+            if reduce(and_, map(fits.__getitem__, fam)).bit_count() == len(fam)]
 
 
 def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:

@@ -3,13 +3,15 @@ paths are checked against."""
 
 from itertools import combinations
 
-from comblab.combs import (DEFAULT_ENUM_LIMIT, OMEGA, CombClass, RECURSIVE, comb_entries,
-                           is_comb, mask_indices, mask_nodes, wide_right)
+from comblab.combs import (DEFAULT_ENUM_LIMIT, LITERAL, OMEGA, CombClass, RECURSIVE,
+                           comb_entries, is_comb, mask_indices, mask_nodes, size_within,
+                           wide_right)
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import enumerate_level
+from comblab.oracle import narrowly_below, narrowly_left, widely_left
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, SUBSET_ENUM_LIMIT, Report,
-                              SetSystem, Violation, antichains_of_size, comparable,
-                              grid_points, k_inconsistent, product_leq, strictly_below)
+                              SetSystem, Violation, comparable, grid_points, is_antichain,
+                              k_inconsistent, product_leq, strictly_below)
 
 SEED = 0xC0FFEE
 
@@ -24,6 +26,51 @@ def subset_filter_combs(d, cls, max_size):
             if is_comb(combo, cls) is not None:
                 out.append(frozenset(combo))
     return out
+
+
+def reference_build_tree_comb_oracle(nodes, cls, memo=None):
+    """Comb membership by searching every inductive build: try all
+    bipartitions A, B in both orientations, all part builds, and the branch
+    relation of the class."""
+    if memo is None:
+        memo = {}
+    key = (nodes, cls)
+    if key in memo:
+        return memo[key]
+    if not nodes:
+        raise ArgumentError("oracle requires a nonempty set")
+    if len(nodes) == 1:
+        memo[key] = True
+        return True
+    if cls.kind == "up":
+        relation, part_cls = narrowly_below, cls
+    elif cls.kind == "right":
+        relation, part_cls = narrowly_left, cls
+    else:
+        relation = widely_left
+        part_cls = CombClass("right", cls.n) if cls.reading == LITERAL else cls
+    items = sorted(nodes)
+    rest = items[1:]
+    result = False
+    # Fix items[0] in A to halve the bipartition count; the relation is
+    # orientation-specific, so also try items[0] in B via the swapped call.
+    for take in range(1 << len(rest)):
+        a_set = frozenset([items[0]] + [n for i, n in enumerate(rest) if (take >> i) & 1])
+        b_set = nodes - a_set
+        if not b_set:
+            continue
+        for first, second in ((a_set, b_set), (b_set, a_set)):
+            if not size_within(len(first), cls.n):
+                continue
+            if relation(first, second) and \
+                    reference_build_tree_comb_oracle(first, part_cls, memo) and \
+                    reference_build_tree_comb_oracle(second, part_cls, memo):
+                result = True
+                break
+        if result:
+            break
+    memo[key] = result
+    return result
 
 
 def direct_weave_ok(ci, d, k, m, n, strong=False, reading=RECURSIVE):
@@ -173,14 +220,15 @@ def reference_chains(s, max_size, strong=True):
 
 
 def reference_check_grid(ci, s, k, strong=False, cap=None, max_violations=10):
-    """check_grid's report computed the straightforward way: every chain of
-    the square listed and sorted first, and each chain's intersection taken
-    from scratch through `consistent`."""
+    """check_grid's report computed the straightforward way: every k-subset
+    of the square filtered for antichains, every chain of the square listed
+    and sorted first, and each family's intersection taken from scratch
+    through `consistent`."""
     if cap is None:
         cap = max(k, 2 * s, 8)
     violations = []
-    for combo in antichains_of_size(s, k):
-        if ci.consistent(combo):
+    for combo in combinations(grid_points(s), k):
+        if is_antichain(combo) and ci.consistent(combo):
             violations.append(Violation(INCONSISTENCY, combo, {"structure": "antichain"},
                                         ci.common_atom(combo)))
     structure = "chain" if strong else "strict-chain"

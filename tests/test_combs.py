@@ -12,7 +12,7 @@ from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import binary_right_comb_oracle, build_tree_comb_oracle
 
-from helpers import SEED, subset_filter_combs
+from helpers import SEED, reference_build_tree_comb_oracle, subset_filter_combs
 
 
 def nodes(*texts):
@@ -141,6 +141,33 @@ def test_literal_and_recursive_readings_differ():
     assert not build_tree_comb_oracle(s, CombClass("wide-right", OMEGA, LITERAL), memo)
     assert is_comb(s, CombClass("wide-right", OMEGA)) is not None
     assert is_comb(s, CombClass("wide-right", OMEGA, LITERAL)) is None
+
+
+def test_build_tree_comb_oracle_matches_reference():
+    # The closure and the bipartition search are two algorithms for the same
+    # inductive definition: they must agree on every small set.
+    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
+               for n in (1, 2, OMEGA)]
+    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
+    memo, reference_memo = {}, {}
+    for d in (1, 2):
+        level = enumerate_level(d)
+        for size in range(1, 6):
+            for combo in combinations(level, size):
+                combo = frozenset(combo)
+                for cls in classes:
+                    assert build_tree_comb_oracle(combo, cls, memo) == \
+                        reference_build_tree_comb_oracle(combo, cls, reference_memo), \
+                        (sorted(map(encode, combo)), cls)
+
+
+def test_build_tree_comb_oracle_errors():
+    with pytest.raises(ArgumentError):
+        build_tree_comb_oracle(frozenset(), CombClass("up", 1))
+    # {0, 10} mixes depths 1 and 2: not a set of one level.
+    for cls in (CombClass("up", OMEGA), CombClass("wide-right", OMEGA)):
+        with pytest.raises(ArgumentError):
+            build_tree_comb_oracle(nodes("0", "10"), cls)
 
 
 def test_wide_characterization_depth2():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -9,11 +10,11 @@ from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
-                              SetSystem, Template, chains, check_graph_pattern,
-                              check_grid, check_weave, consistent, demo_edges,
-                              encode_index, graph_witness, grid_points,
-                              grid_witness, k_inconsistent, realizable, strict_chains,
-                              triangle_free_demo, weave_witness)
+                              SetSystem, Template, antichains_of_size, chains,
+                              check_graph_pattern, check_grid, check_weave, consistent,
+                              demo_edges, encode_index, graph_witness, grid_points,
+                              grid_witness, is_antichain, k_inconsistent, realizable,
+                              strict_chains, triangle_free_demo, weave_witness)
 from comblab.patterns import _maximal_independent_sets
 
 from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_graph,
@@ -443,16 +444,48 @@ def test_check_grid_predicate_report_matches_reference():
                         ci, s, 2, strong=strong, cap=cap, max_violations=3)
 
 
+def test_check_grid_report_matches_reference_every_k():
+    # The antichain clause at every k up to one past the longest antichain;
+    # random systems make some antichains consistent, so it reports.
+    rng = random.Random(SEED + 11)
+    for s in range(1, 5):
+        systems = [grid_witness(s, 2), grid_witness(s, 2, strong=True)]
+        systems += [random_set_system(grid_points(s), rng, atoms=2) for _ in range(3)]
+        for ci in systems:
+            for k in range(2, s + 2):
+                for strong in (False, True):
+                    got = check_grid(ci, s, k, strong=strong).to_json()
+                    assert got == reference_check_grid(ci, s, k, strong=strong), (s, k, strong)
+
+
 def test_chains_match_reference():
-    for s in range(1, 6):
+    for s in range(1, 7):
         for max_size in range(1, 2 * s):
             assert chains(s, max_size) == reference_chains(s, max_size), (s, max_size)
             assert strict_chains(s, max_size) == \
                 reference_chains(s, max_size, strong=False), (s, max_size)
 
 
-def test_grid_witness_matches_reference():
+def test_antichains_match_reference():
     for s in range(1, 6):
+        points = grid_points(s)
+        for size in range(1, s + 2):
+            want = [combo for combo in combinations(points, size) if is_antichain(combo)]
+            assert antichains_of_size(s, size) == want, (s, size)
+
+
+def test_antichains_beyond_the_width_are_quick():
+    # No antichain of the s x s square has more than s points; listing them
+    # must not scan the C(s*s, k) subsets to find that out.
+    witness = grid_witness(6, 2, strong=True)
+    start = time.perf_counter()
+    assert antichains_of_size(8, 9) == []
+    assert check_grid(witness, 6, 6, strong=True).ok
+    assert time.perf_counter() - start < 1.0
+
+
+def test_grid_witness_matches_reference():
+    for s in range(1, 7):
         for strong in (False, True):
             assert grid_witness(s, 2, strong=strong).to_json() == \
                 reference_grid_witness(s, 2, strong=strong).to_json(), (s, strong)
