@@ -16,6 +16,7 @@ rest of the library relies on, so it is the default.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
@@ -216,68 +217,59 @@ def classify_pair(a: Node, b: Node) -> str:
     return UP_ONE if (da[i] < "2") == (db[i] < "2") else WIDE_RIGHT_ONE
 
 
-# Digit groups per class at a split position: (A-digits, B-digits, witness kind).
-_UP_SPLITS = ((frozenset("0"), frozenset("1"), narrow_below(0)),
-              (frozenset("2"), frozenset("3"), narrow_below(1)))
-_RIGHT_SPLITS = ((frozenset("0"), frozenset("2"), narrow_left(0)),
-                 (frozenset("1"), frozenset("3"), narrow_left(1)))
+# The narrow split kinds per class, by the letters at the split position of
+# the first and last node (the two parts' letters, in order).
+_NARROW_SPLITS = {
+    "up": {"01": narrow_below(0), "23": narrow_below(1)},
+    "right": {"02": narrow_left(0), "13": narrow_left(1)},
+}
+_WIDE_LEFT = wide_left()
 
 
 def is_comb(nodes: Iterable[Node], cls: CombClass) -> Optional[CombCertificate]:
     """Recognize membership in a comb class; returns a certificate or None."""
-    node_list = list(nodes)
-    if not node_list:
+    digit_map = {node.digits: node for node in nodes}
+    if not digit_map:
         raise ArgumentError("is_comb requires a nonempty set")
-    depths = {node.depth for node in node_list}
-    if len(depths) != 1:
+    if len(set(map(len, digit_map))) != 1:
         raise ArgumentError("is_comb requires nodes of equal depth")
-    digit_map = {}
-    for node in node_list:
-        digit_map[node.digits] = node
     return _recognize(sorted(digit_map), digit_map, cls)
 
 
 def _recognize(digits: list[str], digit_map, cls: CombClass) -> Optional[CombCertificate]:
+    # The digits are sorted and share their first p letters, so their letters
+    # at p ascend: each part is a slice, cut where the B-part's letters begin.
     if len(digits) == 1:
         return CombCertificate(frozenset((digit_map[digits[0]],)))
     lo, hi = digits[0], digits[-1]
     p = 0
     while lo[p] == hi[p]:
         p += 1
-    tau = Node._raw(lo[:p])
-    if cls.kind == "up" or cls.kind == "right":
-        splits = _UP_SPLITS if cls.kind == "up" else _RIGHT_SPLITS
-        letters = {s[p] for s in digits}
-        for a_digits_set, b_digits_set, kind in splits:
-            if letters == a_digits_set | b_digits_set:
-                a_part = [s for s in digits if s[p] in a_digits_set]
-                b_part = [s for s in digits if s[p] in b_digits_set]
-                break
-        else:
+    prefix = lo[:p]
+    if cls.kind == "wide-right":
+        if lo[p] >= "2" or hi[p] < "2":
+            return None
+        cut = bisect_left(digits, prefix + "2")
+        kind = _WIDE_LEFT
+        sub_cls = _part_class(cls)
+    else:
+        kind = _NARROW_SPLITS[cls.kind].get(lo[p] + hi[p])
+        if kind is None:
+            return None
+        cut = bisect_left(digits, prefix + hi[p])
+        if digits[cut - 1][p] != lo[p]:  # a third letter between the two
             return None
         sub_cls = cls
-    else:
-        a_part = [s for s in digits if s[p] < "2"]
-        b_part = [s for s in digits if s[p] >= "2"]
-        if not a_part or not b_part:
-            return None
-        kind = wide_left()
-        sub_cls = _part_class(cls)
-    if not size_within(len(a_part), cls.n):
+    if not size_within(cut, cls.n):
         return None
-    cert_a = _recognize(a_part, digit_map, sub_cls)
+    cert_a = _recognize(digits[:cut], digit_map, sub_cls)
     if cert_a is None:
         return None
-    cert_b = _recognize(b_part, digit_map, sub_cls)
+    cert_b = _recognize(digits[cut:], digit_map, sub_cls)
     if cert_b is None:
         return None
-    return CombCertificate(
-        frozenset(digit_map[s] for s in digits),
-        split=SplitWitness(tau, kind),
-        a_size=len(a_part),
-        a=cert_a,
-        b=cert_b,
-    )
+    return CombCertificate(cert_a.nodes | cert_b.nodes, SplitWitness(Node._raw(prefix), kind),
+                           cut, cert_a, cert_b)
 
 
 def is_binary_right_comb(strings: Iterable[str], n) -> bool:
@@ -320,24 +312,35 @@ def _binary_recognize(strings: list[str], n) -> bool:
 # Combs of depth d are generated structurally: a comb either lives inside a
 # single first-letter block (a prepended depth-(d-1) comb) or its top split is
 # at position 0, in which case the two parts are block-confined combs of the
-# part class.  Entries keep links to their two parts so downstream checkers
-# can fold set intersections bottom-up.
+# part class.  The combs of one enumeration form a CombTable of parallel
+# columns, and each comb links to the table positions of its two parts, so
+# downstream checkers can fold set intersections bottom-up.
 #
 # A comb is stored as a bitmask over the node indices of its level (node at
 # level position i is bit i).  Prepending a block letter is then a shift and
-# a cross union is a bitwise or, which keeps generation cheap and compact.
+# a cross union is a bitwise or, so each block and each pairing of parts is
+# one list comprehension over a column.
 
 
-@dataclass
-class CombEntry:
-    mask: int  # node-index bitmask within enumerate_level(d)
-    size: int
-    a_index: Optional[int] = None  # indices into the owning entry list
-    b_index: Optional[int] = None
+class CombTable:
+    """The combs of one enumeration, as parallel columns indexed by position.
+
+    masks[i] is comb i as a node-index bitmask within enumerate_level(d),
+    sizes[i] its node count, and a[i], b[i] the positions of its two parts,
+    both -1 for a single node.  Parts precede the combs built from them.
+    """
+
+    __slots__ = ("masks", "sizes", "a", "b")
+
+    def __init__(self, masks: list, sizes: list, a: list, b: list):
+        self.masks, self.sizes, self.a, self.b = masks, sizes, a, b
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 def mask_indices(mask: int) -> tuple:
-    """Level positions selected by an entry mask, ascending."""
+    """Level positions selected by a comb mask, ascending."""
     out = []
     while mask:
         bit = mask & -mask
@@ -347,7 +350,7 @@ def mask_indices(mask: int) -> tuple:
 
 
 def mask_nodes(mask: int, level) -> list:
-    """Level nodes selected by an entry mask, ascending."""
+    """Level nodes selected by a comb mask, ascending."""
     return [level[i] for i in mask_indices(mask)]
 
 
@@ -359,12 +362,12 @@ _CROSS_BLOCKS = {
 }
 
 
-def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENUM_LIMIT) -> list[CombEntry]:
+def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENUM_LIMIT) -> CombTable:
     """All combs of the class at depth d with size <= max_size, with structure.
 
-    Entries are topologically ordered: parts precede the compounds built from
-    them.  Raises ResourceError when the count would exceed `limit`.  Results
-    are cached (callers must not mutate them).
+    The table is topologically ordered: parts precede the compounds built
+    from them.  Raises ResourceError when the count would exceed `limit`.
+    Results are cached (callers must not mutate them).
     """
     if d < 0:
         raise ArgumentError(f"depth must be nonnegative, got {d}")
@@ -382,11 +385,11 @@ def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENU
 
 # Comb classes are frozen and OMEGA is a singleton, so a class is its own key.
 @lru_cache(maxsize=6)
-def _comb_entries_cached(d: int, cls: CombClass, max_size: int) -> list[CombEntry]:
-    entries = _build_entries(d, cls, max_size, {})
+def _comb_entries_cached(d: int, cls: CombClass, max_size: int) -> CombTable:
+    table = _build_entries(d, cls, max_size, {})
     if cls.kind == "wide-right" and cls.reading == LITERAL:
-        entries = _dedupe_entries(entries)
-    return entries
+        table = _dedupe_entries(table)
+    return table
 
 
 def _part_class(cls: CombClass) -> CombClass:
@@ -395,87 +398,81 @@ def _part_class(cls: CombClass) -> CombClass:
     return cls
 
 
-def _build_entries(d: int, cls: CombClass, max_size: int, cache: dict) -> list[CombEntry]:
+def _build_entries(d: int, cls: CombClass, max_size: int, cache: dict) -> CombTable:
     key = (d, cls, max_size)
     if key in cache:
         return cache[key]
     if d == 0:
-        result = [CombEntry(1, 1)]
-        cache[key] = result
-        return result
+        cache[key] = CombTable([1], [1], [-1], [-1])
+        return cache[key]
     part_cls = _part_class(cls)
     sub = _build_entries(d - 1, cls, max_size, cache)
-    part_sub = sub if part_cls is cls else _build_entries(d - 1, part_cls, max_size, cache)
+    part = sub if part_cls is cls else _build_entries(d - 1, part_cls, max_size, cache)
     block_width = 4 ** (d - 1)
+    masks: list[int] = []
+    sizes: list[int] = []
+    a: list[int] = []
+    b: list[int] = []
 
-    def prepended(source: list[CombEntry]) -> tuple[dict, int]:
+    def prepended(source: CombTable) -> dict:
         # Prepending block letter L shifts every node index by L * 4^(d-1).
-        offsets = {}
+        # Returns each block's table offset and masks, by letter.
+        blocks = {}
         for block, digit in enumerate("0123"):
-            offset = len(entries)
-            offsets[digit] = offset
+            offset = len(masks)
             shift = block * block_width
-            for entry in source:
-                entries.append(CombEntry(
-                    entry.mask << shift,
-                    entry.size,
-                    None if entry.a_index is None else entry.a_index + offset,
-                    None if entry.b_index is None else entry.b_index + offset,
-                ))
-        return offsets
+            blocks[digit] = (offset, [m << shift for m in source.masks])
+            masks.extend(blocks[digit][1])
+            sizes.extend(source.sizes)
+            a.extend([i + offset if i >= 0 else -1 for i in source.a])
+            b.extend([i + offset if i >= 0 else -1 for i in source.b])
+        return blocks
 
-    entries: list[CombEntry] = []
     # Combs confined to one block.  For the literal reading the block contents
     # recurse through the *wide* class (nested wide splits sit below a block),
     # so `sub` is correct here.
-    block_offsets = prepended(sub)
+    blocks = prepended(sub)
     # Cross-block combs: the top split is at position 0 and the two parts are
     # block-confined combs of the part class.
-    if part_cls is cls:
-        part_offsets, part_list = block_offsets, sub
-    else:
-        part_list = part_sub
-        part_offsets = prepended(part_list)
+    part_blocks = blocks if part_cls is cls else prepended(part)
+    part_sizes = part.sizes
+    fitting = {}  # budget -> the part positions of size <= budget, ascending
     for a_digit, b_digit in _CROSS_BLOCKS[cls.kind]:
-        a_off, b_off = part_offsets[a_digit], part_offsets[b_digit]
-        for ia, part_a in enumerate(part_list):
-            if not size_within(part_a.size, cls.n):
+        a_off, a_masks = part_blocks[a_digit]
+        b_off, b_masks = part_blocks[b_digit]
+        for ia, size_a in enumerate(part_sizes):
+            budget = max_size - size_a
+            if budget < 1 or not size_within(size_a, cls.n):
                 continue
-            budget = max_size - part_a.size
-            if budget < 1:
-                continue
-            for ib, part_b in enumerate(part_list):
-                if part_b.size > budget:
-                    continue
-                entries.append(CombEntry(
-                    entries[a_off + ia].mask | entries[b_off + ib].mask,
-                    part_a.size + part_b.size,
-                    a_off + ia,
-                    b_off + ib,
-                ))
-    cache[key] = entries
-    return entries
+            if budget not in fitting:
+                fitting[budget] = [ib for ib, size_b in enumerate(part_sizes) if size_b <= budget]
+            fits = fitting[budget]
+            mask_a = a_masks[ia]
+            masks.extend([mask_a | b_masks[ib] for ib in fits])
+            sizes.extend([size_a + part_sizes[ib] for ib in fits])
+            a.extend([a_off + ia] * len(fits))
+            b.extend([b_off + ib for ib in fits])
+    result = CombTable(masks, sizes, a, b)
+    cache[key] = result
+    return result
 
 
-def _dedupe_entries(entries: list[CombEntry]) -> list[CombEntry]:
+def _dedupe_entries(table: CombTable) -> CombTable:
     # The literal wide class overlaps with the narrow right class, so the two
     # generation routes can produce the same node set; keep the first.
     seen: dict[int, int] = {}
     remap: list[int] = []
-    out: list[CombEntry] = []
-    for entry in entries:
-        if entry.mask in seen:
-            remap.append(seen[entry.mask])
+    out = CombTable([], [], [], [])
+    for mask, size, ia, ib in zip(table.masks, table.sizes, table.a, table.b):
+        if mask in seen:
+            remap.append(seen[mask])
             continue
-        new_index = len(out)
-        seen[entry.mask] = new_index
-        remap.append(new_index)
-        out.append(CombEntry(
-            entry.mask,
-            entry.size,
-            None if entry.a_index is None else remap[entry.a_index],
-            None if entry.b_index is None else remap[entry.b_index],
-        ))
+        seen[mask] = len(out)
+        remap.append(len(out))
+        out.masks.append(mask)
+        out.sizes.append(size)
+        out.a.append(remap[ia] if ia >= 0 else -1)
+        out.b.append(remap[ib] if ib >= 0 else -1)
     return out
 
 
@@ -511,9 +508,9 @@ def enumerate_combs(d: int, cls: CombClass, max_size: int,
     Deterministic order: by size, then lexicographically by the sorted node
     encodings.  No duplicates.
     """
-    entries = comb_entries(d, cls, max_size, limit)
+    table = comb_entries(d, cls, max_size, limit)
     level = enumerate_level(d)
-    keyed = sorted((entry.size, mask_indices(entry.mask)) for entry in entries)
+    keyed = sorted(zip(table.sizes, map(mask_indices, table.masks)))
     for _, indices in keyed:
         yield frozenset(level[i] for i in indices)
 

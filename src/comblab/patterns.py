@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import combinations, compress
+from math import comb as binom
 from operator import and_
 from typing import Callable, Iterable, Optional
 
@@ -82,13 +83,7 @@ class SetSystem:
             raise ArgumentError(f"unknown index {index!r}")
 
     def intersection(self, indices: Iterable) -> int:
-        masks = [self.set_of(i) for i in indices]
-        if not masks:
-            return (1 << len(self.universe)) - 1
-        out = masks[0]
-        for mask in masks[1:]:
-            out &= mask
-        return out
+        return reduce(and_, map(self.set_of, indices), (1 << len(self.universe)) - 1)
 
     def consistent(self, indices: Iterable) -> bool:
         indices = list(indices)
@@ -239,8 +234,6 @@ def _require_k(k) -> None:
 def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
     """Every k-element subfamily is inconsistent; vacuous below size k."""
     _require_k(k)
-    from itertools import combinations
-
     items = sorted(set(indices), key=encode_index)
     if len(items) < k:
         return True
@@ -342,54 +335,50 @@ def _require_indices(ci, expected: Iterable, what: str) -> None:
 _SKIP, _FOLD, _KEEP = 0, 1, 2
 
 
-def _fold_plan(entries, wanted) -> bytearray:
-    """Per entry: _SKIP, _FOLD (its verdict feeds the report), or _KEEP (also
+def _fold_plan(table, target) -> bytearray:
+    """Per comb: _SKIP, _FOLD (its verdict feeds the report), or _KEEP (also
     a part of a folded compound, so its intersection must be kept).
 
-    Folded entries are the wanted ones (all when `wanted` is None) plus their
-    part ancestry.  Entries are topologically ordered, so one backward pass
-    marks every compound before its parts.
+    Folded combs are those of size `target` (all when it is None; True is
+    _FOLD) plus their part ancestry.  Parts precede compounds, so one
+    backward pass marks every compound before its parts.
     """
-    plan = bytearray(len(entries))
-    for pos in range(len(entries) - 1, -1, -1):
-        entry = entries[pos]
-        if not plan[pos]:
-            if wanted is not None and not wanted(entry):
-                continue
-            plan[pos] = _FOLD
-        if entry.a_index is not None:
-            plan[entry.a_index] = _KEEP
-            plan[entry.b_index] = _KEEP
+    plan = bytearray([target is None or size == target for size in table.sizes])
+    a, b = table.a, table.b
+    for pos in range(len(table) - 1, -1, -1):
+        if plan[pos] and a[pos] >= 0:
+            plan[a[pos]] = plan[b[pos]] = _KEEP
     return plan
 
 
-def _family_consistency(ci, entries, level, wanted=None):
-    """Bottom-up consistency evaluation over structured comb entries.
+def _family_consistency(ci, table, level, target=None):
+    """Bottom-up consistency evaluation over a comb table.
 
     For a set system, the intersection of a compound comb is the intersection
-    of its two parts, so one `&` per entry suffices; only the intersections
-    of parts are kept.  When `wanted` is given, only those entries (and the
-    parts they are built from) are folded.  Returns a list of verdicts
-    aligned with `entries` (None where skipped).
+    of its two parts, so one `&` per comb suffices; only the intersections
+    of parts are kept.  When `target` is given, only the combs of that size
+    (and the parts they are built from) are folded.  Returns a list of
+    verdicts aligned with the table (None where skipped).
     """
     if isinstance(ci, SetSystem):
         sets = [ci.set_of(node) for node in level]
         parts: dict[int, int] = {}
-        verdicts = [None] * len(entries)
-        for pos, (entry, role) in enumerate(zip(entries, _fold_plan(entries, wanted))):
+        verdicts = [None] * len(table)
+        for pos, (mask, ia, ib, role) in enumerate(zip(table.masks, table.a, table.b,
+                                                       _fold_plan(table, target))):
             if role == _SKIP:
                 continue
-            if entry.a_index is None:
-                inter = sets[entry.mask.bit_length() - 1]
+            if ia < 0:
+                inter = sets[mask.bit_length() - 1]
             else:
-                inter = parts[entry.a_index] & parts[entry.b_index]
+                inter = parts[ia] & parts[ib]
             if role == _KEEP:
                 parts[pos] = inter
             verdicts[pos] = inter != 0
         return verdicts
-    return [ci.consistent(frozenset(combs_mod.mask_nodes(entry.mask, level)))
-            if wanted is None or wanted(entry) else None
-            for entry in entries]
+    return [ci.consistent(frozenset(combs_mod.mask_nodes(mask, level)))
+            if target is None or size == target else None
+            for mask, size in zip(table.masks, table.sizes)]
 
 
 def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
@@ -409,25 +398,24 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     _require_indices(ci, level, "weave family")
     cap = _checked_cap(cap, default_cap(k, d))
 
-    def violation(kind, entry, cls):
-        nodes = frozenset(combs_mod.mask_nodes(entry.mask, level))
+    def violation(kind, mask, cls):
+        nodes = frozenset(combs_mod.mask_nodes(mask, level))
         atom = ci.common_atom(nodes) if kind == INCONSISTENCY else None
         return Violation(kind, tuple(sorted(nodes)), is_comb(nodes, cls), atom)
 
     up_cls = CombClass("up", m)
-    up_entries = comb_entries(d, up_cls, max(k, 1))
-    up_verdicts = _family_consistency(ci, up_entries, level,
-                                      wanted=lambda e: e.size == k)
+    up_table = comb_entries(d, up_cls, max(k, 1))
+    up_verdicts = _family_consistency(ci, up_table, level, target=k)
     consistent_k = [pos for pos, verdict in enumerate(up_verdicts)
-                    if verdict and up_entries[pos].size == k]
-    for pos in _report_order(up_entries, consistent_k):
-        sink.add(lambda: violation(INCONSISTENCY, up_entries[pos], up_cls))
+                    if verdict and up_table.sizes[pos] == k]
+    for pos in _report_order(up_table, consistent_k):
+        sink.add(lambda: violation(INCONSISTENCY, up_table.masks[pos], up_cls))
 
     if strong:
         cons_cls = CombClass("wide-right", n, reading)
     else:
         cons_cls = CombClass("right", n)
-    cons_entries = comb_entries(d, cons_cls, cap)
+    cons_table = comb_entries(d, cons_cls, cap)
     # With an unbounded part size, every up-, right-, or recursive-wide comb
     # below min(cap, 2^d) extends inside its class, so the size-min(cap, 2^d)
     # combs cover everything and intersection monotonicity settles the rest.
@@ -435,22 +423,21 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     # admits no third element), bounded classes cap their lower parts, and
     # predicate oracles promise no monotonicity: all three are checked in
     # full.
-    wanted = None
+    target = None
     if n is combs_mod.OMEGA and isinstance(ci, SetSystem) and \
             cons_cls.reading == RECURSIVE:
         target = min(cap, 2 ** d)
-        wanted = lambda e: e.size == target  # noqa: E731
-    cons_verdicts = _family_consistency(ci, cons_entries, level, wanted=wanted)
+    cons_verdicts = _family_consistency(ci, cons_table, level, target=target)
     inconsistent = [pos for pos, verdict in enumerate(cons_verdicts) if verdict is False]
-    for pos in _report_order(cons_entries, inconsistent):
-        sink.add(lambda: violation(CONSISTENCY, cons_entries[pos], cons_cls))
+    for pos in _report_order(cons_table, inconsistent):
+        sink.add(lambda: violation(CONSISTENCY, cons_table.masks[pos], cons_cls))
     return sink.report(cap, truncated=cap < 2 ** d)
 
 
-def _report_order(entries, positions: list[int]) -> list[int]:
-    """The given entry positions by size, then by ascending level positions."""
-    return sorted(positions,
-                  key=lambda i: (entries[i].size, combs_mod.mask_indices(entries[i].mask)))
+def _report_order(table, positions: list[int]) -> list[int]:
+    """The given table positions by size, then by ascending level positions."""
+    sizes, masks = table.sizes, table.masks
+    return sorted(positions, key=lambda i: (sizes[i], combs_mod.mask_indices(masks[i])))
 
 
 # --- grids ----------------------------------------------------------------
@@ -495,6 +482,29 @@ def _above(points: list[tuple], related) -> list[list[int]]:
             for i in range(len(points))]
 
 
+def _require_chain_count(above, max_size: int, what: str) -> int:
+    """The number of chains of at most max_size elements through `above`,
+    counted before any chain is made; ResourceError once it passes
+    SUBSET_ENUM_LIMIT.
+
+    counts[i] is the number of chains of the current length starting at
+    position i: 1 for length one, and the sum of the previous counts over
+    above[i] for each length after that.
+    """
+    counts = [1] * len(above)
+    total = len(above)
+    for _ in range(1, max_size):
+        counts = [sum(counts[j] for j in later) for later in above]
+        grown = sum(counts)
+        if not grown:
+            break
+        total += grown
+        if total > SUBSET_ENUM_LIMIT:
+            raise ResourceError(f"{what} would produce at least {total} chains of at "
+                                f"most {max_size} points, over the limit {SUBSET_ENUM_LIMIT}")
+    return total
+
+
 def _walk_chains(above, max_size: int, step, root):
     """Depth-first walk over the chains of an order, up to max_size elements.
 
@@ -526,8 +536,9 @@ def _grow_chains(points: list[tuple], related, max_size: int) -> list[list[tuple
     last one, so every level comes out in lexicographic order without a
     sort.
     """
-    after = {pt: [points[j] for j in later]
-             for pt, later in zip(points, _above(points, related))}
+    above = _above(points, related)
+    _require_chain_count(above, max_size, "chain listing")
+    after = {pt: [points[j] for j in later] for pt, later in zip(points, above)}
     level = [(pt,) for pt in points]
     levels = [level]
     while level and len(levels) < max_size:
@@ -584,8 +595,11 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     if s < 1:
         raise ArgumentError(f"grid side must be positive, got {s}")
     sink = _ViolationSink(max_violations)
-    _require_indices(ci, grid_points(s), "grid family")
+    points = grid_points(s)
+    _require_indices(ci, points, "grid family")
     cap = _checked_cap(cap, default_cap(k, s))
+    above = _above(points, product_leq if strong else strictly_below)
+    _require_chain_count(above, cap, "grid check")
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
@@ -594,8 +608,6 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
 
     # Each chain's intersection is one `&` on its prefix's; for a predicate,
     # which has no intersection, the state is the chain's verdict.
-    points = grid_points(s)
-    above = _above(points, product_leq if strong else strictly_below)
     if isinstance(ci, SetSystem):
         sets = [ci.set_of(pt) for pt in points]
         walk = _walk_chains(above, cap, lambda inter, chain: inter & sets[chain[-1]], -1)
@@ -617,9 +629,6 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
                         limit: int = SUBSET_ENUM_LIMIT) -> Report:
     """Verify that a vertex-indexed family is consistent exactly on the
     independent sets of the graph, over all vertex subsets up to `cap`."""
-    from itertools import combinations
-    from math import comb as binom
-
     sink = _ViolationSink(max_violations)
     vertices = list(range(graph.n))
     _require_indices(ci, vertices, "graph pattern family")
@@ -720,8 +729,6 @@ def realizable(template: Template) -> Optional[SetSystem]:
     it.  The construction is re-validated before returning, so an unfulfilled
     constraint fails loudly instead of leaking a bad witness.
     """
-    from itertools import combinations
-
     for group in template.must_k_inconsist:
         if len(group) < template.k:
             continue
@@ -765,20 +772,16 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     """
     _require_k(k)
     level = enumerate_level(d)
-    entries = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
-    masks = [entry.mask for entry in entries]
+    masks = comb_entries(d, wide_right(n), max_size=len(level), limit=limit).masks
     if genuine_k:
-        from itertools import combinations
-        from math import comb as binom
-
         extra_total = sum(binom(len(level), size) for size in range(1, k))
         if len(masks) + extra_total > limit:
             raise ResourceError(
                 f"witness universe would have {len(masks) + extra_total} atoms, "
                 f"over the limit {limit}")
-        for size in range(1, k):
-            for combo in combinations(range(len(level)), size):
-                masks.append(sum(1 << i for i in combo))
+        masks = masks + [sum(1 << i for i in combo)
+                         for size in range(1, k)
+                         for combo in combinations(range(len(level)), size)]
     width = (len(level) + 7) // 8
     # Each mask as `width` little-endian bytes; tables[b][value] names the
     # nodes of byte b set in `value`, each followed by a comma.

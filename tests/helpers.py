@@ -1,11 +1,13 @@
 """Shared test oracles: slow, definition-direct computations that the fast
 paths are checked against."""
 
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
-from comblab.combs import (DEFAULT_ENUM_LIMIT, LITERAL, OMEGA, CombClass, RECURSIVE,
-                           comb_entries, is_comb, mask_indices, mask_nodes, size_within,
-                           wide_right)
+from comblab.combs import (_CROSS_BLOCKS, DEFAULT_ENUM_LIMIT, LITERAL, OMEGA, CombClass,
+                           RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
+                           size_within, wide_right)
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
@@ -25,6 +27,86 @@ def subset_filter_combs(d, cls, max_size):
         for combo in combinations(level, size):
             if is_comb(combo, cls) is not None:
                 out.append(frozenset(combo))
+    return out
+
+
+@dataclass
+class CombEntry:
+    mask: int  # node-index bitmask within enumerate_level(d)
+    size: int
+    a_index: Optional[int] = None  # indices into the owning entry list
+    b_index: Optional[int] = None
+
+
+def reference_comb_entries(d, cls, max_size):
+    """comb_entries as one CombEntry object per comb, built entry by entry:
+    the four prepended blocks of the depth-(d-1) list, then every cross-block
+    pairing of part-class combs whose sizes fit, duplicates of the literal
+    wide class dropped at the top."""
+    def part_class(cls):
+        literal = cls.kind == "wide-right" and cls.reading == LITERAL
+        return CombClass("right", cls.n) if literal else cls
+
+    def build(d, cls):
+        if d == 0:
+            return [CombEntry(1, 1)]
+        part_cls = part_class(cls)
+        sub = build(d - 1, cls)
+        part_list = sub if part_cls is cls else build(d - 1, part_cls)
+        block_width = 4 ** (d - 1)
+        entries = []
+
+        def prepended(source):
+            offsets = {}
+            for block, digit in enumerate("0123"):
+                offset = len(entries)
+                offsets[digit] = offset
+                for entry in source:
+                    entries.append(CombEntry(
+                        entry.mask << block * block_width,
+                        entry.size,
+                        None if entry.a_index is None else entry.a_index + offset,
+                        None if entry.b_index is None else entry.b_index + offset,
+                    ))
+            return offsets
+
+        block_offsets = prepended(sub)
+        part_offsets = block_offsets if part_cls is cls else prepended(part_list)
+        for a_digit, b_digit in _CROSS_BLOCKS[cls.kind]:
+            a_off, b_off = part_offsets[a_digit], part_offsets[b_digit]
+            for ia, part_a in enumerate(part_list):
+                if not size_within(part_a.size, cls.n):
+                    continue
+                budget = max_size - part_a.size
+                if budget < 1:
+                    continue
+                for ib, part_b in enumerate(part_list):
+                    if part_b.size > budget:
+                        continue
+                    entries.append(CombEntry(
+                        entries[a_off + ia].mask | entries[b_off + ib].mask,
+                        part_a.size + part_b.size,
+                        a_off + ia,
+                        b_off + ib,
+                    ))
+        return entries
+
+    entries = build(d, cls)
+    if part_class(cls) is cls:
+        return entries
+    seen, remap, out = {}, [], []
+    for entry in entries:
+        if entry.mask in seen:
+            remap.append(seen[entry.mask])
+            continue
+        seen[entry.mask] = len(out)
+        remap.append(len(out))
+        out.append(CombEntry(
+            entry.mask,
+            entry.size,
+            None if entry.a_index is None else remap[entry.a_index],
+            None if entry.b_index is None else remap[entry.b_index],
+        ))
     return out
 
 
@@ -115,50 +197,50 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
     if cap is None:
         cap = max(k, 2 * d, 8)
 
-    def intersections(entries):
+    def intersections(table):
         out = []
-        for entry in entries:
-            if entry.a_index is None:
-                out.append(atoms[level[entry.mask.bit_length() - 1]])
+        for mask, ia, ib in zip(table.masks, table.a, table.b):
+            if ia < 0:
+                out.append(atoms[level[mask.bit_length() - 1]])
             else:
-                out.append(out[entry.a_index] & out[entry.b_index])
+                out.append(out[ia] & out[ib])
         return out
 
-    def folded(entries, wanted):
-        # The checked entries: the wanted ones plus the parts they are built from.
-        keep = [False] * len(entries)
-        for pos in range(len(entries) - 1, -1, -1):
-            if wanted(entries[pos]) or keep[pos]:
+    def folded(table, wanted):
+        # The checked combs: the wanted ones plus the parts they are built from.
+        keep = [False] * len(table)
+        for pos in range(len(table) - 1, -1, -1):
+            if wanted(table.sizes[pos]) or keep[pos]:
                 keep[pos] = True
-                if entries[pos].a_index is not None:
-                    keep[entries[pos].a_index] = keep[entries[pos].b_index] = True
+                if table.a[pos] >= 0:
+                    keep[table.a[pos]] = keep[table.b[pos]] = True
         return keep
 
-    def report_order(entries):
-        return sorted(range(len(entries)),
-                      key=lambda i: (entries[i].size, mask_indices(entries[i].mask)))
+    def report_order(table):
+        return sorted(range(len(table)),
+                      key=lambda i: (table.sizes[i], mask_indices(table.masks[i])))
 
     violations = []
     up_cls = CombClass("up", m)
-    up_entries = comb_entries(d, up_cls, max(k, 1))
-    up_inters = intersections(up_entries)
-    for pos in report_order(up_entries):
-        if up_entries[pos].size == k and up_inters[pos]:
-            nodes = frozenset(mask_nodes(up_entries[pos].mask, level))
+    up_table = comb_entries(d, up_cls, max(k, 1))
+    up_inters = intersections(up_table)
+    for pos in report_order(up_table):
+        if up_table.sizes[pos] == k and up_inters[pos]:
+            nodes = frozenset(mask_nodes(up_table.masks[pos], level))
             violations.append(Violation(INCONSISTENCY, tuple(sorted(nodes)),
                                         is_comb(nodes, up_cls), min(up_inters[pos])))
 
     cons_cls = CombClass("wide-right", n, reading) if strong else CombClass("right", n)
-    cons_entries = comb_entries(d, cons_cls, cap)
-    cons_inters = intersections(cons_entries)
+    cons_table = comb_entries(d, cons_cls, cap)
+    cons_inters = intersections(cons_table)
     if n is OMEGA and cons_cls.reading == RECURSIVE:
         target = min(cap, 2 ** d)
-        checked = folded(cons_entries, lambda e: e.size == target)
+        checked = folded(cons_table, lambda size: size == target)
     else:
-        checked = [True] * len(cons_entries)
-    for pos in report_order(cons_entries):
+        checked = [True] * len(cons_table)
+    for pos in report_order(cons_table):
         if checked[pos] and not cons_inters[pos]:
-            nodes = frozenset(mask_nodes(cons_entries[pos].mask, level))
+            nodes = frozenset(mask_nodes(cons_table.masks[pos], level))
             violations.append(Violation(CONSISTENCY, tuple(sorted(nodes)),
                                         is_comb(nodes, cons_cls)))
     return Report(ok=not violations, cap=cap, truncated=cap < 2 ** d,
@@ -175,9 +257,9 @@ def reference_weave_witness(d, k, m, n, genuine_k=False, limit=DEFAULT_ENUM_LIMI
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
     level = enumerate_level(d)
-    entries = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
-    atom_sets = [tuple(node.digits for node in mask_nodes(entry.mask, level))
-                 for entry in entries]
+    table = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
+    atom_sets = [tuple(node.digits for node in mask_nodes(mask, level))
+                 for mask in table.masks]
     if genuine_k:
         extra_total = sum(binom(len(level), size) for size in range(1, k))
         if len(atom_sets) + extra_total > limit:

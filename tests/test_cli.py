@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,20 @@ def test_mixed_type_universe_exits_2(workdir, tmp_path):
     assert (code, out) == (2, ""), err
     assert "universe[3] must have the type of universe[0]" in err
     assert "TypeError" not in err
+
+
+def test_grid_chain_count_exits_3(tmp_path):
+    # The strict 8 x 8 witness is small, but checking it under the product
+    # order would walk 12,451,583 chains: refused before the walk.
+    path = tmp_path / "grid8.json"
+    code, _, err = run_cli(["witness", "grid", "--size", "8", "--out", str(path)])
+    assert code == 0, err
+    start = time.perf_counter()
+    code, out, err = run_cli(["check-grid", "--size", "8", "-k", "9", "--strong",
+                              "--in", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, ""), err
+    assert "over the limit" in err
 
 
 def test_huge_graph_exits_3(tmp_path):

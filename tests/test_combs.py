@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from comblab.combs import (CombClass, LITERAL, NARROW_BELOW, NARROW_LEFT,
                            OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
-                           classify_pair, enumerate_combs, has_up_pair,
+                           classify_pair, comb_entries, enumerate_combs, has_up_pair,
                            is_binary_right_comb, is_comb, split_relation)
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import binary_right_comb_oracle, build_tree_comb_oracle
 
-from helpers import SEED, reference_build_tree_comb_oracle, subset_filter_combs
+from helpers import (SEED, reference_build_tree_comb_oracle, reference_comb_entries,
+                     subset_filter_combs)
 
 
 def nodes(*texts):
@@ -301,6 +302,26 @@ def test_enumerate_combs_deterministic_order():
 def test_enumerate_combs_resource_limit():
     with pytest.raises(ResourceError):
         list(enumerate_combs(3, CombClass("wide-right", OMEGA), 8, limit=1000))
+
+
+def test_comb_table_matches_reference():
+    # The columnar table must hold exactly the entries, in the same order and
+    # with the same part links, that the entry-by-entry builder makes.
+    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
+               for n in (1, 2, OMEGA)]
+    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
+    for d in range(4):
+        for cls in classes:
+            for max_size in sorted({1, 2, 3, 8, 4 ** d}):
+                table = comb_entries(d, cls, max_size)
+                expected = reference_comb_entries(d, cls, max_size)
+                assert len(table) == len(expected), (d, cls, max_size)
+                assert table.masks == [e.mask for e in expected], (d, cls, max_size)
+                assert table.sizes == [e.size for e in expected], (d, cls, max_size)
+                assert table.a == [-1 if e.a_index is None else e.a_index
+                                   for e in expected], (d, cls, max_size)
+                assert table.b == [-1 if e.b_index is None else e.b_index
+                                   for e in expected], (d, cls, max_size)
 
 
 def test_omega_repr_and_identity():

@@ -15,7 +15,8 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               demo_edges, encode_index, graph_witness, grid_points,
                               grid_witness, is_antichain, k_inconsistent, realizable,
                               strict_chains, triangle_free_demo, weave_witness)
-from comblab.patterns import _maximal_independent_sets
+from comblab.patterns import (_above, _maximal_independent_sets, _require_chain_count,
+                              default_cap, product_leq, strictly_below)
 
 from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_graph,
                      random_set_system, random_subsystem_mutations,
@@ -482,6 +483,31 @@ def test_antichains_beyond_the_width_are_quick():
     assert antichains_of_size(8, 9) == []
     assert check_grid(witness, 6, 6, strong=True).ok
     assert time.perf_counter() - start < 1.0
+
+
+def test_chains_are_counted_before_they_are_made():
+    # The count is the number of chains listed; the 7 x 7 square's 1,150,591
+    # chains at the default cap stay allowed, and the 8 x 8 square's
+    # 12,451,583 are refused before a single chain is walked or listed.
+    for s in range(1, 6):
+        points = grid_points(s)
+        for related, listed in ((product_leq, chains), (strictly_below, strict_chains)):
+            above = _above(points, related)
+            for cap in range(1, 2 * s + 1):
+                assert _require_chain_count(above, cap, "test") == len(listed(s, cap))
+    assert _require_chain_count(_above(grid_points(7), product_leq),
+                                default_cap(2, 7), "test") == 1_150_591
+    everywhere = SetSystem(["a"], {pt: {"a"} for pt in grid_points(8)})
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="grid check would produce .* over the limit"):
+        check_grid(everywhere, 8, 9, strong=True)
+    with pytest.raises(ResourceError, match="over the limit"):
+        chains(8, 15)
+    with pytest.raises(ResourceError, match="over the limit"):
+        grid_witness(8, 2, strong=True)
+    assert time.perf_counter() - start < 1.0
+    # The strict chains of the 8 x 8 square are few enough to check.
+    assert check_grid(everywhere, 8, 9).ok
 
 
 def test_grid_witness_matches_reference():
