@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
 from math import comb as binom
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
@@ -44,7 +44,13 @@ class SetSystem:
     Each index's atom set is one int bitmask over `universe`: atom i is bit i.
     `set_of` returns that mask, intersection is `&` and consistency a nonzero
     mask; `atom_names` decodes a mask.  The JSON form uses the atom names.
+    As a fold, the state is the mask, `meet` is `&` and `top` is every bit.
     """
+
+    top = -1
+    monotone = True
+    meet = staticmethod(and_)
+    verdict = staticmethod(bool)
 
     def __init__(self, universe: Iterable[str], family: dict):
         self.universe = tuple(universe)
@@ -82,14 +88,13 @@ class SetSystem:
         except KeyError:
             raise ArgumentError(f"unknown index {index!r}")
 
+    state = set_of
+
     def intersection(self, indices: Iterable) -> int:
         return reduce(and_, map(self.set_of, indices), (1 << len(self.universe)) - 1)
 
     def consistent(self, indices: Iterable) -> bool:
-        indices = list(indices)
-        if not indices:
-            return True
-        return self.intersection(indices) != 0
+        return consistent(self, indices)
 
     def common_atom(self, indices: Iterable) -> Optional[str]:
         """The least atom name shared by every set of the family, or None."""
@@ -166,20 +171,30 @@ _BIT_TO_DIGIT = tuple(bytes(b"01"[value >> j & 1] for value in range(256)) for j
 
 
 class PredicateOracle:
-    """Consistency given by a deterministic predicate instead of sets."""
+    """Consistency given by a deterministic predicate instead of sets.
+
+    As a fold, the state is the family itself, `meet` is union and the
+    verdict asks the predicate once; a predicate promises no monotonicity.
+    """
+
+    top = frozenset()
+    monotone = False
+    meet = staticmethod(or_)
 
     def __init__(self, indices: Iterable, predicate: Callable[[frozenset], bool]):
         self.indices = frozenset(indices)
         self._predicate = predicate
 
+    def state(self, index) -> frozenset:
+        if index not in self.indices:
+            raise ArgumentError(f"unknown index {index!r}")
+        return frozenset((index,))
+
+    def verdict(self, family: frozenset) -> bool:
+        return not family or bool(self._predicate(family))
+
     def consistent(self, indices: Iterable) -> bool:
-        family = frozenset(indices)
-        if not family:
-            return True
-        unknown = family - self.indices
-        if unknown:
-            raise ArgumentError(f"unknown index {sorted(unknown, key=repr)[0]!r}")
-        return bool(self._predicate(family))
+        return consistent(self, indices)
 
     def common_atom(self, indices: Iterable) -> None:
         """A predicate names no atoms."""
@@ -194,7 +209,7 @@ class PredicateOracle:
             image[new_index] = old_index
 
         def predicate(family):
-            return self.consistent(frozenset(image[i] for i in family))
+            return self.verdict(frozenset(image[i] for i in family))
 
         return PredicateOracle(image, predicate)
 
@@ -218,12 +233,15 @@ def encode_index(index) -> str:
 
 
 def consistent(ci, indices: Iterable) -> bool:
-    """Whether the subfamily has a common solution; empty families are consistent."""
-    indices = list(indices)
-    unknown = [i for i in indices if i not in ci.indices]
-    if unknown:
-        raise ArgumentError(f"unknown index {unknown[0]!r}")
-    return ci.consistent(indices)
+    """Whether the subfamily has a common solution; empty families are consistent.
+
+    The one consistency fold of both interfaces: `state(index)` is one
+    index's state, `meet(s, t)` combines two, `top` is the state of the empty
+    family and `verdict(state)` says whether the family is consistent.  The
+    checkers use only these and `monotone`, the promise that every subfamily
+    of a consistent family is consistent.
+    """
+    return ci.verdict(reduce(ci.meet, map(ci.state, indices), ci.top))
 
 
 def _require_k(k) -> None:
@@ -336,8 +354,9 @@ _SKIP, _FOLD, _KEEP = 0, 1, 2
 
 
 def _fold_plan(table, target) -> bytearray:
-    """Per comb: _SKIP, _FOLD (its verdict feeds the report), or _KEEP (also
-    a part of a folded compound, so its intersection must be kept).
+    """Per comb, bit flags: _FOLD (its verdict feeds the report) and _KEEP
+    (it is a part of a folded compound, so its state must be kept); _SKIP
+    when neither.
 
     Folded combs are those of size `target` (all when it is None; True is
     _FOLD) plus their part ancestry.  Parts precede compounds, so one
@@ -347,38 +366,39 @@ def _fold_plan(table, target) -> bytearray:
     a, b = table.a, table.b
     for pos in range(len(table) - 1, -1, -1):
         if plan[pos] and a[pos] >= 0:
-            plan[a[pos]] = plan[b[pos]] = _KEEP
+            plan[a[pos]] |= _KEEP
+            plan[b[pos]] |= _KEEP
     return plan
 
 
 def _family_consistency(ci, table, level, target=None):
     """Bottom-up consistency evaluation over a comb table.
 
-    For a set system, the intersection of a compound comb is the intersection
-    of its two parts, so one `&` per comb suffices; only the intersections
-    of parts are kept.  When `target` is given, only the combs of that size
-    (and the parts they are built from) are folded.  Returns a list of
-    verdicts aligned with the table (None where skipped).
+    The state of a compound comb is the meet of its two parts' states (for a
+    set system, the `&` of their masks), so one meet per comb suffices; only
+    the states of parts are kept.  When `target` is given, only the combs of
+    that size (and the parts they are built from) are folded.  A monotone
+    system gets a verdict on every folded comb, parts included; a predicate
+    is asked only on the combs of size `target`.  Returns a list of verdicts
+    aligned with the table (None where none was taken).
     """
-    if isinstance(ci, SetSystem):
-        sets = [ci.set_of(node) for node in level]
-        parts: dict[int, int] = {}
-        verdicts = [None] * len(table)
-        for pos, (mask, ia, ib, role) in enumerate(zip(table.masks, table.a, table.b,
-                                                       _fold_plan(table, target))):
-            if role == _SKIP:
-                continue
-            if ia < 0:
-                inter = sets[mask.bit_length() - 1]
-            else:
-                inter = parts[ia] & parts[ib]
-            if role == _KEEP:
-                parts[pos] = inter
-            verdicts[pos] = inter != 0
-        return verdicts
-    return [ci.consistent(frozenset(combs_mod.mask_nodes(mask, level)))
-            if target is None or size == target else None
-            for mask, size in zip(table.masks, table.sizes)]
+    states = [ci.state(node) for node in level]
+    meet, verdict, monotone = ci.meet, ci.verdict, ci.monotone
+    parts = {}
+    verdicts = [None] * len(table)
+    for pos, (mask, ia, ib, role) in enumerate(zip(table.masks, table.a, table.b,
+                                                   _fold_plan(table, target))):
+        if role == _SKIP:
+            continue
+        if ia < 0:
+            state = states[mask.bit_length() - 1]
+        else:
+            state = meet(parts[ia], parts[ib])
+        if role & _KEEP:
+            parts[pos] = state
+        if role & _FOLD or monotone:
+            verdicts[pos] = verdict(state)
+    return verdicts
 
 
 def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
@@ -418,14 +438,12 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     cons_table = comb_entries(d, cons_cls, cap)
     # With an unbounded part size, every up-, right-, or recursive-wide comb
     # below min(cap, 2^d) extends inside its class, so the size-min(cap, 2^d)
-    # combs cover everything and intersection monotonicity settles the rest.
-    # The literal wide class has non-extendable small combs (a deep wide pair
-    # admits no third element), bounded classes cap their lower parts, and
-    # predicate oracles promise no monotonicity: all three are checked in
-    # full.
+    # combs cover everything and monotonicity settles the rest.  The literal
+    # wide class has non-extendable small combs (a deep wide pair admits no
+    # third element), bounded classes cap their lower parts, and predicate
+    # oracles promise no monotonicity: all three are checked in full.
     target = None
-    if n is combs_mod.OMEGA and isinstance(ci, SetSystem) and \
-            cons_cls.reading == RECURSIVE:
+    if n is combs_mod.OMEGA and ci.monotone and cons_cls.reading == RECURSIVE:
         target = min(cap, 2 ** d)
     cons_verdicts = _family_consistency(ci, cons_table, level, target=target)
     inconsistent = [pos for pos, verdict in enumerate(cons_verdicts) if verdict is False]
@@ -606,16 +624,13 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
             sink.add(lambda: Violation(INCONSISTENCY, combo, {"structure": "antichain"},
                                        ci.common_atom(combo)))
 
-    # Each chain's intersection is one `&` on its prefix's; for a predicate,
-    # which has no intersection, the state is the chain's verdict.
-    if isinstance(ci, SetSystem):
-        sets = [ci.set_of(pt) for pt in points]
-        walk = _walk_chains(above, cap, lambda inter, chain: inter & sets[chain[-1]], -1)
-    else:
-        walk = _walk_chains(above, cap, lambda _, chain: ci.consistent(
-            [points[i] for i in chain]), True)
+    # Each chain's state is one meet on its prefix's.
+    states = [ci.state(pt) for pt in points]
+    meet, verdict = ci.meet, ci.verdict
+    walk = _walk_chains(above, cap, lambda prefix, chain: meet(prefix, states[chain[-1]]),
+                        ci.top)
     structure = "chain" if strong else "strict-chain"
-    for chain in sorted((chain for chain, state in walk if not state), key=_by_size):
+    for chain in sorted((chain for chain, state in walk if not verdict(state)), key=_by_size):
         sink.add(lambda: Violation(CONSISTENCY, tuple(points[i] for i in chain),
                                    {"structure": structure}))
     return sink.report(cap, truncated=cap < 2 * s - 1)
@@ -630,23 +645,15 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
     """Verify that a vertex-indexed family is consistent exactly on the
     independent sets of the graph, over all vertex subsets up to `cap`."""
     sink = _ViolationSink(max_violations)
-    vertices = list(range(graph.n))
-    _require_indices(ci, vertices, "graph pattern family")
+    _require_indices(ci, range(graph.n), "graph pattern family")
     cap = min(_checked_cap(cap, graph.n), graph.n)
     total = sum(binom(graph.n, size) for size in range(1, cap + 1))
     if total > limit:
         raise ResourceError(
             f"graph pattern check would scan {total} subsets, over the limit {limit}")
-    masks = graph.adjacency_masks()
-    if isinstance(ci, SetSystem):
-        families = _graph_fold(ci, graph.n, masks, cap)
-    else:
-        # A predicate has no mask to carry: ask it once per subset.
-        families = ((combo, _first_edge(combo, masks), ci.consistent(combo))
-                    for size in range(1, cap + 1)
-                    for combo in combinations(vertices, size))
-    mismatches = [(combo, edge) for combo, edge, consistent in families
-                  if (edge is None) != bool(consistent)]
+    families = _graph_fold(ci, graph.n, graph.adjacency_masks(), cap)
+    mismatches = [(combo, edge) for combo, (_, edge, _, consistent) in families
+                  if (edge is None) != consistent]
     for combo, edge in sorted(mismatches, key=lambda item: _by_size(item[0])):
         if edge is None:
             sink.add(lambda: Violation(CONSISTENCY, combo, {"structure": "independent"}))
@@ -657,41 +664,32 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
     return sink.report(cap, truncated=cap < graph.n)
 
 
-def _graph_fold(ci: "SetSystem", n: int, masks, cap: int):
-    """(subset, first edge, intersection) for the vertex subsets up to `cap`
-    that can mismatch, walking them as the chains of the vertex order.
+def _graph_fold(ci, n: int, masks, cap: int):
+    """(subset, (vertices seen, first edge, state, verdict)) for the vertex
+    subsets up to `cap` that can mismatch: the chains of the vertex order.
 
-    Each subset carries the vertices seen, its first edge as _first_edge
-    finds it and its intersection, each one step on its parent's.  Once a
-    subset has an edge and no common atom, so has every extension, and none
-    of them mismatches: the walk skips them.
+    Each entry is one step on its parent's.  The first edge is met at the
+    first vertex with an earlier neighbour and pairs it with the latest such
+    neighbour.  On a monotone system, once a subset has an edge and is
+    inconsistent, so is every extension, and none of them mismatches: the
+    walk skips them.
     """
-    sets = [ci.set_of(v) for v in range(n)]
+    states = [ci.state(v) for v in range(n)]
+    meet, verdict, monotone = ci.meet, ci.verdict, ci.monotone
 
-    def step(state, combo):
-        seen, edge, inter = state
+    def step(parent, combo):
+        seen, edge, state, _ = parent
         v = combo[-1]
         if edge is None and masks[v] & seen:
             edge = ((masks[v] & seen).bit_length() - 1, v)
-        inter &= sets[v]
-        if edge is not None and not inter:
+        state = meet(state, states[v])
+        ok = verdict(state)
+        if monotone and edge is not None and not ok:
             return None
-        return seen | 1 << v, edge, inter
+        return seen | 1 << v, edge, state, ok
 
     later = [range(v + 1, n) for v in range(n)]
-    for combo, (_, edge, inter) in _walk_chains(later, cap, step, (0, None, -1)):
-        yield combo, edge, inter
-
-
-def _first_edge(vertices, masks) -> Optional[tuple]:
-    """The first edge (u, v) met scanning the vertices in order, v being the
-    later one; None when they are independent."""
-    seen = 0
-    for v in vertices:
-        if masks[v] & seen:
-            return ((masks[v] & seen).bit_length() - 1, v)
-        seen |= 1 << v
-    return None
+    return _walk_chains(later, cap, step, (0, None, ci.top, True))
 
 
 # --- templates ------------------------------------------------------------
@@ -803,36 +801,36 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     return SetSystem(names, {})._with_masks(family)
 
 
-def _maximal(families: list[tuple], points: list[tuple], related) -> list[tuple]:
-    """The families that no outside point extends, `related` being symmetric.
-
-    Each point's mask holds its own bit and those of the points related to
-    it, so the AND of a family's masks holds the family and every point that
-    extends it: the family is maximal iff that AND has as many bits as the
-    family has points."""
-    fits = {pt: sum(1 << j for j, q in enumerate(points) if q == pt or related(pt, q))
-            for pt in points}
-    return [fam for fam in families
-            if reduce(and_, map(fits.__getitem__, fam)).bit_count() == len(fam)]
-
-
 def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     """An s x s family passing the grid check with k = 2 (hence any k).
 
     Universe: the maximal strict chains of the square (maximal chains when
     strong); b_(i,j) collects the chains through (i,j).  Incomparable points
     never share a chain, and every (strict) chain extends to a maximal one.
+    The maximal chains are the cover-graph paths from a minimal point to a
+    maximal one; j follows i there when j is in above[i] and in the successor
+    mask of no successor of i.
     """
     _require_k(k)
     points = grid_points(s)
-    if strong:
-        maximal = _maximal(chains(s, 2 * s - 1), points, comparable)
-    else:
-        maximal = _maximal(strict_chains(s, s), points,
-                           lambda p, q: strictly_below(p, q) or strictly_below(q, p))
+    above = _above(points, product_leq if strong else strictly_below)
+    above_masks = [sum(1 << j for j in later) for later in above]
+    covers = []
+    for later in above:
+        beyond = reduce(or_, map(above_masks.__getitem__, later), 0)
+        covers.append([j for j in later if not beyond >> j & 1])
+    has_below = reduce(or_, above_masks, 0)
+    _require_chain_count(covers, len(points), "grid witness")
+    # A chain's state says it starts at a minimal point; other chains drop.
+    walk = _walk_chains(covers, len(points),
+                        lambda started, chain: started or not has_below >> chain[0] & 1 or None,
+                        False)
+    maximal = [tuple(points[i] for i in chain) for chain, _ in walk if not covers[chain[-1]]]
     names = ["{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal]
-    family = {pt: {name for name, fam in zip(names, maximal) if pt in fam}
-              for pt in points}
+    family = {pt: [] for pt in points}
+    for name, fam in zip(names, maximal):
+        for pt in fam:
+            family[pt].append(name)
     return SetSystem(sorted(names), family)
 
 
@@ -846,7 +844,8 @@ def graph_witness(graph, materialize: bool = False):
 
     if not materialize:
         def predicate(family):
-            return _first_edge(sorted(family), masks) is None
+            members = sum(1 << v for v in family)
+            return not any(masks[v] & members for v in family)
 
         return PredicateOracle(range(graph.n), predicate)
 

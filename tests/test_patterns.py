@@ -1,11 +1,13 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations
+from math import comb as binom
 
 import pytest
 
 from comblab.combs import OMEGA
-from comblab.cographs import Graph
+from comblab.cographs import Graph, comb_graph
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
@@ -503,11 +505,23 @@ def test_chains_are_counted_before_they_are_made():
         check_grid(everywhere, 8, 9, strong=True)
     with pytest.raises(ResourceError, match="over the limit"):
         chains(8, 15)
-    with pytest.raises(ResourceError, match="over the limit"):
-        grid_witness(8, 2, strong=True)
     assert time.perf_counter() - start < 1.0
     # The strict chains of the 8 x 8 square are few enough to check.
     assert check_grid(everywhere, 8, 9).ok
+
+
+def test_grid_witness_walks_only_the_cover_graph():
+    # The strong witness's atoms are the square's monotone lattice paths,
+    # C(2s - 2, s - 1) of them, built without listing the other chains; its
+    # cover-graph paths are still counted first, and the 11 x 11 square's
+    # 2,149,743 are refused.
+    start = time.perf_counter()
+    assert len(grid_witness(8, 2, strong=True).universe) == binom(14, 7) == 3432
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="grid witness would produce .* over the limit"):
+        grid_witness(11, 2, strong=True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_grid_witness_matches_reference():
@@ -602,6 +616,50 @@ def test_maximal_independent_sets_limit():
         _maximal_independent_sets(21, (0,) * 21)
     empty = Graph(20, [])
     assert _maximal_independent_sets(20, empty.adjacency_masks()) == [tuple(range(20))]
+
+
+def _counting(system):
+    """A predicate oracle answering as the system, and the count of each
+    family it was asked on."""
+    asked = Counter()
+
+    def predicate(family):
+        asked[family] += 1
+        return system.consistent(family)
+
+    return PredicateOracle(system.indices, predicate), asked
+
+
+@pytest.mark.parametrize("d, k, counts", [(1, 2, (8, 10)), (1, 3, (6, 8)),
+                                          (2, 2, (136, 328)), (2, 3, (112, 304))])
+def test_predicate_asked_once_per_family_weave(d, k, counts):
+    # The up side asks only the combs of size k, never their parts; a
+    # predicate promises no monotonicity, so the consistency side asks every
+    # comb up to the cap.
+    for strong, want in zip((False, True), counts):
+        ci, asked = _counting(weave_witness(d, 2, 1, OMEGA))
+        assert check_weave(ci, d, k, 1, OMEGA, strong=strong).ok
+        assert set(asked.values()) == {1}
+        assert sum(asked.values()) == want, (d, k, strong)
+
+
+@pytest.mark.parametrize("s, counts", [(2, (6, 12)), (3, (28, 112)), (4, (105, 1043))])
+def test_predicate_asked_once_per_family_grid(s, counts):
+    for strong, want in zip((False, True), counts):
+        ci, asked = _counting(grid_witness(s, 2))
+        check_grid(ci, s, 2, strong=strong)
+        assert set(asked.values()) == {1}
+        assert sum(asked.values()) == want, (s, strong)
+
+
+def test_predicate_asked_once_per_family_graph():
+    # No subset is skipped for a predicate: every nonempty vertex subset of
+    # the depth-2 comb graph is asked once.
+    graph, _ = comb_graph(2)
+    ci, asked = _counting(graph_witness(graph))
+    assert check_graph_pattern(ci, graph).ok
+    assert set(asked.values()) == {1}
+    assert sum(asked.values()) == 2 ** 16 - 1 == 65_535
 
 
 def test_predicate_oracle_unknown_index():
