@@ -340,14 +340,10 @@ def _checked_cap(cap, default: int) -> int:
 def _require_indices(ci, expected: Iterable, what: str) -> None:
     expected = set(expected)
     have = set(ci.indices)
-    missing = expected - have
-    if missing:
-        sample = sorted(missing, key=encode_index)[0]
-        raise ArgumentError(f"{what} is missing index {encode_index(sample)}")
-    extra = have - expected
-    if extra:
-        sample = sorted(extra, key=encode_index)[0]
-        raise ArgumentError(f"{what} has unexpected index {encode_index(sample)}")
+    for odd, problem in ((expected - have, "is missing"), (have - expected, "has unexpected")):
+        if odd:
+            sample = min(odd, key=encode_index)
+            raise ArgumentError(f"{what} {problem} index {encode_index(sample)}")
 
 
 _SKIP, _FOLD, _KEEP = 0, 1, 2
@@ -801,36 +797,36 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     return SetSystem(names, {})._with_masks(family)
 
 
+def _maximal(families: list[tuple], points: list[tuple], related) -> list[tuple]:
+    """The families that no outside point extends, `related` being symmetric.
+
+    Each point's mask holds its own bit and those of the points related to
+    it, so the AND of a family's masks holds the family and every point that
+    extends it: the family is maximal iff that AND has as many bits as the
+    family has points."""
+    fits = {pt: sum(1 << j for j, q in enumerate(points) if q == pt or related(pt, q))
+            for pt in points}
+    return [fam for fam in families
+            if reduce(and_, map(fits.__getitem__, fam)).bit_count() == len(fam)]
+
+
 def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     """An s x s family passing the grid check with k = 2 (hence any k).
 
     Universe: the maximal strict chains of the square (maximal chains when
     strong); b_(i,j) collects the chains through (i,j).  Incomparable points
     never share a chain, and every (strict) chain extends to a maximal one.
-    The maximal chains are the cover-graph paths from a minimal point to a
-    maximal one; j follows i there when j is in above[i] and in the successor
-    mask of no successor of i.
     """
     _require_k(k)
     points = grid_points(s)
-    above = _above(points, product_leq if strong else strictly_below)
-    above_masks = [sum(1 << j for j in later) for later in above]
-    covers = []
-    for later in above:
-        beyond = reduce(or_, map(above_masks.__getitem__, later), 0)
-        covers.append([j for j in later if not beyond >> j & 1])
-    has_below = reduce(or_, above_masks, 0)
-    _require_chain_count(covers, len(points), "grid witness")
-    # A chain's state says it starts at a minimal point; other chains drop.
-    walk = _walk_chains(covers, len(points),
-                        lambda started, chain: started or not has_below >> chain[0] & 1 or None,
-                        False)
-    maximal = [tuple(points[i] for i in chain) for chain, _ in walk if not covers[chain[-1]]]
+    if strong:
+        maximal = _maximal(chains(s, 2 * s - 1), points, comparable)
+    else:
+        maximal = _maximal(strict_chains(s, s), points,
+                           lambda p, q: strictly_below(p, q) or strictly_below(q, p))
     names = ["{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal]
-    family = {pt: [] for pt in points}
-    for name, fam in zip(names, maximal):
-        for pt in fam:
-            family[pt].append(name)
+    family = {pt: {name for name, fam in zip(names, maximal) if pt in fam}
+              for pt in points}
     return SetSystem(sorted(names), family)
 
 
@@ -844,8 +840,12 @@ def graph_witness(graph, materialize: bool = False):
 
     if not materialize:
         def predicate(family):
-            members = sum(1 << v for v in family)
-            return not any(masks[v] & members for v in family)
+            seen = 0
+            for v in family:
+                if masks[v] & seen:
+                    return False
+                seen |= 1 << v
+            return True
 
         return PredicateOracle(range(graph.n), predicate)
 
