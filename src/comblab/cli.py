@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
 
 from . import cographs as cographs_mod
 from . import combs as combs_mod
@@ -46,14 +48,68 @@ def _read_json(path: str):
         return json.load(handle)
 
 
-def _emit(payload, out_path: str, raw: str = None) -> None:
-    text = raw if raw is not None else json.dumps(payload, sort_keys=True,
-                                                  separators=(",", ":")) + "\n"
-    if out_path == "-":
-        sys.stdout.write(text)
+# The encoder behind `json.dumps(payload, sort_keys=True, separators=(",", ":"))`.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_WRITE_SIZE = 1 << 16
+
+
+def _pieces(value, depth: int = 2):
+    """The text of `_ENCODE(value)` in pieces: a dict or a list is opened
+    `depth` levels deep (a dict's keys in sorted order), and each value below
+    that is encoded whole, so no piece holds the whole text."""
+    if not depth or not value or not isinstance(value, (dict, list)):
+        yield _ENCODE(value)
+    elif isinstance(value, dict):
+        opening = "{"
+        for key in sorted(value):
+            # json's own spelling of the key (`1` becomes `"1"`), cut out of
+            # `{key:null}`
+            yield opening + _ENCODE({key: None})[1:-6] + ":"
+            yield from _pieces(value[key], depth - 1)
+            opening = ","
+        yield "}"
     else:
+        opening = "["
+        for item in value:
+            yield opening
+            yield from _pieces(item, depth - 1)
+            opening = ","
+        yield "]"
+
+
+def _batched(pieces):
+    """The pieces joined into runs of at least `_WRITE_SIZE` characters (the
+    last run may be shorter): an unbuffered stdout, as under
+    PYTHONUNBUFFERED, makes one system call per write."""
+    batch, length = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        length += len(piece)
+        if length >= _WRITE_SIZE:
+            yield "".join(batch)
+            batch, length = [], 0
+    yield "".join(batch)
+
+
+def _emit(payload, out_path: str, raw: str = None) -> None:
+    """Write `raw`, or the payload's JSON text and a newline, piece by piece.
+
+    A reader that closes stdout early ends the output quietly: the rest is
+    dropped and stdout is pointed at the null device, so the flush at exit
+    does not fail again.
+    """
+    pieces = (raw,) if raw is not None else _batched(chain(_pieces(payload), "\n"))
+    if out_path != "-":
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _summary(line: str) -> None:

@@ -14,7 +14,7 @@ witnessed at size k (subsets of combs, chains, and antichains stay in class).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, compress
 from math import comb as binom
 from operator import and_, or_
@@ -56,7 +56,6 @@ class SetSystem:
         self.universe = tuple(universe)
         if len(set(self.universe)) != len(self.universe):
             raise ArgumentError("universe atoms must be distinct")
-        self._atom_id = {name: i for i, name in enumerate(self.universe)}
         self.family = {index: self._mask(atoms) for index, atoms in family.items()}
         self.indices = frozenset(self.family)
 
@@ -64,10 +63,17 @@ class SetSystem:
         """A system over the same universe whose sets are given as masks."""
         out = SetSystem.__new__(SetSystem)
         out.universe = self.universe
-        out._atom_id = self._atom_id
+        if "_atom_id" in vars(self):  # share the name index once it is built
+            out._atom_id = self._atom_id
         out.family = family
         out.indices = frozenset(family)
         return out
+
+    @cached_property
+    def _atom_id(self) -> dict:
+        """Atom name -> bit, built on the first `_mask` call: a system that
+        is only written out never reads it."""
+        return {name: i for i, name in enumerate(self.universe)}
 
     def _mask(self, atoms: Iterable) -> int:
         """The mask of the named atoms; every atom is looked up by name."""
@@ -139,8 +145,8 @@ class SetSystem:
             pos, atom = next((pos, atom) for pos, atom in enumerate(payload["universe"])
                              if isinstance(atom, (list, dict)))
             raise ParseError(f"universe[{pos}] must be a JSON scalar, got {atom!r}") from None
+        first = type(system.universe[0]) if system.universe else str
         if len(set(map(type, system.universe))) > 1:  # names of two types do not sort
-            first = type(system.universe[0])
             pos, atom = next((pos, atom) for pos, atom in enumerate(system.universe)
                              if type(atom) is not first)
             raise ParseError(f"universe[{pos}] must have the type of universe[0] "
@@ -157,6 +163,13 @@ class SetSystem:
                 raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: {err}") from None
             if index in family:
                 raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
+            # Atoms are looked up by value, and `True == 1 == 1.0`; no other
+            # JSON type equals a string, so a string universe needs no test.
+            if first is not str:
+                for atom in entry["set"]:
+                    if type(atom) is not first:
+                        raise ParseError(f"family[{pos}]: atom {atom!r} must have the type "
+                                         f"of the universe's atoms ({first.__name__})")
             try:
                 family[index] = system._mask(entry["set"])
             except ArgumentError as err:
@@ -789,7 +802,11 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
              for raw in raw_masks]
     order = sorted(range(len(names)), key=names.__getitem__)
     names = [names[i] for i in order]
-    raw = b"".join([raw_masks[i] for i in order])
+    # Appended one by one: `b"".join` would hold an 80-byte buffer per atom.
+    raw = bytearray()
+    for i in order:
+        raw += raw_masks[i]
+    del raw_masks, order  # freed before the universe is built: 30 MB at depth 3
     # Node i's set: bit i % 8 of byte i // 8 across all atoms, read as a
     # binary numeral with atom 0 as its lowest digit.
     family = {node: int(raw[i // 8::width].translate(_BIT_TO_DIGIT[i % 8])[::-1], 2)

@@ -1,13 +1,19 @@
+import io
 import json
 import os
+import subprocess
+import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from cli_fixtures import build_workdir, golden_commands, run_cli
+from comblab import cli
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +193,6 @@ def test_out_flag_writes_file(tmp_path):
 def test_outputs_stable_across_hash_seeds(tmp_path):
     # run the whole golden table in two fresh interpreters with different
     # hash seeds; any hidden set-iteration-order dependence would show here
-    import subprocess
-    import sys
-
     script = (
         "import sys, json, tempfile\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
@@ -369,3 +372,121 @@ def test_huge_graph_exits_3(tmp_path):
     code, out, err = run_cli(["find-p4", "--in", str(path)])
     assert (code, out) == (3, ""), err
     assert "over the limit" in err
+
+
+def test_set_atoms_must_have_the_universe_type(workdir, tmp_path):
+    # Atoms were looked up by value, so with universe [1, 2] the set [true]
+    # was read as atom 1 and [2.0] as atom 2, and this pattern passed.
+    payload = {"universe": [1, 2], "family": [{"index": 0, "set": [True]},
+                                              {"index": 1, "set": [2.0]}]}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    argv = ["check-graph-pattern", "--graph", str(workdir / "k2.json"), "--in", str(path)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, ""), err
+    assert "family[0]: atom True must have the type of the universe's atoms (int)" in err
+    payload["family"][0]["set"], payload["family"][1]["set"] = [1], [2]
+    path.write_text(json.dumps(payload))
+    assert run_cli(argv)[0] == 0
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], None, "", 0, [[]], [{}], {"a": {}}, {"a": []},
+    [[1, [2, [3, []]]], [], {"b": [{}], "a": None}],
+    {"a\"b": ["a\"b", {"\u00e9": "\u00e9"}], "\u00e9": {"": [None, 1.5, True]}},
+    {10: "ten", 2: ["two"], -1: {}},  # sorted as integers, written as strings
+    {False: 0, True: 1}, {1.5: "x", 0.25: "y"},
+    {"x": {"b": {"d": 1, "c": [2]}, "a": [{"z": 1, "y": 2}]}},
+])
+def test_emit_writes_the_text_of_json_dumps(tmp_path, payload):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(payload, "-")
+    target = tmp_path / "out.json"
+    cli._emit(payload, str(target))
+    assert out.getvalue() == target.read_text(encoding="utf-8") == _dumps(payload)
+
+
+def test_emit_makes_few_writes():
+    # Under PYTHONUNBUFFERED every write to stdout is a system call, so one
+    # write per list item took twice as long as json.dumps on a 61 MB witness.
+    class CountingStdout(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    payload = {"universe": [f"atom{i}" for i in range(100_000)], "family": []}
+    out = CountingStdout()
+    with redirect_stdout(out):
+        cli._emit(payload, "-")
+    assert out.getvalue() == _dumps(payload)
+    assert out.writes <= len(out.getvalue()) // cli._WRITE_SIZE + 1
+
+
+def test_emit_matches_json_dumps_on_every_golden_payload(workdir, tmp_path, monkeypatch):
+    emitted = []
+    real = cli._emit
+
+    def recording(payload, out_path, raw=None):
+        emitted.append((payload, raw))
+        real(payload, out_path, raw)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    for name, argv, expected_code in golden_commands(workdir):
+        emitted.clear()
+        code, out, _ = run_cli(argv)
+        [(payload, raw)] = emitted
+        assert code == expected_code
+        text = raw if raw is not None else _dumps(payload)
+        assert out == text, name
+        target = tmp_path / f"{name}.out"
+        assert run_cli(argv + ["--out", str(target)])[:2] == (expected_code, "")
+        assert target.read_text(encoding="utf-8") == text, name
+
+
+@pytest.mark.parametrize("argv, code, summary", [
+    (["classify-pair", "00", "01"], 0, "UpOne\n"),
+    (["witness", "weave", "--depth", "2"], 0, "universe of 288 atom(s)\n"),
+    (["find-p4", "--in", "{root}/p4.json"], 1, "induced four-path [0, 1, 2, 3]\n"),
+])
+def test_closed_stdout_ends_the_output_quietly(workdir, argv, code, summary):
+    # The reader is gone before anything is written.  This used to exit 2
+    # with "error: [Errno 32] Broken pipe"; now the output stops, the exit
+    # code and the summary stay, and nothing is printed at shutdown.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "comblab.cli"] + [a.format(root=workdir) for a in argv],
+            stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, summary)
+
+
+def test_weave_witness_depth_3_peak_memory(tmp_path):
+    # The whole JSON text (61 MB) used to be built, and then joined, after
+    # the witness: the command peaked at 242 MB.  Written piece by piece,
+    # with the witness's intermediates freed early, it peaks near 120 MB.
+    # A child's ru_maxrss also counts the process it was forked from, so the
+    # CLI is started from a small interpreter rather than from this one.
+    script = (
+        "import os, sys\n"
+        "argv = [sys.executable, '-m', 'comblab.cli', 'witness', 'weave', '--depth', '3',\n"
+        "        '--out', sys.argv[1]]\n"
+        "_, status, usage = os.wait4(os.spawnv(os.P_NOWAIT, sys.executable, argv), 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "weave3.json")],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 200 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

@@ -61,6 +61,16 @@ def test_set_system_from_json_rejects_duplicate_index():
      r"family\[0\] needs a 'set' list"),
     ({"universe": ["a"], "family": [{"index": "-", "set": []}, {"index": "", "set": []}]},
      r"family\[1\]: bad index ''"),
+    # A set atom equal to a universe atom of another type used to be read as it.
+    ({"universe": [1, 2],
+      "family": [{"index": "-", "set": [1]}, {"index": "0", "set": [True, 2]}]},
+     r"family\[1\]: atom True must have the type of the universe's atoms \(int\)"),
+    ({"universe": [1, 2], "family": [{"index": "-", "set": [2.0]}]},
+     r"family\[0\]: atom 2.0 must have the type of the universe's atoms \(int\)"),
+    ({"universe": [1.0, 2.5], "family": [{"index": "-", "set": [1]}]},
+     r"family\[0\]: atom 1 must have the type of the universe's atoms \(float\)"),
+    ({"universe": [True, False], "family": [{"index": "-", "set": [0]}]},
+     r"family\[0\]: atom 0 must have the type of the universe's atoms \(bool\)"),
 ])
 def test_set_system_from_json_rejects_malformed_payload(payload, where):
     with pytest.raises(ParseError, match=where):
