@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -41,15 +42,41 @@ def _bound(value: str):
         raise ArgumentError(f"expected an integer or 'omega', got {value!r}")
 
 
-def _read_json(path: str):
+def _refuse_constant(name: str):
+    raise ParseError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"number {text} is out of range")
+    return value
+
+
+def _read_json(path: str, fold=None):
+    """The JSON value in `path` ("-" for stdin), strictly: a repeated key
+    (json alone keeps the last value), NaN, Infinity or a number too large
+    for a float is a ParseError.  `fold`, when given, is applied to each
+    object as it is decoded."""
+    def make_object(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(key for key, _ in pairs if key in seen or seen.add(key))
+            raise ParseError(f"duplicate key {key!r} in a JSON object")
+        return obj if fold is None else fold(obj)
+
+    options = dict(object_pairs_hook=make_object, parse_constant=_refuse_constant,
+                   parse_float=_finite_float)
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, **options)
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, **options)
 
 
-# The encoder behind `json.dumps(payload, sort_keys=True, separators=(",", ":"))`.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The encoder behind `json.dumps(payload, sort_keys=True, separators=(",", ":"))`,
+# refusing NaN and the infinities, which are not JSON.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _WRITE_SIZE = 1 << 16
 
 
@@ -145,7 +172,7 @@ _INDEX_DECODERS = {"node": decode, "grid": _decode_grid_index, "vertex": _decode
 
 
 def _load_system(path: str, kind: str) -> SetSystem:
-    return SetSystem.from_json(_read_json(path), _INDEX_DECODERS[kind])
+    return SetSystem.from_json(_read_json(path, SetSystem.fold_entry), _INDEX_DECODERS[kind])
 
 
 def _comb_class(args) -> CombClass:

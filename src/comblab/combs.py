@@ -367,7 +367,7 @@ def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENU
 
     The table is topologically ordered: parts precede the compounds built
     from them.  Raises ResourceError when the count would exceed `limit`.
-    Results are cached (callers must not mutate them).
+    Each call builds a new table, which lives as long as its caller keeps it.
     """
     if d < 0:
         raise ArgumentError(f"depth must be nonnegative, got {d}")
@@ -380,12 +380,6 @@ def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENU
     if estimate > limit:
         raise ResourceError(
             f"enumeration would produce {estimate} combs, over the limit {limit}")
-    return _comb_entries_cached(d, cls, max_size)
-
-
-# Comb classes are frozen and OMEGA is a singleton, so a class is its own key.
-@lru_cache(maxsize=6)
-def _comb_entries_cached(d: int, cls: CombClass, max_size: int) -> CombTable:
     table = _build_entries(d, cls, max_size, {})
     if cls.kind == "wide-right" and cls.reading == LITERAL:
         table = _dedupe_entries(table)

@@ -54,7 +54,7 @@ class SetSystem:
 
     def __init__(self, universe: Iterable[str], family: dict):
         self.universe = tuple(universe)
-        if len(set(self.universe)) != len(self.universe):
+        if len(self._atom_id) != len(self.universe):
             raise ArgumentError("universe atoms must be distinct")
         self.family = {index: self._mask(atoms) for index, atoms in family.items()}
         self.indices = frozenset(self.family)
@@ -63,16 +63,16 @@ class SetSystem:
         """A system over the same universe whose sets are given as masks."""
         out = SetSystem.__new__(SetSystem)
         out.universe = self.universe
-        if "_atom_id" in vars(self):  # share the name index once it is built
-            out._atom_id = self._atom_id
         out.family = family
         out.indices = frozenset(family)
         return out
 
     @cached_property
     def _atom_id(self) -> dict:
-        """Atom name -> bit, built on the first `_mask` call: a system that
-        is only written out never reads it."""
+        """Atom name -> bit.  `__init__` builds it, and tells distinct atoms
+        by its size.  A system made by `_with_masks` builds its own on its
+        first `_mask` call, so one that is only checked or written out holds
+        none: 17 MB for the 332,928 atoms of the depth-3 weave witness."""
         return {name: i for i, name in enumerate(self.universe)}
 
     def _mask(self, atoms: Iterable) -> int:
@@ -130,10 +130,29 @@ class SetSystem:
                             "set": self.atom_names(self.family[index])})
         return {"universe": sorted(self.universe), "family": entries}
 
+    @staticmethod
+    def fold_entry(entry: dict) -> dict:
+        """Applied to each JSON object as a set-system file is decoded: an
+        entry's 'set' of string atoms becomes one `_FoldedAtoms` string, so
+        the decoded file does not hold one string per atom of every set at
+        once.  `from_json` splits each set back as it packs the mask.  A set
+        that is empty, holds a non-string, or has an atom containing the
+        separator stays a list."""
+        atoms = entry.get("set")
+        if type(atoms) is list and atoms:
+            try:
+                text = _FoldedAtoms.SEPARATOR.join(atoms)
+            except TypeError:
+                return entry
+            if text.count(_FoldedAtoms.SEPARATOR) == len(atoms) - 1:
+                entry["set"] = _FoldedAtoms(text)
+        return entry
+
     @classmethod
     def from_json(cls, payload: dict, index_decoder: Callable) -> "SetSystem":
         """Read {"universe": [...], "family": [{"index": ..., "set": [...]}]};
-        a malformed value raises ParseError naming where it is."""
+        a malformed value raises ParseError naming where it is.  A set may be
+        folded by `fold_entry`."""
         if not isinstance(payload, dict):
             raise ParseError(f"set system must be a JSON object, got {type(payload).__name__}")
         for key in ("universe", "family"):
@@ -155,7 +174,10 @@ class SetSystem:
         for pos, entry in enumerate(payload["family"]):
             if not isinstance(entry, dict) or "index" not in entry:
                 raise ParseError(f"family[{pos}] must be an object with an 'index'")
-            if not isinstance(entry.get("set"), list):
+            atoms = entry.get("set")
+            if isinstance(atoms, _FoldedAtoms):
+                atoms = atoms.split(_FoldedAtoms.SEPARATOR)
+            elif not isinstance(atoms, list):
                 raise ParseError(f"family[{pos}] needs a 'set' list")
             try:
                 index = index_decoder(entry["index"])
@@ -166,15 +188,27 @@ class SetSystem:
             # Atoms are looked up by value, and `True == 1 == 1.0`; no other
             # JSON type equals a string, so a string universe needs no test.
             if first is not str:
-                for atom in entry["set"]:
+                for atom in atoms:
                     if type(atom) is not first:
                         raise ParseError(f"family[{pos}]: atom {atom!r} must have the type "
                                          f"of the universe's atoms ({first.__name__})")
             try:
-                family[index] = system._mask(entry["set"])
+                family[index] = system._mask(atoms)
             except ArgumentError as err:
                 raise ArgumentError(f"family[{pos}]: {err}") from None
         return system._with_masks(family)
+
+
+class _FoldedAtoms(str):
+    """A family entry's string atoms, joined on SEPARATOR by
+    `SetSystem.fold_entry`.  Its repr is the list's, so a message that quotes
+    the entry reads as it would for the list."""
+
+    __slots__ = ()
+    SEPARATOR = "\n"
+
+    def __repr__(self) -> str:
+        return repr(self.split(self.SEPARATOR))
 
 
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -798,6 +832,7 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
                for value in range(256)]
               for b in range(width)]
     raw_masks = [mask.to_bytes(width, "little") for mask in dict.fromkeys(masks)]
+    del masks  # the comb masks die here: 14 MB at depth 3
     names = ["{" + "".join(map(list.__getitem__, tables, raw))[:-1] + "}"
              for raw in raw_masks]
     order = sorted(range(len(names)), key=names.__getitem__)

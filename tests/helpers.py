@@ -17,6 +17,30 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, SUBSET_ENUM_LIMIT, Rep
 
 SEED = 0xC0FFEE
 
+# Malformed set-system payloads, each with a pattern its error must match
+# (read with the node index decoder).
+MALFORMED_SET_SYSTEMS = [
+    ([1, 2], "JSON object"),
+    ({"family": []}, "'universe' list"),
+    ({"universe": [], "family": {"index": "-", "set": []}}, "'family' list"),
+    ({"universe": ["a"], "family": ["-"]}, r"family\[0\] must be an object"),
+    ({"universe": ["a"], "family": [{"set": ["a"]}]}, r"family\[0\] must be an object"),
+    ({"universe": ["a", "b"], "family": [{"index": "-", "set": "ab"}]},
+     r"family\[0\] needs a 'set' list"),
+    ({"universe": ["a"], "family": [{"index": "-", "set": []}, {"index": "", "set": []}]},
+     r"family\[1\]: bad index ''"),
+    # A set atom equal to a universe atom of another type used to be read as it.
+    ({"universe": [1, 2],
+      "family": [{"index": "-", "set": [1]}, {"index": "0", "set": [True, 2]}]},
+     r"family\[1\]: atom True must have the type of the universe's atoms \(int\)"),
+    ({"universe": [1, 2], "family": [{"index": "-", "set": [2.0]}]},
+     r"family\[0\]: atom 2.0 must have the type of the universe's atoms \(int\)"),
+    ({"universe": [1.0, 2.5], "family": [{"index": "-", "set": [1]}]},
+     r"family\[0\]: atom 1 must have the type of the universe's atoms \(float\)"),
+    ({"universe": [True, False], "family": [{"index": "-", "set": [0]}]},
+     r"family\[0\]: atom 0 must have the type of the universe's atoms \(bool\)"),
+]
+
 
 def subset_filter_combs(d, cls, max_size):
     """Comb enumeration the slow way: all subsets of the level, filtered by

@@ -11,6 +11,10 @@ import pytest
 
 from cli_fixtures import build_workdir, golden_commands, run_cli
 from comblab import cli
+from comblab.errors import ComblabError
+from comblab.index_core import decode
+from comblab.patterns import SetSystem
+from helpers import MALFORMED_SET_SYSTEMS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -81,21 +85,96 @@ def test_duplicate_index_rejected(workdir, tmp_path):
     assert "duplicate index '0'" in err
 
 
-def test_malformed_set_system_rejected_with_location(tmp_path):
+SET_SYSTEM_ERRORS = MALFORMED_SET_SYSTEMS + [
+    ({"universe": ["a", "b"], "family": [{"index": "-", "set": ["a", "zz"]}]},
+     r"family\[0\]: atom 'zz' is not in the universe"),
+    ({"universe": ["a"], "family": [{"index": "-", "set": ["a"]}, {"index": "-", "set": []}]},
+     r"family\[1\]: duplicate index '-'"),
+    ({"universe": [1, 2], "family": [{"index": "-", "set": ["1", "2"]}]},
+     r"family\[0\]: atom '1' must have the type of the universe's atoms \(int\)"),
+    ({"universe": ["a", {"set": ["a", "b"]}], "family": []},
+     r"universe\[1\] must be a JSON scalar, got \{'set': \['a', 'b'\]\}"),
+]
+
+
+def test_malformed_set_system_rejected_with_location(tmp_path, monkeypatch):
     # A top-level list used to surface as a bare TypeError, and a string set
-    # was read as its characters, so the second file passed the check.
-    cases = (
-        ([1, 2], "JSON object"),
-        ({"universe": ["a", "b"], "family": [{"index": "-", "set": "ab"}]},
-         "family[0] needs a 'set' list"),
-    )
-    for payload, where in cases:
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(payload))
-        code, out, err = run_cli(["check-weave", "--depth", "0", "-k", "2", "-m", "1",
-                                  "-n", "omega", "--strong", "--in", str(path)])
-        assert (code, out) == (2, ""), payload
-        assert where in err and "malformed input" not in err
+    # was read as its characters, so such a file passed the check.  The CLI
+    # folds each set's atoms while it decodes the file; its errors must still
+    # be those of from_json, location included, from a file and from stdin.
+    path = tmp_path / "system.json"
+    for payload, where in SET_SYSTEM_ERRORS:
+        text = json.dumps(payload)
+        with pytest.raises(ComblabError, match=where) as expected:
+            SetSystem.from_json(json.loads(text), decode)
+        path.write_text(text)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        for source in (str(path), "-"):
+            argv = ["check-weave", "--depth", "0", "-k", "2", "--strong", "--in", source]
+            assert run_cli(argv) == (2, "", f"error: {expected.value}\n"), (payload, source)
+
+
+@pytest.mark.parametrize("payload", [
+    # atoms holding the separator the reader joins sets with
+    {"universe": ["a\nb", "a", "b", "\n"],
+     "family": [{"index": "-", "set": ["a\nb", "b"]}, {"index": "0", "set": ["a", "b"]},
+                {"index": "1", "set": ["\n"]}]},
+    {"universe": [3, 1, 2], "family": [{"index": "-", "set": [1, 3]}, {"index": "0", "set": []}]},
+    {"universe": ["x"], "family": [{"index": "-", "set": []}, {"index": "0", "set": ["x"]}]},
+    {"universe": ["x", "y"], "family": [{"index": "-", "set": ["x", "x", "y"]}]},
+    {"universe": ["", "a"], "family": [{"index": "-", "set": ["", ""]}, {"index": "0", "set": [""]}]},
+])
+def test_set_system_file_reader_matches_from_json(tmp_path, monkeypatch, payload):
+    text = json.dumps(payload)
+    expected = SetSystem.from_json(json.loads(text), decode)
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    for system in (cli._load_system(str(path), "node"), cli._load_system("-", "node")):
+        assert (system.universe, system.family) == (expected.universe, expected.family)
+        assert system.to_json() == expected.to_json()
+
+
+def test_fold_entry_joins_string_sets_only():
+    fold = SetSystem.fold_entry
+    folded = fold({"index": "-", "set": ["a", "b"]})["set"]
+    assert folded == "a\nb" and repr(folded) == repr(["a", "b"])
+    for atoms in ([], ["a\nb", "c"], ["a", 1], [["a"]]):
+        assert fold({"index": "-", "set": list(atoms)})["set"] == atoms
+    assert fold({"set": "ab"}) == {"set": "ab"}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    # json used to keep the last value: the edge was dropped, and the
+    # cotree command printed a union cotree with exit 0.
+    (["cotree", "--in", "{f}"], '{"n":2,"edges":[[0,1]],"edges":[]}',
+     "duplicate key 'edges' in a JSON object"),
+    (["strongify", "--in", "{f}"],
+     '{"universe":["a"],"universe":["b"],"family":[{"index":"-","set":["b"]}]}',
+     "duplicate key 'universe' in a JSON object"),
+    (["strongify", "--in", "{f}"],
+     '{"universe":["a"],"family":[{"index":"-","set":["a"],"set":[]}]}',
+     "duplicate key 'set' in a JSON object"),
+    # NaN and the infinities were read, and written back out, as non-JSON.
+    (["strongify", "--depth", "0", "--in", "{f}"],
+     '{"universe":[NaN,Infinity],"family":[{"index":"-","set":[NaN]}]}',
+     "NaN is not a JSON number"),
+    (["strongify", "--in", "{f}"], '{"universe":[-Infinity],"family":[]}',
+     "-Infinity is not a JSON number"),
+    (["find-p4", "--in", "{f}"], '{"n":2,"edges":[[0,1e400]]}',
+     "number 1e400 is out of range"),
+])
+def test_json_input_must_be_strict(tmp_path, command, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [arg.format(f=path) for arg in command]
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
+def test_output_refuses_non_json_numbers():
+    for value in (float("nan"), float("inf"), [float("-inf")]):
+        with pytest.raises(ValueError):
+            cli._ENCODE(value)
 
 
 def test_exit_code_missing_file():
@@ -471,22 +550,53 @@ def test_closed_stdout_ends_the_output_quietly(workdir, argv, code, summary):
     assert (proc.returncode, proc.stderr) == (code, summary)
 
 
-def test_weave_witness_depth_3_peak_memory(tmp_path):
-    # The whole JSON text (61 MB) used to be built, and then joined, after
-    # the witness: the command peaked at 242 MB.  Written piece by piece,
-    # with the witness's intermediates freed early, it peaks near 120 MB.
-    # A child's ru_maxrss also counts the process it was forked from, so the
-    # CLI is started from a small interpreter rather than from this one.
-    script = (
-        "import os, sys\n"
-        "argv = [sys.executable, '-m', 'comblab.cli', 'witness', 'weave', '--depth', '3',\n"
-        "        '--out', sys.argv[1]]\n"
-        "_, status, usage = os.wait4(os.spawnv(os.P_NOWAIT, sys.executable, argv), 0)\n"
-        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "weave3.json")],
+# Runs the CLI from a small interpreter and prints its exit code and peak RSS:
+# a child's ru_maxrss also counts the process it was forked from, so the CLI
+# is not started from this one.
+PEAK_LAUNCHER = (
+    "import os, sys\n"
+    "argv = [sys.executable, '-m', 'comblab.cli', *sys.argv[1:]]\n"
+    "_, status, usage = os.wait4(os.spawnv(os.P_NOWAIT, sys.executable, argv), 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def peak_of(argv):
+    """The exit code and the peak RSS in KB of one CLI invocation, which
+    must write its output with --out."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_LAUNCHER, *argv],
                           capture_output=True, text=True, timeout=300,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb
+
+
+@pytest.fixture(scope="module")
+def weave3(tmp_path_factory):
+    """The depth-3 omega weave witness (332,928 atoms, 61 MB), written by
+    the CLI, with the exit code and peak RSS of the command that wrote it."""
+    path = tmp_path_factory.mktemp("weave3") / "weave3.json"
+    code, peak_kb = peak_of(["witness", "weave", "--depth", "3", "--out", str(path)])
+    return path, code, peak_kb
+
+
+def test_weave_witness_depth_3_peak_memory(weave3):
+    # The whole JSON text (61 MB) used to be built, and then joined, after
+    # the witness: the command peaked at 242 MB.  Written piece by piece,
+    # with the witness's intermediates freed early, it peaked at 117 MB, and
+    # near 85 MB once the comb table died with the witness's own reference.
+    _, code, peak_kb = weave3
     assert code == 0
-    assert peak_kb < 200 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    assert peak_kb < 110 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
+def test_check_weave_depth_3_peak_memory(weave3, tmp_path):
+    # json.load held every atom name of every set at once: the check peaked
+    # at 262 MB.  With each set's atoms folded into one string while the file
+    # is decoded, and split back one set at a time, it peaks near 150 MB.
+    path, _, _ = weave3
+    code, peak_kb = peak_of(["check-weave", "--depth", "3", "-k", "2", "--strong",
+                             "--in", str(path), "--out", str(tmp_path / "report.json")])
+    assert code == 0
+    assert json.loads((tmp_path / "report.json").read_text())["ok"]
+    assert peak_kb < 190 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -322,6 +323,15 @@ def test_comb_table_matches_reference():
                                    for e in expected], (d, cls, max_size)
                 assert table.b == [-1 if e.b_index is None else e.b_index
                                    for e in expected], (d, cls, max_size)
+
+
+def test_comb_tables_die_with_their_caller():
+    # A module-wide cache used to keep the last six tables alive, so the
+    # depth-3 table outlived the weave witness that read it once.
+    cls = CombClass("wide-right", OMEGA)
+    table = comb_entries(2, cls, 4)
+    assert sys.getrefcount(table) == 2  # `table` and the argument
+    assert comb_entries(2, cls, 4) is not table
 
 
 def test_omega_repr_and_identity():

@@ -14,6 +14,7 @@ from comblab.patterns import (SetSystem, check_graph_pattern, check_grid, check_
 from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave,
                                 strongify_index)
 from comblab.verify import run_battery
+from helpers import MALFORMED_SET_SYSTEMS
 
 
 def test_letter_from_digit_rejects_garbage():
@@ -51,27 +52,7 @@ def test_set_system_from_json_rejects_duplicate_index():
         SetSystem.from_json(payload, decode)
 
 
-@pytest.mark.parametrize("payload, where", [
-    ([1, 2], "JSON object"),
-    ({"family": []}, "'universe' list"),
-    ({"universe": [], "family": {"index": "-", "set": []}}, "'family' list"),
-    ({"universe": ["a"], "family": ["-"]}, r"family\[0\] must be an object"),
-    ({"universe": ["a"], "family": [{"set": ["a"]}]}, r"family\[0\] must be an object"),
-    ({"universe": ["a", "b"], "family": [{"index": "-", "set": "ab"}]},
-     r"family\[0\] needs a 'set' list"),
-    ({"universe": ["a"], "family": [{"index": "-", "set": []}, {"index": "", "set": []}]},
-     r"family\[1\]: bad index ''"),
-    # A set atom equal to a universe atom of another type used to be read as it.
-    ({"universe": [1, 2],
-      "family": [{"index": "-", "set": [1]}, {"index": "0", "set": [True, 2]}]},
-     r"family\[1\]: atom True must have the type of the universe's atoms \(int\)"),
-    ({"universe": [1, 2], "family": [{"index": "-", "set": [2.0]}]},
-     r"family\[0\]: atom 2.0 must have the type of the universe's atoms \(int\)"),
-    ({"universe": [1.0, 2.5], "family": [{"index": "-", "set": [1]}]},
-     r"family\[0\]: atom 1 must have the type of the universe's atoms \(float\)"),
-    ({"universe": [True, False], "family": [{"index": "-", "set": [0]}]},
-     r"family\[0\]: atom 0 must have the type of the universe's atoms \(bool\)"),
-])
+@pytest.mark.parametrize("payload, where", MALFORMED_SET_SYSTEMS)
 def test_set_system_from_json_rejects_malformed_payload(payload, where):
     with pytest.raises(ParseError, match=where):
         SetSystem.from_json(payload, decode)
