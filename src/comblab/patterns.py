@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, groupby, islice
 from math import comb as binom
-from operator import and_, or_
+from operator import and_, lt, or_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
@@ -54,7 +54,7 @@ class SetSystem:
 
     def __init__(self, universe: Iterable[str], family: dict):
         self.universe = tuple(universe)
-        if len(self._atom_id) != len(self.universe):
+        if not _distinct(self.universe):
             raise ArgumentError("universe atoms must be distinct")
         self.family = {index: self._mask(atoms) for index, atoms in family.items()}
         self.indices = frozenset(self.family)
@@ -69,10 +69,10 @@ class SetSystem:
 
     @cached_property
     def _atom_id(self) -> dict:
-        """Atom name -> bit.  `__init__` builds it, and tells distinct atoms
-        by its size.  A system made by `_with_masks` builds its own on its
-        first `_mask` call, so one that is only checked or written out holds
-        none: 17 MB for the 332,928 atoms of the depth-3 weave witness."""
+        """Atom name -> bit, built by the first `_mask` call.  A system whose
+        sets are all given as masks, as `from_json` returns and as the weave
+        witness is, holds none unless a set is later masked by name: 17 MB
+        for the 332,928 atoms of the depth-3 weave witness."""
         return {name: i for i, name in enumerate(self.universe)}
 
     def _mask(self, atoms: Iterable) -> int:
@@ -199,6 +199,24 @@ class SetSystem:
         return system._with_masks(family)
 
 
+def _distinct(atoms: tuple) -> bool:
+    """Whether no two atoms are equal, told without an index of them: atoms
+    that strictly increase as given or once sorted are distinct.  Atoms that
+    do not sort that way (two types, a partial order) are counted in a set.
+    An unhashable atom raises TypeError, as it would as a key of the index."""
+    hash(atoms)
+    try:
+        if _increasing(atoms) or _increasing(sorted(atoms)):
+            return True
+    except TypeError:
+        pass
+    return len(set(atoms)) == len(atoms)
+
+
+def _increasing(atoms) -> bool:
+    return all(map(lt, atoms, islice(atoms, 1, None)))
+
+
 class _FoldedAtoms(str):
     """A family entry's string atoms, joined on SEPARATOR by
     `SetSystem.fold_entry`.  Its repr is the list's, so a message that quotes
@@ -215,6 +233,8 @@ _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 # _BIT_TO_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0".
 _BIT_TO_DIGIT = tuple(bytes(b"01"[value >> j & 1] for value in range(256)) for j in range(8))
+# _REVERSED_BITS[value] is `value` with its eight bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
 
 
 class PredicateOracle:
@@ -294,6 +314,11 @@ def consistent(ci, indices: Iterable) -> bool:
 def _require_k(k) -> None:
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
+
+
+def _require_side(s: int) -> None:
+    if s < 1:
+        raise ArgumentError(f"grid side must be positive, got {s}")
 
 
 def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
@@ -653,8 +678,7 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     every chain of the square, so grid checks are exact by default.
     """
     _require_k(k)
-    if s < 1:
-        raise ArgumentError(f"grid side must be positive, got {s}")
+    _require_side(s)
     sink = _ViolationSink(max_violations)
     points = grid_points(s)
     _require_indices(ci, points, "grid family")
@@ -807,9 +831,13 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     every node subset of size < k joins the universe as well, which keeps
     k-inconsistency but defeats (k-1)-inconsistency on up-combs.
 
-    The witness is built from the comb masks of `comb_entries` alone: atom
-    names are read from mask bytes, the universe is sorted by name, and each
-    node's set is the column of that node's bit across the atom masks.
+    The witness is built from the comb masks of `comb_entries` alone.  Each
+    mask becomes its name-order key: `width` bytes with node i at bit
+    7 - i % 8 of byte i // 8.  A name lists its nodes in level order and
+    sorts after its own extensions, so the keys sorted descending give the
+    atoms in name order, with equal keys side by side and kept once.  Atom
+    names are read from the keys, and each node's set is the column of that
+    node's bit across them.
     """
     _require_k(k)
     level = enumerate_level(d)
@@ -820,31 +848,30 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
             raise ResourceError(
                 f"witness universe would have {len(masks) + extra_total} atoms, "
                 f"over the limit {limit}")
-        masks = masks + [sum(1 << i for i in combo)
-                         for size in range(1, k)
-                         for combo in combinations(range(len(level)), size)]
+        masks += [sum(1 << i for i in combo)
+                  for size in range(1, k)
+                  for combo in combinations(range(len(level)), size)]
     width = (len(level) + 7) // 8
-    # Each mask as `width` little-endian bytes; tables[b][value] names the
-    # nodes of byte b set in `value`, each followed by a comma.
-    digits = [(node.digits or "-") + "," for node in level]
-    digits += [""] * (8 * width - len(level))
-    tables = [["".join(digits[8 * b + j] for j in range(8) if value >> j & 1)
-               for value in range(256)]
-              for b in range(width)]
-    raw_masks = [mask.to_bytes(width, "little") for mask in dict.fromkeys(masks)]
-    del masks  # the comb masks die here: 14 MB at depth 3
-    names = ["{" + "".join(map(list.__getitem__, tables, raw))[:-1] + "}"
-             for raw in raw_masks]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    names = [names[i] for i in order]
+    for pos, mask in enumerate(masks):  # in place, so each int dies as its key is made
+        masks[pos] = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+    masks.sort(reverse=True)
     # Appended one by one: `b"".join` would hold an 80-byte buffer per atom.
     raw = bytearray()
-    for i in order:
-        raw += raw_masks[i]
-    del raw_masks, order  # freed before the universe is built: 30 MB at depth 3
-    # Node i's set: bit i % 8 of byte i // 8 across all atoms, read as a
+    for key, _ in groupby(masks):
+        raw += key
+    del masks  # the keys die here: 16 MB at depth 3
+    # tables[b][value] names the nodes of byte b set in `value`, each
+    # followed by a comma.
+    digits = [(node.digits or "-") + "," for node in level]
+    digits += [""] * (8 * width - len(level))
+    tables = [["".join(digits[8 * b + j] for j in range(8) if value >> (7 - j) & 1)
+               for value in range(256)]
+              for b in range(width)]
+    names = ["{" + "".join(map(list.__getitem__, tables, raw[start:start + width]))[:-1] + "}"
+             for start in range(0, len(raw), width)]
+    # Node i's set: bit 7 - i % 8 of byte i // 8 across all atoms, read as a
     # binary numeral with atom 0 as its lowest digit.
-    family = {node: int(raw[i // 8::width].translate(_BIT_TO_DIGIT[i % 8])[::-1], 2)
+    family = {node: int(raw[i // 8::width].translate(_BIT_TO_DIGIT[7 - i % 8])[::-1], 2)
               for i, node in enumerate(level)}
     return SetSystem(names, {})._with_masks(family)
 
@@ -870,6 +897,7 @@ def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     never share a chain, and every (strict) chain extends to a maximal one.
     """
     _require_k(k)
+    _require_side(s)
     points = grid_points(s)
     if strong:
         maximal = _maximal(chains(s, 2 * s - 1), points, comparable)

@@ -222,7 +222,7 @@ def _cograph_stack(max_depth: int, rng: random.Random) -> CheckResult:
 
 
 def _bridges(max_depth: int) -> CheckResult:
-    d = min(max_depth, 2)
+    d = max(1, min(max_depth, 2))  # the two-vertex union embeds at depth 1
     graph, tree = cographs_mod.comb_graph(d)
     pattern = patterns_mod.graph_witness(graph)
     weave_ci = cographs_mod.graph_to_weave_oracle(pattern, d)

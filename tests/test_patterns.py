@@ -7,8 +7,8 @@ import pytest
 
 from comblab.combs import OMEGA
 from comblab.cographs import Graph, comb_graph
-from comblab.errors import ArgumentError, ResourceError
-from comblab.index_core import decode, enumerate_level
+from comblab.errors import ArgumentError, ParseError, ResourceError
+from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               SetSystem, Template, antichains_of_size, chains,
@@ -16,8 +16,9 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               demo_edges, encode_index, graph_witness, grid_points,
                               grid_witness, is_antichain, k_inconsistent, realizable,
                               strict_chains, triangle_free_demo, weave_witness)
-from comblab.patterns import (_above, _maximal_independent_sets, _require_chain_count,
-                              default_cap, product_leq, strictly_below)
+from comblab.patterns import (_REVERSED_BITS, _above, _maximal_independent_sets,
+                              _require_chain_count, default_cap, product_leq,
+                              strictly_below)
 
 from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_graph,
                      random_set_system, random_subsystem_mutations,
@@ -304,6 +305,50 @@ def test_weave_witness_matches_reference():
         got = outcome(weave_witness, *args, **kwargs)
         assert got in (ArgumentError, ResourceError), (args, kwargs)
         assert got == outcome(reference_weave_witness, *args, **kwargs)
+
+
+def test_name_order_key_sorts_like_the_names():
+    # weave_witness sorts the atoms of every size by a key instead of by
+    # name: node i is bit 7 - i % 8 of byte i // 8, and keys sort descending.
+    for d in (0, 1, 2):
+        level = enumerate_level(d)
+        width = (len(level) + 7) // 8
+
+        def key(mask):
+            return mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+
+        def name(mask):
+            return "{" + ",".join(encode(node) for i, node in enumerate(level)
+                                  if mask >> i & 1) + "}"
+
+        for i in range(len(level)):
+            assert key(1 << i)[i // 8] == 1 << (7 - i % 8)
+        masks = range(1, 1 << len(level))  # 65,535 subsets at depth 2
+        assert sorted(masks, key=key, reverse=True) == sorted(masks, key=name), d
+
+
+def test_set_system_universe_checks_without_the_index():
+    # The universe is told distinct without the name -> bit index, so a
+    # system whose sets are all masks builds none.
+    assert "_atom_id" not in vars(weave_witness(2, 2, 1, OMEGA))
+    system = SetSystem(["b", "a"], {0: {"a"}})
+    assert "_atom_id" in vars(system) and system.set_of(0) == 0b10
+    distinct = "universe atoms must be distinct"
+    for universe in (["b", "a", "c", "a"], [3, 1, 2, 1.0], [1, True],
+                     [frozenset({1}), frozenset({2}), frozenset({1})]):
+        with pytest.raises(ArgumentError, match=distinct):
+            SetSystem(universe, {})
+    with pytest.raises(ArgumentError, match=distinct):
+        SetSystem.from_json({"universe": ["b", "a", "c", "a"], "family": []}, decode)
+    for universe, where in (([["a"], ["b"]], r"universe\[0\] must be a JSON scalar, got \['a'\]"),
+                            ([["a"], ["a"]], r"universe\[0\] must be a JSON scalar"),
+                            (["a", {"b": 1}], r"universe\[1\] must be a JSON scalar"),
+                            (["a", 1, "b"], r"universe\[1\] must have the type of "
+                                            r"universe\[0\] \(str\), got 1"),
+                            ([2, 1.5], r"universe\[1\] must have the type of "
+                                       r"universe\[0\] \(int\), got 1.5")):
+        with pytest.raises(ParseError, match=where):
+            SetSystem.from_json({"universe": universe, "family": []}, decode)
 
 
 def test_witness_interfaces_monotone():
