@@ -274,9 +274,20 @@ def eval_cotree(tree: Cotree) -> Graph:
 def find_p4(graph: Graph) -> Optional[P4Certificate]:
     """Lexicographically first induced four-path (a, b, c, d), or None.
 
-    For ascending a, b in N(a), c in N(b) avoiding a, the least d in
-    N(c) \\ (N(a) | N(b)) completes an induced path; the first hit is the
-    least tuple because both orientations of every path are scanned.
+    A graph has no induced four-path exactly when it is a cograph (Corneil,
+    Lerchs and Stewart Burlingham, 1981), so the cotree decomposition settles
+    the answer, and the scan for the first path runs only when it fails.
+    """
+    if graph.n == 0 or _decompose(graph) is not None:
+        return None
+    return _first_p4(graph)
+
+
+def _first_p4(graph: Graph) -> Optional[P4Certificate]:
+    """The scan behind `find_p4`: for ascending a, b in N(a), c in N(b)
+    avoiding a, the least d in N(c) \\ (N(a) | N(b)) completes an induced
+    path; the first hit is the least tuple because both orientations of every
+    path are scanned.  The self-checks compare it with the decomposition.
     """
     masks = graph._masks
     for a in range(graph.n):
@@ -326,44 +337,51 @@ def _components(vertices: int, masks, complement: bool = False) -> list[int]:
 
 def cotree_of(graph: Graph) -> Union[Cotree, P4Certificate]:
     """Recognize a cograph, returning its cotree, or certify failure with an
-    induced four-path.
-
-    A multi-vertex cograph is disconnected or co-disconnected; recurse into
-    whichever decomposition applies.  When neither does the graph has an
-    induced four-path, which is returned instead.
-    """
-    n = graph.n
-    if n == 0:
+    induced four-path (the lexicographically first one)."""
+    if graph.n == 0:
         raise ArgumentError("cotree_of requires a nonempty graph")
-    masks = graph._masks
-    full = (1 << n) - 1
+    tree = _decompose(graph)
+    if tree is not None:
+        return tree
+    cert = _first_p4(graph)
+    if cert is None:
+        raise ArgumentError("recognition failed but no induced four-path exists")
+    return cert
 
-    def build(vertices: int) -> Optional[Cotree]:
+
+def _decompose(graph: Graph) -> Optional[Cotree]:
+    """The cotree of a nonempty graph, or None when it is not a cograph.
+
+    A multi-vertex cograph is disconnected or co-disconnected; its pieces are
+    split in turn from an explicit stack, so a deep cotree needs no deep
+    recursion, and the tree is assembled bottom-up once every piece has split.
+    A piece that neither splits holds an induced four-path.
+    """
+    masks = graph._masks
+    full = (1 << graph.n) - 1
+    splits = []  # (vertices, op, pieces), each piece after the set it splits
+    stack = [full]
+    while stack:
+        vertices = stack.pop()
         if vertices & (vertices - 1) == 0:
-            return leaf(vertices.bit_length() - 1)
+            splits.append((vertices, LEAF, ()))
+            continue
         comps = _components(vertices, masks)
+        op = UNION
         if len(comps) == 1:
             comps = _components(vertices, masks, complement=True)
             if len(comps) == 1:
                 return None
             op = JOIN
+        splits.append((vertices, op, comps))
+        stack.extend(comps)
+    built = {}
+    for vertices, op, comps in reversed(splits):
+        if op == LEAF:
+            built[vertices] = leaf(vertices.bit_length() - 1)
         else:
-            op = UNION
-        kids = []
-        for comp in comps:
-            kid = build(comp)
-            if kid is None:
-                return None
-            kids.append(kid)
-        return Cotree(op, children=tuple(kids))
-
-    tree = build(full)
-    if tree is not None:
-        return tree
-    cert = find_p4(graph)
-    if cert is None:
-        raise ArgumentError("recognition failed but no induced four-path exists")
-    return cert
+            built[vertices] = Cotree(op, children=tuple(map(built.pop, comps)))
+    return built[full]
 
 
 def comb_graph(d: int) -> tuple[Graph, Cotree]:

@@ -591,17 +591,20 @@ def _require_chain_count(above, max_size: int, what: str) -> int:
     return total
 
 
-def _walk_chains(above, max_size: int, step, root):
+def _walk_chains(above, max_size: int, step, root, starts=None):
     """Depth-first walk over the chains of an order, up to max_size elements.
 
     above[i] lists the positions after i that may follow it, so a chain is a
-    path through `above`, written as the tuple of its positions.  Each chain
-    carries a state: step(root, chain) for a single element and
-    step(state of the chain without its last element, chain) otherwise, so a
-    fold costs one step per chain.  Yields (chain, state), depth first; a
-    state of None drops the chain and every extension of it.
+    path through `above`, written as the tuple of its positions, that begins
+    at one of `starts` (every position when None).  Each chain carries a
+    state: step(root, chain) for a single element and step(state of the
+    chain without its last element, chain) otherwise, so a fold costs one
+    step per chain.  Yields (chain, state), depth first; a state of None
+    drops the chain and every extension of it.
     """
-    stack = [(root, (i,)) for i in range(len(above))]
+    if starts is None:
+        starts = range(len(above))
+    stack = [(root, (i,)) for i in starts]
     while stack:
         parent, chain = stack.pop()
         state = step(parent, chain)
@@ -675,7 +678,9 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     family (every chain family when strong) is consistent.  Strict chains are
     pairwise strictly increasing in both coordinates; chains are pairwise
     comparable in the product order.  The default cap max(k, 2s, 8) covers
-    every chain of the square, so grid checks are exact by default.
+    every chain of the square, so grid checks are exact by default.  A
+    monotone system is decided on its maximal chains; a predicate is asked
+    on every chain up to the cap.
     """
     _require_k(k)
     _require_side(s)
@@ -684,23 +689,95 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     _require_indices(ci, points, "grid family")
     cap = _checked_cap(cap, default_cap(k, s))
     above = _above(points, product_leq if strong else strictly_below)
-    _require_chain_count(above, cap, "grid check")
+    states = [ci.state(pt) for pt in points]
+    if ci.monotone:
+        levels = _failing_subchains(ci, states, above, cap)
+    else:
+        _require_chain_count(above, cap, "grid check")
+        levels = _failing_chains(ci, states, above, cap)
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
             sink.add(lambda: Violation(INCONSISTENCY, combo, {"structure": "antichain"},
                                        ci.common_atom(combo)))
 
-    # Each chain's state is one meet on its prefix's.
-    states = [ci.state(pt) for pt in points]
+    structure = "chain" if strong else "strict-chain"
+    for level in levels:
+        for chain in level:
+            sink.add(lambda: Violation(CONSISTENCY, tuple(points[i] for i in chain),
+                                       {"structure": structure}))
+        if sink.total > sink.cap:  # later levels cannot change the report
+            break
+    return sink.report(cap, truncated=cap < 2 * s - 1)
+
+
+def _failing_chains(ci, states, above, cap: int):
+    """Every failing chain of at most `cap` points, as position tuples in
+    report order: one list, made as it is drawn.  Each chain's state is one
+    meet on its prefix's."""
     meet, verdict = ci.meet, ci.verdict
     walk = _walk_chains(above, cap, lambda prefix, chain: meet(prefix, states[chain[-1]]),
                         ci.top)
-    structure = "chain" if strong else "strict-chain"
-    for chain in sorted((chain for chain, state in walk if not verdict(state)), key=_by_size):
-        sink.add(lambda: Violation(CONSISTENCY, tuple(points[i] for i in chain),
-                                   {"structure": structure}))
-    return sink.report(cap, truncated=cap < 2 * s - 1)
+    yield sorted((chain for chain, state in walk if not verdict(state)), key=_by_size)
+
+
+def _covers(above) -> list[list[int]]:
+    """The cover lists of the order whose successor lists are `above`: j
+    covers i when j is in above[i] and no other member of above[i] lies
+    below j."""
+    later_masks = [sum(1 << j for j in later) for later in above]
+    out = []
+    for later in above:
+        beyond = reduce(or_, map(later_masks.__getitem__, later), 0)
+        out.append([j for j in later if not beyond >> j & 1])
+    return out
+
+
+def _failing_subchains(ci, states, above, cap: int):
+    """The failing chains of a monotone system with at most `cap` points,
+    as position tuples: an iterator of lists, one per size, each in
+    lexicographic order.
+
+    Every chain lies in a maximal chain: a path through the cover lists from
+    a minimal point (one in no successor list) to a point with no cover.  A
+    failing chain makes every maximal chain through it fail, so the failing
+    chains are the failing subchains of the failing maximal chains.  Those
+    are folded here along one prefix-sharing walk; each size's subchains are
+    then taken from them as the iterator is drawn, kept once and asked from
+    their points' states.  The maximal chains, and each size's candidates,
+    are counted before they are made: ResourceError once the count passes
+    SUBSET_ENUM_LIMIT.
+    """
+    covers = _covers(above)
+    reached = reduce(or_, (1 << j for later in above for j in later), 0)
+    minimal = [i for i in range(len(above)) if not reached >> i & 1]
+    # paths[i] is the number of cover paths from i to a point with no cover.
+    paths = [0] * len(covers)
+    for i in reversed(range(len(covers))):
+        paths[i] = sum(map(paths.__getitem__, covers[i])) or 1
+    made = sum(map(paths.__getitem__, minimal))
+    _require_made(made, "maximal chains")
+    meet, verdict, top = ci.meet, ci.verdict, ci.top
+    walk = _walk_chains(covers, len(covers),
+                        lambda prefix, chain: meet(prefix, states[chain[-1]]), top,
+                        starts=minimal)
+    failing = [chain for chain, state in walk if not covers[chain[-1]] and not verdict(state)]
+
+    def levels(made: int):
+        for size in range(1, min(cap, max(map(len, failing), default=0)) + 1):
+            made += sum(binom(len(chain), size) for chain in failing)
+            _require_made(made, f"maximal chains and candidate chains of at most {size} points")
+            candidates = {sub for chain in failing for sub in combinations(chain, size)}
+            yield sorted(sub for sub in candidates
+                         if not verdict(reduce(meet, map(states.__getitem__, sub), top)))
+
+    return levels(made)
+
+
+def _require_made(count: int, what: str) -> None:
+    if count > SUBSET_ENUM_LIMIT:
+        raise ResourceError(f"grid check would make {count} {what}, "
+                            f"over the limit {SUBSET_ENUM_LIMIT}")
 
 
 # --- graph patterns -------------------------------------------------------

@@ -192,7 +192,8 @@ def _cograph_stack(max_depth: int, rng: random.Random) -> CheckResult:
                         edges.append((u, v))
                     position += 1
             graph = cographs_mod.Graph(n, edges)
-            has_p4 = cographs_mod.find_p4(graph) is not None
+            # The scan itself: find_p4 answers from the decomposition under test.
+            has_p4 = cographs_mod._first_p4(graph) is not None
             tree = cographs_mod.cotree_of(graph)
             got_tree = isinstance(tree, cographs_mod.Cotree)
             if got_tree == has_p4:

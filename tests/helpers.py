@@ -452,6 +452,21 @@ def induced_p4_oracle(graph):
     return None
 
 
+def least_induced_p4(graph):
+    """The lexicographically least (a, b, c, d) spanning an induced path
+    a-b-c-d, by trying every ordered 4-tuple in lexicographic order."""
+    from itertools import permutations
+
+    from comblab.cographs import P4Certificate
+
+    edge = graph.has_edge
+    for a, b, c, d in permutations(range(graph.n), 4):
+        if edge(a, b) and edge(b, c) and edge(c, d) and not (
+                edge(a, c) or edge(a, d) or edge(b, d)):
+            return P4Certificate(a, b, c, d)
+    return None
+
+
 def _orderings(quad):
     from itertools import permutations
 

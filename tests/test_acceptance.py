@@ -18,9 +18,10 @@ from comblab import combs as combs_mod, verify
 from comblab.combs import (CombClass, LITERAL, OMEGA, UP_ONE, WIDE_RIGHT_ONE,
                            classify_pair, has_up_pair, is_comb)
 from comblab.cographs import (Cotree, Graph, comb_graph, cotree_of,
-                              embed_cograph, eval_cotree, find_p4,
+                              embed_cograph, eval_cotree,
                               graph_to_weave_oracle, random_cotree,
                               weave_to_graph_oracle)
+from comblab.cographs import _first_p4
 from comblab.genericity import (DensePredicate, DensityError,
                                 binary_string_poset, generic_chain,
                                 length_requirements)
@@ -316,7 +317,7 @@ def test_criterion_08_cograph_stack():
                 masks[v] ^= 1 << u
                 prev_gray = gray
             graph = Graph.from_masks(n, masks)
-            has_p4 = find_p4(graph) is not None
+            has_p4 = _first_p4(graph) is not None
             tree = cotree_of(graph)
             assert isinstance(tree, Cotree) != has_p4
             if not has_p4:
@@ -328,7 +329,7 @@ def test_criterion_08_cograph_stack():
         for _ in range(500):
             graph = random_graph(16, rng.random(), rng)
             tree = cotree_of(graph)
-            assert isinstance(tree, Cotree) == (find_p4(graph) is None)
+            assert isinstance(tree, Cotree) == (_first_p4(graph) is None)
             if isinstance(tree, Cotree):
                 assert eval_cotree(tree) == graph
 

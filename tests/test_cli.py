@@ -445,8 +445,10 @@ def test_mixed_type_universe_exits_2(workdir, tmp_path):
 
 
 def test_grid_chain_count_exits_3(tmp_path):
-    # The strict 8 x 8 witness is small, but checking it under the product
-    # order would walk 12,451,583 chains: refused before the walk.
+    # A set system is checked on its maximal chains, not on every chain: the
+    # strict 8 x 8 witness under the product order has 3,432 of them against
+    # 12,451,583 chains, so it is checked, and fails on its tied chains.  The
+    # 13 x 13 square's 2,704,156 maximal chains are refused before the walk.
     path = tmp_path / "grid8.json"
     code, _, err = run_cli(["witness", "grid", "--size", "8", "--out", str(path)])
     assert code == 0, err
@@ -454,8 +456,30 @@ def test_grid_chain_count_exits_3(tmp_path):
     code, out, err = run_cli(["check-grid", "--size", "8", "-k", "9", "--strong",
                               "--in", str(path)])
     assert time.perf_counter() - start < 1.0
+    assert code == 1, err
+    report = json.loads(out)
+    assert report["violations_truncated"] and len(report["violations"]) == 10
+    assert all(v["certificate"] == {"structure": "chain"} for v in report["violations"])
+    path = tmp_path / "grid13.json"
+    path.write_text(json.dumps({"universe": ["a"], "family": [
+        {"index": f"{i},{j}", "set": ["a"]} for i in range(13) for j in range(13)]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["check-grid", "--size", "13", "-k", "2", "--strong",
+                              "--in", str(path)])
+    assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, ""), err
-    assert "over the limit" in err
+    assert "2704156 maximal chains, over the limit" in err
+
+
+def test_find_p4_on_the_empty_graph(tmp_path):
+    # The empty graph has no induced four-path, but no cotree either.
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "edges": []}))
+    code, out, err = run_cli(["find-p4", "--in", str(path)])
+    assert (code, out) == (0, "null\n"), err
+    code, out, err = run_cli(["cotree", "--in", str(path)])
+    assert (code, out) == (2, ""), err
+    assert "nonempty graph" in err
 
 
 def test_huge_graph_exits_3(tmp_path):

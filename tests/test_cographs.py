@@ -3,17 +3,20 @@ from itertools import combinations
 
 import pytest
 
+from comblab import cographs as cographs_mod
 from comblab.combs import OMEGA, UP_ONE, classify_pair
 from comblab.cographs import (Cotree, Graph, P4Certificate, comb_graph,
                               combine, cotree_of, embed_cograph, eval_cotree,
                               find_p4, graph_to_weave_oracle, join, leaf,
                               random_cotree, union, weave_to_graph_oracle)
+from comblab.cographs import _first_p4
 from comblab.errors import ArgumentError
 from comblab.index_core import decode, enumerate_level
 from comblab.patterns import (check_graph_pattern, check_weave, graph_witness,
                               weave_witness)
 
-from helpers import SEED, all_small_cotrees, induced_p4_oracle, random_graph
+from helpers import (SEED, all_small_cotrees, induced_p4_oracle, least_induced_p4,
+                     random_graph)
 
 
 def all_graphs(n):
@@ -108,6 +111,52 @@ def test_find_p4_certificate_is_induced_path():
         assert not graph.has_edge(b, d)
 
 
+def test_find_p4_is_the_least_induced_path():
+    # The certificate is the lexicographically least induced four-path,
+    # found by trying every ordered 4-tuple.
+    for n in range(6):
+        for graph in all_graphs(n):
+            assert find_p4(graph) == least_induced_p4(graph), graph
+    rng = random.Random(SEED + 3)
+    for trial in range(300):
+        graph = random_graph(8 + trial % 2, rng.random(), rng)
+        assert find_p4(graph) == least_induced_p4(graph), graph
+
+
+def test_find_p4_scans_only_graphs_that_are_not_cographs(monkeypatch):
+    # The decomposition answers for a cograph; the scan runs only when it
+    # fails, once.
+    scanned = []
+
+    def scan(graph):
+        scanned.append(graph)
+        return _first_p4(graph)
+
+    monkeypatch.setattr(cographs_mod, "_first_p4", scan)
+    for n in range(6):
+        for graph in all_graphs(n):
+            before = len(scanned)
+            cert = find_p4(graph)
+            assert len(scanned) - before == (induced_p4_oracle(graph) is not None), graph
+            assert (cert is None) == (induced_p4_oracle(graph) is None), graph
+    rng = random.Random(SEED + 4)
+    scanned.clear()
+    for _ in range(100):
+        assert find_p4(eval_cotree(random_cotree(rng.randint(1, 24),
+                                                 rng.randrange(1 << 30)))) is None
+    assert scanned == []
+
+
+def test_deep_cograph_needs_no_deep_recursion():
+    # A threshold graph (each odd vertex joined to every earlier one) has a
+    # cotree about as deep as it has vertices: past the interpreter's
+    # recursion limit, the decomposition must still answer.
+    n = 1100
+    graph = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    assert isinstance(cotree_of(graph), Cotree)
+    assert find_p4(graph) is None
+
+
 def test_cotree_outputs_are_p4_free():
     rng = random.Random(SEED + 1)
     for _ in range(200):
@@ -144,10 +193,10 @@ def test_cotree_of_matches_find_p4_exhaustive_small():
         for graph in all_graphs(n):
             result = cotree_of(graph)
             if isinstance(result, Cotree):
-                assert find_p4(graph) is None
+                assert _first_p4(graph) is None
                 assert eval_cotree(result) == graph
             else:
-                assert find_p4(graph) is not None
+                assert _first_p4(graph) is not None
 
 
 def test_cotree_of_random16():
@@ -155,7 +204,7 @@ def test_cotree_of_random16():
     for _ in range(100):
         graph = random_graph(16, rng.random(), rng)
         result = cotree_of(graph)
-        assert isinstance(result, Cotree) == (find_p4(graph) is None)
+        assert isinstance(result, Cotree) == (_first_p4(graph) is None)
 
 
 # --- comb graph -------------------------------------------------------------

@@ -475,6 +475,25 @@ def test_check_grid_report_matches_reference():
                                                  max_violations)
 
 
+def test_check_grid_report_matches_reference_on_random_systems():
+    # Random sets make many maximal chains fail, and their failing subchains
+    # overlap: each must be reported once, in report order, and the listing
+    # may stop early only where the report cannot change any more.
+    rng = random.Random(SEED + 12)
+    for s in range(1, 5):
+        for atoms in (2, 3, 4):
+            for _ in range(4):
+                ci = random_set_system(grid_points(s), rng, atoms=atoms)
+                for strong in (False, True):
+                    for cap in (None, 1, 2, 3):
+                        for max_violations in (0, 1, 3, 10):
+                            got = check_grid(ci, s, 2, strong=strong, cap=cap,
+                                             max_violations=max_violations).to_json()
+                            want = reference_check_grid(ci, s, 2, strong=strong, cap=cap,
+                                                        max_violations=max_violations)
+                            assert got == want, (s, atoms, strong, cap, max_violations)
+
+
 def test_check_grid_predicate_report_matches_reference():
     # A predicate oracle has no mask to carry; its verdicts are asked per
     # chain over the same walk.
@@ -531,10 +550,26 @@ def test_antichains_beyond_the_width_are_quick():
     assert time.perf_counter() - start < 1.0
 
 
+def _lattice_path_witness(s):
+    """The strong s x s witness built by hand: one atom per monotone lattice
+    path from (0, 0) to (s - 1, s - 1), which are the maximal chains of the
+    square, and each point's set is the paths through it."""
+    paths = []
+    for downs in combinations(range(2 * s - 2), s - 1):
+        point, path = (0, 0), [(0, 0)]
+        for step in range(2 * s - 2):
+            point = (point[0] + 1, point[1]) if step in downs else (point[0], point[1] + 1)
+            path.append(point)
+        paths.append(tuple(path))
+    names = ["{" + ";".join(f"{i},{j}" for i, j in path) + "}" for path in paths]
+    family = {pt: {name for name, path in zip(names, paths) if pt in path}
+              for pt in grid_points(s)}
+    return SetSystem(names, family), dict(zip(names, paths))
+
+
 def test_chains_are_counted_before_they_are_made():
     # The count is the number of chains listed; the 7 x 7 square's 1,150,591
-    # chains at the default cap stay allowed, and the 8 x 8 square's
-    # 12,451,583 are refused before a single chain is walked or listed.
+    # chains at the default cap stay allowed for a predicate.
     for s in range(1, 6):
         points = grid_points(s)
         for related, listed in ((product_leq, chains), (strictly_below, strict_chains)):
@@ -543,17 +578,42 @@ def test_chains_are_counted_before_they_are_made():
                 assert _require_chain_count(above, cap, "test") == len(listed(s, cap))
     assert _require_chain_count(_above(grid_points(7), product_leq),
                                 default_cap(2, 7), "test") == 1_150_591
+    # A monotone system is decided on the maximal chains: the 8 x 8 square
+    # has 3,432 of them against 12,451,583 chains, which a predicate or a
+    # listing still has to make and is refused before a single one is made.
     everywhere = SetSystem(["a"], {pt: {"a"} for pt in grid_points(8)})
     start = time.perf_counter()
+    assert check_grid(everywhere, 8, 9, strong=True).ok
+    assert time.perf_counter() - start < 1.0
+    # The strict chains of the 8 x 8 square are few enough to check.
+    assert check_grid(everywhere, 8, 9).ok
+    witness, paths = _lattice_path_witness(8)
+    assert len(witness.universe) == 3432
+    for strong in (False, True):
+        assert check_grid(witness, 8, 2, strong=strong).ok
+    # One atom out of one point's set: only chains through that point and
+    # inside that path lose their common atom.
+    name = sorted(paths)[1000]
+    path, point = paths[name], paths[name][7]
+    report = check_grid(witness.mutated_without(point, name), 8, 2, strong=True,
+                        max_violations=50)
+    assert not report.ok and report.violations_truncated
+    assert len(report.violations) == 50
+    for violation in report.violations:
+        assert violation.kind == CONSISTENCY
+        assert set(violation.indices) <= set(path) and point in violation.indices
+    start = time.perf_counter()
+    # The 13 x 13 square has 2,704,156 maximal chains.
+    with pytest.raises(ResourceError, match="2704156 maximal chains, over the limit"):
+        check_grid(SetSystem(["a"], {pt: {"a"} for pt in grid_points(13)}), 13, 2,
+                   strong=True)
     with pytest.raises(ResourceError, match="grid check would produce .* over the limit"):
-        check_grid(everywhere, 8, 9, strong=True)
+        check_grid(PredicateOracle(grid_points(8), lambda family: True), 8, 9, strong=True)
     with pytest.raises(ResourceError, match="over the limit"):
         chains(8, 15)
     with pytest.raises(ResourceError, match="over the limit"):
         grid_witness(8, 2, strong=True)
     assert time.perf_counter() - start < 1.0
-    # The strict chains of the 8 x 8 square are few enough to check.
-    assert check_grid(everywhere, 8, 9).ok
 
 
 def test_grid_witness_matches_reference():
