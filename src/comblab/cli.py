@@ -56,7 +56,8 @@ def _finite_float(text: str) -> float:
 def _read_json(path: str, fold=None):
     """The JSON value in `path` ("-" for stdin), strictly: a repeated key
     (json alone keeps the last value), NaN, Infinity or a number too large
-    for a float is a ParseError.  `fold`, when given, is applied to each
+    for a float is a ParseError, and input nested deeper than the decoder
+    can follow is a ResourceError.  `fold`, when given, is applied to each
     object as it is decoded."""
     def make_object(pairs: list) -> dict:
         obj = dict(pairs)
@@ -68,10 +69,13 @@ def _read_json(path: str, fold=None):
 
     options = dict(object_pairs_hook=make_object, parse_constant=_refuse_constant,
                    parse_float=_finite_float)
-    if path == "-":
-        return json.load(sys.stdin, **options)
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, **options)
+    try:
+        if path == "-":
+            return json.load(sys.stdin, **options)
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle, **options)
+    except RecursionError:
+        raise ResourceError("input is nested too deeply to decode") from None
 
 
 # The encoder behind `json.dumps(payload, sort_keys=True, separators=(",", ":"))`,
@@ -438,13 +442,20 @@ def _cmd_cotree(args) -> int:
     graph = cographs_mod.Graph.from_json(_read_json(args.path))
     result = cographs_mod.cotree_of(graph)
     if isinstance(result, cographs_mod.Cotree):
-        if args.dot:
-            _emit(None, args.out, raw=result.to_dot())
-        else:
-            _emit(result.to_json(), args.out)
+        # The text is built by the fold: json's encoder recurses once per level.
+        _emit(None, args.out, raw=result.to_dot() if args.dot else
+              result.fold(_leaf_text, _inner_text) + "\n")
         _summary("cograph")
         return EXIT_OK
     return _finish(result.to_json(), args.out, f"induced four-path {list(result)}", EXIT_FAILED)
+
+
+def _leaf_text(vertex: int) -> str:
+    return f'{{"op":"{cographs_mod.LEAF}","v":{vertex}}}'
+
+
+def _inner_text(op: str, kids: list) -> str:
+    return f'{{"children":[{",".join(kids)}],"op":"{op}"}}'
 
 
 def _cmd_find_p4(args) -> int:

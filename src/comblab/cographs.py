@@ -15,16 +15,14 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from . import combs as combs_mod
 from . import patterns as patterns_mod
-from .combs import UP_ONE
-from .errors import (ArgumentError, ParseError, ResourceError, is_int_pair,
-                     json_fields)
-from .index_core import EMPTY, Letter, Node, enumerate_level
+from .combs import UP_ONE, mask_indices
+from .errors import (ArgumentError, ParseError, is_int_pair, json_fields,
+                     require_within)
+from .index_core import EMPTY, Letter, Node, enumerate_level, level_size
 
 UNION = "union"
 JOIN = "join"
 LEAF = "leaf"
-
-COMB_GRAPH_DEPTH_BOUND = 4
 
 
 class Graph:
@@ -94,9 +92,7 @@ class Graph:
         """Read {"n": n, "edges": [[u, v], ...]}; a malformed value raises
         ParseError naming where it is."""
         n, edges = json_fields(payload, "graph", n=int, edges=list)
-        if n > patterns_mod.SUBSET_ENUM_LIMIT:  # refused before the masks are allocated
-            raise ResourceError(f"graph has {n} vertices, over the limit "
-                                f"{patterns_mod.SUBSET_ENUM_LIMIT}")
+        require_within(n, "graph has", "vertices")  # before the masks are allocated
         for pos, edge in enumerate(edges):
             if not is_int_pair(edge):
                 raise ParseError(f"edges[{pos}] must be a pair of vertices, got {edge!r}")
@@ -143,18 +139,41 @@ class Cotree:
         else:
             raise ArgumentError(f"unknown cotree op {self.op!r}")
 
+    def fold(self, at_leaf, at_inner):
+        """The tree's value bottom-up: at_leaf(vertex) at a leaf, and
+        at_inner(op, values of the children in order) at an inner vertex.
+        Post-order from an explicit stack, so a deep tree needs no deep
+        recursion."""
+        values = []
+        stack = [(self, False)]
+        while stack:
+            tree, expanded = stack.pop()
+            if tree.op == LEAF:
+                values.append(at_leaf(tree.vertex))
+            elif expanded:
+                split = len(values) - len(tree.children)
+                kids = values[split:]
+                del values[split:]
+                values.append(at_inner(tree.op, kids))
+            else:
+                stack.append((tree, True))
+                stack.extend((child, False) for child in reversed(tree.children))
+        return values[0]
+
     def leaves(self) -> list[int]:
-        if self.op == LEAF:
-            return [self.vertex]
         out = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            tree = stack.pop()
+            if tree.op == LEAF:
+                out.append(tree.vertex)
+            else:
+                stack.extend(reversed(tree.children))
         return out
 
     def to_json(self):
-        if self.op == LEAF:
-            return {"op": LEAF, "v": self.vertex}
-        return {"op": self.op, "children": [c.to_json() for c in self.children]}
+        return self.fold(lambda v: {"op": LEAF, "v": v},
+                         lambda op, kids: {"op": op, "children": kids})
 
     @classmethod
     def from_json(cls, payload) -> "Cotree":
@@ -178,35 +197,35 @@ class Cotree:
         return read(payload, "cotree")
 
     def to_dot(self) -> str:
+        """Vertices are numbered in pre-order, and the edge to a child follows
+        the child's subtree."""
         lines = ["digraph T {"]
-        counter = [0]
-
-        def walk(t: "Cotree") -> int:
-            my_id = counter[0]
-            counter[0] += 1
-            label = f"v{t.vertex}" if t.op == LEAF else t.op
-            lines.append(f'  n{my_id} [label="{label}"];')
-            for child in t.children:
-                child_id = walk(child)
-                lines.append(f"  n{my_id} -> n{child_id};")
-            return my_id
-
-        walk(self)
+        count = 0
+        stack = [(self, None)]  # (tree, parent's number), or an edge's line
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            tree, parent = item
+            label = f"v{tree.vertex}" if tree.op == LEAF else tree.op
+            lines.append(f'  n{count} [label="{label}"];')
+            if parent is not None:
+                stack.append(f"  n{parent} -> n{count};")
+            stack.extend((child, count) for child in reversed(tree.children))
+            count += 1
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def normalized(self) -> "Cotree":
         """Flatten nested same-op children so union/join levels alternate."""
-        if self.op == LEAF:
-            return self
-        kids = []
-        for child in self.children:
-            child = child.normalized()
-            if child.op == self.op:
-                kids.extend(child.children)
-            else:
-                kids.append(child)
-        return Cotree(self.op, children=tuple(kids))
+        def flatten(op: str, kids: list) -> "Cotree":
+            flat = []
+            for child in kids:
+                flat.extend(child.children if child.op == op else (child,))
+            return Cotree(op, children=tuple(flat))
+
+        return self.fold(leaf, flatten)
 
 
 def leaf(vertex: int) -> Cotree:
@@ -252,23 +271,20 @@ def eval_cotree(tree: Cotree) -> Graph:
     n = len(labels)
     if set(labels) != set(range(n)):
         raise ArgumentError(f"leaf vertices must be 0..{n - 1}, got {sorted(labels)}")
-    edges = []
+    masks = [0] * n
 
-    def walk(t: Cotree) -> list[int]:
-        if t.op == LEAF:
-            return [t.vertex]
-        groups = [walk(child) for child in t.children]
-        if t.op == JOIN:
-            for i, left in enumerate(groups):
-                for right in groups[i + 1:]:
-                    edges.extend((u, v) for u in left for v in right)
-        merged = []
-        for group in groups:
-            merged.extend(group)
-        return merged
+    def below(op: str, kids: list) -> int:
+        # kids are the vertex masks of the children's subtrees, disjoint.
+        whole = sum(kids)
+        if op == JOIN:
+            for kid in kids:
+                others = whole & ~kid
+                for v in mask_indices(kid):
+                    masks[v] |= others
+        return whole
 
-    walk(tree)
-    return Graph(n, edges)
+    tree.fold(lambda v: 1 << v, below)
+    return Graph.from_masks(n, masks)
 
 
 def find_p4(graph: Graph) -> Optional[P4Certificate]:
@@ -391,11 +407,9 @@ def comb_graph(d: int) -> tuple[Graph, Cotree]:
     letter, joining over the second coordinate inside each half and uniting
     the two halves.
     """
-    if d > COMB_GRAPH_DEPTH_BOUND:
-        raise ResourceError(
-            f"comb graph depth limited to {COMB_GRAPH_DEPTH_BOUND}, got {d}")
+    n = level_size(d)
+    require_within(n * (n - 1) // 2, f"comb graph at depth {d} would classify", "pairs")
     level = enumerate_level(d)
-    n = len(level)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -424,32 +438,23 @@ def embed_cograph(tree: Cotree) -> tuple[int, dict]:
     Multi-child vertices fold left.  Leaf vertices must be distinct.
     """
     _distinct_leaves(tree)
-    pad = Letter(0, 0)
+    pad = Letter(0, 0).digit
 
-    def embed(t: Cotree) -> tuple[int, dict]:
-        if t.op == LEAF:
-            return 0, {t.vertex: EMPTY}
-        first = Letter(0, 0)
-        second = Letter(1, 0) if t.op == UNION else Letter(0, 1)
-        depth, mapping = embed(t.children[0])
-        for child in t.children[1:]:
-            child_depth, child_map = embed(child)
-            depth, mapping = _merge(mapping, depth, child_map, child_depth,
-                                    first, second)
+    def lift(mapping: dict, letter: str, depth: int, to_depth: int) -> dict:
+        return {v: Node(letter + node.digits + pad * (to_depth - depth))
+                for v, node in mapping.items()}
+
+    def embed(op: str, kids: list) -> tuple[int, dict]:
+        second = Letter(1, 0) if op == UNION else Letter(0, 1)
+        depth, mapping = kids[0]
+        for child_depth, child_map in kids[1:]:
+            common = max(depth, child_depth)
+            mapping = lift(mapping, pad, depth, common) | \
+                lift(child_map, second.digit, child_depth, common)
+            depth = common + 1
         return depth, mapping
 
-    def _merge(map0, d0, map1, d1, first, second):
-        d = max(d0, d1)
-        out = {}
-        for v, node in map0.items():
-            padded = node.digits + pad.digit * (d - d0)
-            out[v] = Node(first.digit + padded)
-        for v, node in map1.items():
-            padded = node.digits + pad.digit * (d - d1)
-            out[v] = Node(second.digit + padded)
-        return d + 1, out
-
-    return embed(tree)
+    return tree.fold(lambda v: (0, {v: EMPTY}), embed)
 
 
 def graph_to_weave_oracle(pattern_ci, d: int):

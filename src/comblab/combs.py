@@ -21,16 +21,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .errors import ArgumentError, ResourceError
-from .index_core import Node, common_prefix, depth_bound, encode, enumerate_level
+from .errors import ArgumentError, require_within
+from .index_core import Node, common_prefix, encode, enumerate_level, level_size
 
 UP_ONE = "UpOne"
 WIDE_RIGHT_ONE = "WideRightOne"
 
 RECURSIVE = "recursive"
 LITERAL = "literal"
-
-DEFAULT_ENUM_LIMIT = 5_000_000
 
 
 class _Omega:
@@ -362,24 +360,18 @@ _CROSS_BLOCKS = {
 }
 
 
-def comb_entries(d: int, cls: CombClass, max_size: int, limit: int = DEFAULT_ENUM_LIMIT) -> CombTable:
+def comb_entries(d: int, cls: CombClass, max_size: int) -> CombTable:
     """All combs of the class at depth d with size <= max_size, with structure.
 
     The table is topologically ordered: parts precede the compounds built
-    from them.  Raises ResourceError when the count would exceed `limit`.
-    Each call builds a new table, which lives as long as its caller keeps it.
+    from them.  The level's nodes, then the estimated combs, are held to the
+    budget before anything is built.  Each call builds a new table, which
+    lives as long as its caller keeps it.
     """
-    if d < 0:
-        raise ArgumentError(f"depth must be nonnegative, got {d}")
-    bound = depth_bound()
-    if d > bound:
-        raise ResourceError(f"depth {d} exceeds the configured bound {bound}")
+    level_size(d)
     if max_size < 1:
         raise ArgumentError("max_size must be at least 1")
-    estimate = sum(_count_vector(d, cls, max_size))
-    if estimate > limit:
-        raise ResourceError(
-            f"enumeration would produce {estimate} combs, over the limit {limit}")
+    require_within(sum(_count_vector(d, cls, max_size)), "enumeration would produce", "combs")
     table = _build_entries(d, cls, max_size, {})
     if cls.kind == "wide-right" and cls.reading == LITERAL:
         table = _dedupe_entries(table)
@@ -495,14 +487,13 @@ def _count_vector(d: int, cls: CombClass, max_size: int) -> tuple:
     return tuple(out)
 
 
-def enumerate_combs(d: int, cls: CombClass, max_size: int,
-                    limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[frozenset]:
+def enumerate_combs(d: int, cls: CombClass, max_size: int) -> Iterator[frozenset]:
     """Yield every comb of the class at depth d with size <= max_size.
 
     Deterministic order: by size, then lexicographically by the sorted node
     encodings.  No duplicates.
     """
-    table = comb_entries(d, cls, max_size, limit)
+    table = comb_entries(d, cls, max_size)
     level = enumerate_level(d)
     keyed = sorted(zip(table.sizes, map(mask_indices, table.masks)))
     for _, indices in keyed:

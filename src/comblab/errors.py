@@ -23,7 +23,21 @@ class ParseError(ComblabError):
 
 
 class ResourceError(ComblabError):
-    """A requested computation exceeds a configured resource bound."""
+    """A requested computation exceeds the resource budget."""
+
+
+#: The one resource budget.  Every guard counts what its computation would
+#: build (level nodes, combs, atoms, subsets, chains, classified pairs,
+#: vertices) and refuses, before building it, a count above this.
+BUDGET = 2_000_000
+
+
+def require_within(count: int, doing: str, items: str) -> int:
+    """`count` when it is within BUDGET, read at call time; otherwise a
+    ResourceError saying "{doing} {count} {items}, over the limit"."""
+    if count > BUDGET:
+        raise ResourceError(f"{doing} {count} {items}, over the limit {BUDGET}")
+    return count
 
 
 _TYPE_NAMES = {int: "an integer", str: "a string", list: "a list", object: "a value"}

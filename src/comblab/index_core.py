@@ -7,14 +7,13 @@ All values here are immutable and safe to share across threads.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, NamedTuple
 
-from .errors import ArgumentError, ParseError, ResourceError
+from . import errors
+from .errors import ArgumentError, ParseError, require_within
 
-DEFAULT_DEPTH_BOUND = 12
 _DIGITS = "0123"
 
 
@@ -37,17 +36,6 @@ class Letter(NamedTuple):
 #: The four letters, indexed by their digit value.
 _LETTERS = tuple(Letter(i, j) for i in (0, 1) for j in (0, 1))
 LETTERS = _LETTERS
-
-
-def depth_bound() -> int:
-    """Configured maximum depth; COMBLAB_MAX_DEPTH overrides the default of 12."""
-    raw = os.environ.get("COMBLAB_MAX_DEPTH")
-    if raw is None:
-        return DEFAULT_DEPTH_BOUND
-    try:
-        return int(raw)
-    except ValueError:
-        raise ArgumentError(f"COMBLAB_MAX_DEPTH must be an integer, got {raw!r}")
 
 
 class Node:
@@ -163,16 +151,23 @@ def _level_nodes(d: int) -> tuple[Node, ...]:
     return tuple(Node._raw("".join(p)) for p in product(_DIGITS, repeat=d))
 
 
-def enumerate_level(d: int) -> tuple[Node, ...]:
-    """All 4^d nodes of depth d, lexicographic by compact encoding.
+def level_size(d: int) -> int:
+    """4^d, the node count of level d, once it is within the budget.
 
-    The bound is re-read on every call so COMBLAB_MAX_DEPTH always applies.
+    Past the budget's bit length 4^d is over the budget anyway, so a deeper
+    level is refused on the power at that length, without computing its own.
     """
     if d < 0:
         raise ArgumentError(f"depth must be nonnegative, got {d}")
-    bound = depth_bound()
-    if d > bound:
-        raise ResourceError(f"depth {d} exceeds the configured bound {bound}")
+    counted = min(d, errors.BUDGET.bit_length())
+    return require_within(4 ** counted, f"level {d} would have"
+                          f"{' at least' if counted < d else ''}", "nodes")
+
+
+def enumerate_level(d: int) -> tuple[Node, ...]:
+    """All 4^d nodes of depth d, lexicographic by compact encoding; the node
+    count is held to the budget before the level is built."""
+    level_size(d)
     return _level_nodes(d)
 
 

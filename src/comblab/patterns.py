@@ -21,14 +21,13 @@ from operator import and_, lt, or_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
-from .combs import (CombClass, RECURSIVE, comb_entries, is_comb,
+from .combs import (CombClass, RECURSIVE, comb_entries, is_comb, mask_indices,
                     wide_right)
-from .errors import ArgumentError, ParseError, ResourceError
+from .errors import ArgumentError, ParseError, ResourceError, require_within
 from .index_core import Node, encode, enumerate_level
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_MAX_VIOLATIONS = 10
-SUBSET_ENUM_LIMIT = 2_000_000
 
 CONSISTENCY = "Consistency"
 INCONSISTENCY = "Inconsistency"
@@ -523,7 +522,7 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
 def _report_order(table, positions: list[int]) -> list[int]:
     """The given table positions by size, then by ascending level positions."""
     sizes, masks = table.sizes, table.masks
-    return sorted(positions, key=lambda i: (sizes[i], combs_mod.mask_indices(masks[i])))
+    return sorted(positions, key=lambda i: (sizes[i], mask_indices(masks[i])))
 
 
 # --- grids ----------------------------------------------------------------
@@ -570,8 +569,7 @@ def _above(points: list[tuple], related) -> list[list[int]]:
 
 def _require_chain_count(above, max_size: int, what: str) -> int:
     """The number of chains of at most max_size elements through `above`,
-    counted before any chain is made; ResourceError once it passes
-    SUBSET_ENUM_LIMIT.
+    counted before any chain is made and held to the budget.
 
     counts[i] is the number of chains of the current length starting at
     position i: 1 for length one, and the sum of the previous counts over
@@ -585,9 +583,8 @@ def _require_chain_count(above, max_size: int, what: str) -> int:
         if not grown:
             break
         total += grown
-        if total > SUBSET_ENUM_LIMIT:
-            raise ResourceError(f"{what} would produce at least {total} chains of at "
-                                f"most {max_size} points, over the limit {SUBSET_ENUM_LIMIT}")
+        require_within(total, f"{what} would produce at least",
+                       f"chains of at most {max_size} points")
     return total
 
 
@@ -745,8 +742,7 @@ def _failing_subchains(ci, states, above, cap: int):
     are folded here along one prefix-sharing walk; each size's subchains are
     then taken from them as the iterator is drawn, kept once and asked from
     their points' states.  The maximal chains, and each size's candidates,
-    are counted before they are made: ResourceError once the count passes
-    SUBSET_ENUM_LIMIT.
+    are counted before they are made and held to the budget.
     """
     covers = _covers(above)
     reached = reduce(or_, (1 << j for later in above for j in later), 0)
@@ -756,7 +752,7 @@ def _failing_subchains(ci, states, above, cap: int):
     for i in reversed(range(len(covers))):
         paths[i] = sum(map(paths.__getitem__, covers[i])) or 1
     made = sum(map(paths.__getitem__, minimal))
-    _require_made(made, "maximal chains")
+    require_within(made, "grid check would make", "maximal chains")
     meet, verdict, top = ci.meet, ci.verdict, ci.top
     walk = _walk_chains(covers, len(covers),
                         lambda prefix, chain: meet(prefix, states[chain[-1]]), top,
@@ -766,7 +762,8 @@ def _failing_subchains(ci, states, above, cap: int):
     def levels(made: int):
         for size in range(1, min(cap, max(map(len, failing), default=0)) + 1):
             made += sum(binom(len(chain), size) for chain in failing)
-            _require_made(made, f"maximal chains and candidate chains of at most {size} points")
+            require_within(made, "grid check would make",
+                           f"maximal chains and candidate chains of at most {size} points")
             candidates = {sub for chain in failing for sub in combinations(chain, size)}
             yield sorted(sub for sub in candidates
                          if not verdict(reduce(meet, map(states.__getitem__, sub), top)))
@@ -774,27 +771,18 @@ def _failing_subchains(ci, states, above, cap: int):
     return levels(made)
 
 
-def _require_made(count: int, what: str) -> None:
-    if count > SUBSET_ENUM_LIMIT:
-        raise ResourceError(f"grid check would make {count} {what}, "
-                            f"over the limit {SUBSET_ENUM_LIMIT}")
-
-
 # --- graph patterns -------------------------------------------------------
 
 
 def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
-                        max_violations: int = DEFAULT_MAX_VIOLATIONS,
-                        limit: int = SUBSET_ENUM_LIMIT) -> Report:
+                        max_violations: int = DEFAULT_MAX_VIOLATIONS) -> Report:
     """Verify that a vertex-indexed family is consistent exactly on the
     independent sets of the graph, over all vertex subsets up to `cap`."""
     sink = _ViolationSink(max_violations)
     _require_indices(ci, range(graph.n), "graph pattern family")
     cap = min(_checked_cap(cap, graph.n), graph.n)
-    total = sum(binom(graph.n, size) for size in range(1, cap + 1))
-    if total > limit:
-        raise ResourceError(
-            f"graph pattern check would scan {total} subsets, over the limit {limit}")
+    require_within(sum(binom(graph.n, size) for size in range(1, cap + 1)),
+                   "graph pattern check would scan", "subsets")
     families = _graph_fold(ci, graph.n, graph.adjacency_masks(), cap)
     mismatches = [(combo, edge) for combo, (_, edge, _, consistent) in families
                   if (edge is None) != consistent]
@@ -897,8 +885,7 @@ def realizable(template: Template) -> Optional[SetSystem]:
 # --- canonical witnesses --------------------------------------------------
 
 
-def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
-                  limit: int = combs_mod.DEFAULT_ENUM_LIMIT) -> SetSystem:
+def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
     """A depth-d family passing the strong weave check.
 
     Universe: all wide right-n-combs, each an atom named by its node set;
@@ -918,13 +905,10 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False,
     """
     _require_k(k)
     level = enumerate_level(d)
-    masks = comb_entries(d, wide_right(n), max_size=len(level), limit=limit).masks
+    masks = comb_entries(d, wide_right(n), max_size=len(level)).masks
     if genuine_k:
-        extra_total = sum(binom(len(level), size) for size in range(1, k))
-        if len(masks) + extra_total > limit:
-            raise ResourceError(
-                f"witness universe would have {len(masks) + extra_total} atoms, "
-                f"over the limit {limit}")
+        require_within(len(masks) + sum(binom(len(level), size) for size in range(1, k)),
+                       "witness universe would have", "atoms")
         masks += [sum(1 << i for i in combo)
                   for size in range(1, k)
                   for combo in combinations(range(len(level)), size)]
@@ -1031,9 +1015,9 @@ def _maximal_independent_sets(n: int, masks) -> list[tuple]:
             return
         # Every maximal set still reachable holds the pivot or one of its
         # neighbours in the graph, so only those open a branch.
-        pivot = max(_bits(candidates | excluded),
+        pivot = max(mask_indices(candidates | excluded),
                     key=lambda u: (candidates & others[u]).bit_count())
-        for v in _bits(candidates & ~others[pivot]):
+        for v in mask_indices(candidates & ~others[pivot]):
             expand(chosen | 1 << v, candidates & others[v], excluded & others[v])
             candidates &= ~(1 << v)
             excluded |= 1 << v
@@ -1041,16 +1025,6 @@ def _maximal_independent_sets(n: int, masks) -> list[tuple]:
     if n:
         expand(0, full, 0)
     return sorted(out)
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of a mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def triangle_free_demo(length: int):

@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import (ArgumentError, ParseError, ResourceError, is_int_pair,
-                     json_fields)
-from .index_core import (Letter, Node, decode, encode, enumerate_level,
-                         depth_bound)
+from .errors import ArgumentError, ParseError, is_int_pair, json_fields
+from .index_core import Letter, Node, decode, encode, enumerate_level
 from .patterns import level_depth
 
 GridPoint = tuple  # (x, y) under the product order
@@ -111,9 +109,8 @@ class IndexMap:
 
 def strongify_index(d: int) -> IndexMap:
     """The depth-doubling map: position 2t records the first coordinate of
-    letter t (paired with 0), position 2t+1 records letter t itself."""
-    if 2 * d > depth_bound():
-        raise ResourceError(f"doubled depth {2 * d} exceeds the bound {depth_bound()}")
+    letter t (paired with 0), position 2t+1 records letter t itself.  Only
+    level d is enumerated; the images at depth 2d are made one per node."""
     mapping = {}
     for node in enumerate_level(d):
         letters = []
@@ -187,8 +184,6 @@ def grid_embed_index(d: int) -> IndexMap:
     box width; up-pairs map to incomparable points and wide-right pairs to
     strictly comparable ones.
     """
-    if d > depth_bound():
-        raise ResourceError(f"depth {d} exceeds the bound {depth_bound()}")
     mapping = {}
     for node in enumerate_level(d):
         x = y = 0

@@ -19,8 +19,8 @@ from . import genericity as genericity_mod
 from . import patterns as patterns_mod
 from . import transforms as transforms_mod
 from .combs import OMEGA, CombClass, UP_ONE, WIDE_RIGHT_ONE
-from .errors import ArgumentError, ResourceError
-from .index_core import enumerate_level
+from .errors import ArgumentError, ResourceError, require_within
+from .index_core import enumerate_level, level_size
 from .patterns import DEFAULT_SEED
 
 
@@ -303,9 +303,16 @@ def _genericity() -> CheckResult:
 
 
 def run_battery(max_depth: int = 2, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run every check at the given depth scale; deterministic for a seed."""
+    """Run every check at the given depth scale; deterministic for a seed.
+
+    The largest sweep, the grid embedding's pairs at depth max_depth + 1, is
+    held to the budget before any check runs.
+    """
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
+    n = level_size(max_depth + 1)
+    require_within(n * (n - 1) // 2, f"verify-paper at max depth {max_depth} would classify",
+                   "grid-embedding pairs")
     rng = random.Random(seed)
     scheduled = [
         ("pair-dichotomy", lambda: _pair_dichotomy(max_depth)),

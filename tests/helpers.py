@@ -5,13 +5,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from comblab.combs import (_CROSS_BLOCKS, DEFAULT_ENUM_LIMIT, LITERAL, OMEGA, CombClass,
+from comblab import errors
+from comblab.combs import (_CROSS_BLOCKS, LITERAL, OMEGA, CombClass,
                            RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
                            size_within, wide_right)
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
-from comblab.patterns import (CONSISTENCY, INCONSISTENCY, SUBSET_ENUM_LIMIT, Report,
+from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report,
                               SetSystem, Violation, comparable, grid_points, is_antichain,
                               k_inconsistent, product_leq, strictly_below)
 
@@ -272,7 +273,7 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
                   violations_truncated=len(violations) > max_violations).to_json()
 
 
-def reference_weave_witness(d, k, m, n, genuine_k=False, limit=DEFAULT_ENUM_LIMIT):
+def reference_weave_witness(d, k, m, n, genuine_k=False):
     """weave_witness built the straightforward way: each comb as a sorted
     tuple of node digit strings, one set of atom names per node, and the
     names packed into masks by SetSystem."""
@@ -281,14 +282,14 @@ def reference_weave_witness(d, k, m, n, genuine_k=False, limit=DEFAULT_ENUM_LIMI
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
     level = enumerate_level(d)
-    table = comb_entries(d, wide_right(n), max_size=len(level), limit=limit)
+    table = comb_entries(d, wide_right(n), max_size=len(level))
     atom_sets = [tuple(node.digits for node in mask_nodes(mask, level))
                  for mask in table.masks]
     if genuine_k:
         extra_total = sum(binom(len(level), size) for size in range(1, k))
-        if len(atom_sets) + extra_total > limit:
-            raise ResourceError(f"witness universe would have "
-                                f"{len(atom_sets) + extra_total} atoms, over the limit {limit}")
+        if len(atom_sets) + extra_total > errors.BUDGET:
+            raise ResourceError(f"witness universe would have {len(atom_sets) + extra_total} "
+                                f"atoms, over the limit {errors.BUDGET}")
         digit_level = sorted(node.digits for node in level)
         for size in range(1, k):
             atom_sets.extend(combinations(digit_level, size))
@@ -346,8 +347,7 @@ def reference_check_grid(ci, s, k, strong=False, cap=None, max_violations=10):
                   violations_truncated=len(violations) > max_violations).to_json()
 
 
-def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10,
-                                  limit=SUBSET_ENUM_LIMIT):
+def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10):
     """check_graph_pattern's report computed the straightforward way: every
     vertex subset by size, its first edge found by a scan and its
     consistency asked from scratch."""
@@ -355,9 +355,9 @@ def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10,
 
     cap = graph.n if cap is None else min(cap, graph.n)
     total = sum(binom(graph.n, size) for size in range(1, cap + 1))
-    if total > limit:
+    if total > errors.BUDGET:
         raise ResourceError(
-            f"graph pattern check would scan {total} subsets, over the limit {limit}")
+            f"graph pattern check would scan {total} subsets, over the limit {errors.BUDGET}")
     masks = graph.adjacency_masks()
     violations = []
     for size in range(1, cap + 1):

@@ -177,6 +177,33 @@ def test_output_refuses_non_json_numbers():
             cli._ENCODE(value)
 
 
+def test_cotree_of_a_deep_cograph(tmp_path):
+    # The threshold graph (each odd vertex joined to every earlier one) has a
+    # cotree 1,099 inner vertices deep.  json cannot read that text back, so
+    # the expected outputs are built here, one level at a time.
+    n = 1100
+    path = tmp_path / "threshold.json"
+    path.write_text(json.dumps({"n": n, "edges": [[u, v] for v in range(1, n, 2)
+                                                  for u in range(v)]}))
+    text = '{"op":"leaf","v":0}'
+    for v in range(1, n):
+        op = "join" if v % 2 else "union"
+        text = f'{{"children":[{text},{{"op":"leaf","v":{v}}}],"op":"{op}"}}'
+    assert run_cli(["cotree", "--in", str(path)]) == (0, text + "\n", "cograph\n")
+    # Pre-order numbers: the inner vertex above leaf v is n - 1 - v, and leaf
+    # v is n - 1 + v; the edge to a child follows the child's subtree.
+    lines = [f'  n{n - 1 - v} [label="{"join" if v % 2 else "union"}"];'
+             for v in range(n - 1, 0, -1)]
+    lines += ['  n{} [label="v0"];'.format(n - 1), f"  n{n - 2} -> n{n - 1};"]
+    for v in range(1, n):
+        parent = n - 1 - v
+        if v > 1:  # the edge to the inner vertex below, after its subtree
+            lines.append(f"  n{parent} -> n{parent + 1};")
+        lines += [f'  n{n - 1 + v} [label="v{v}"];', f"  n{parent} -> n{n - 1 + v};"]
+    dot = "\n".join(["digraph T {"] + lines + ["}"]) + "\n"
+    assert run_cli(["cotree", "--in", str(path), "--dot"]) == (0, dot, "cograph\n")
+
+
 def test_exit_code_missing_file():
     code, _, _ = run_cli(["find-p4", "--in", "/nonexistent/graph.json"])
     assert code == 2
@@ -189,11 +216,23 @@ def test_exit_code_resource():
     assert "resource" in err.lower() or "limit" in err.lower()
 
 
-def test_env_depth_bound(monkeypatch, workdir):
-    monkeypatch.setenv("COMBLAB_MAX_DEPTH", "1")
-    code, _, _ = run_cli(["enum-combs", "--depth", "2", "--kind", "up",
-                          "-n", "1", "--max-size", "2"])
-    assert code == 3
+def test_refusals_exit_3_before_building(monkeypatch):
+    # Each guard counts what its command would build, against the one
+    # budget, and refuses (exit 3, nothing on stdout) before building it.
+    for argv, count in ((["grid-embed", "--depth", "11"], "level 11 would have 4194304 nodes"),
+                        (["comb-graph", "--depth", "6"], "8386560 pairs"),
+                        (["verify-paper", "--max-depth", "5"], "8386560 grid-embedding pairs")):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert f"{count}, over the limit 2000000" in err, argv
+    # The budget moves every guard, the CLI's included: depth 2 needs 16 nodes.
+    argv = ["enum-combs", "--depth", "2", "--kind", "up", "-n", "1", "--max-size", "1"]
+    monkeypatch.setattr("comblab.errors.BUDGET", 16)
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr("comblab.errors.BUDGET", 15)
+    assert run_cli(argv)[:2] == (3, "")
 
 
 def test_generic_chain_density_failure(tmp_path):
@@ -314,13 +353,15 @@ def test_directory_paths_exit_2(tmp_path):
         assert "Is a directory" in err
 
 
-def test_deeply_nested_json_exits_2(tmp_path):
-    # The JSON decoder's RecursionError used to escape run() as a traceback.
+def test_deeply_nested_json_exits_3(tmp_path):
+    # json's decoder recurses once per nesting level: input nested past the
+    # interpreter's limit is a resource refusal, and its message carries no
+    # Python repr of the decoder's RecursionError.
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run_cli(["find-p4", "--in", str(path)])
-    assert (code, out) == (2, "")
-    assert "RecursionError" in err
+    assert (code, out) == (3, "")
+    assert err == "resource bound: input is nested too deeply to decode\n"
 
 
 POSET = {"elements": ["a", "b"], "order": [["a", "b"]],

@@ -157,6 +157,25 @@ def test_deep_cograph_needs_no_deep_recursion():
     assert find_p4(graph) is None
 
 
+def test_deep_cotree_walks_need_no_deep_recursion():
+    # The threshold graph's cotree is a path of 1,099 inner vertices: its
+    # walks and folds must not recurse once per level.  Deep trees are
+    # compared through their DOT text, since == on them recurses too.
+    n = 1100
+    graph = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    tree = cotree_of(graph)
+    assert tree.leaves() == list(range(n))
+    assert eval_cotree(tree) == graph
+    dot = tree.to_dot()
+    assert tree.normalized().to_dot() == dot
+    assert dot.count(" -> ") == 2 * n - 2 and dot.count("[label=") == 2 * n - 1
+    depth = 0
+    node = tree.to_json()
+    while node["op"] != "leaf":
+        node, depth = node["children"][0], depth + 1
+    assert depth == n - 1
+
+
 def test_cotree_outputs_are_p4_free():
     rng = random.Random(SEED + 1)
     for _ in range(200):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from comblab.combs import (CombClass, LITERAL, NARROW_BELOW, NARROW_LEFT,
                            OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
                            classify_pair, comb_entries, enumerate_combs, has_up_pair,
                            is_binary_right_comb, is_comb, split_relation)
+from comblab import errors
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import binary_right_comb_oracle, build_tree_comb_oracle
@@ -300,9 +302,18 @@ def test_enumerate_combs_deterministic_order():
     assert sizes == sorted(sizes)
 
 
-def test_enumerate_combs_resource_limit():
-    with pytest.raises(ResourceError):
-        list(enumerate_combs(3, CombClass("wide-right", OMEGA), 8, limit=1000))
+def test_enumerate_combs_resource_limit(monkeypatch):
+    # The estimated combs are held to the budget before any is built: the
+    # depth-2 wide-right table has 288 combs.
+    cls = CombClass("wide-right", OMEGA)
+    monkeypatch.setattr(errors, "BUDGET", 288)
+    assert len(list(enumerate_combs(2, cls, 16))) == 288
+    monkeypatch.setattr(errors, "BUDGET", 287)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError,
+                       match="^enumeration would produce 288 combs, over the limit 287$"):
+        list(enumerate_combs(2, cls, 16))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_comb_table_matches_reference():

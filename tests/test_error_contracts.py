@@ -1,17 +1,21 @@
 """Contract errors named by the operation specs, exercised in one place."""
 
+import time
+
 import pytest
 
-from comblab.combs import CombClass, OMEGA
-from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, leaf,
+from comblab import errors, verify
+from comblab.combs import CombClass, OMEGA, comb_entries
+from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, eval_cotree, leaf,
                               union)
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.genericity import RequirementPoset
 from comblab.index_core import Letter, decode, enumerate_level
-from comblab.patterns import (SetSystem, check_graph_pattern, check_grid, check_weave,
+from comblab.patterns import (SetSystem, _above, _require_chain_count, check_graph_pattern,
+                              check_grid, check_weave, grid_points, product_leq,
                               graph_witness, grid_witness, triangle_free_demo,
                               weave_witness)
-from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave,
+from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave, pullback,
                                 strongify_index)
 from comblab.verify import run_battery
 from helpers import MALFORMED_SET_SYSTEMS
@@ -97,25 +101,113 @@ def test_index_map_apply_outside_domain():
         fmap.apply(decode("00"))
 
 
+def _refused_quickly(call, message: str) -> None:
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"^{message}$"):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
 def test_depth_bounds(monkeypatch):
-    monkeypatch.setenv("COMBLAB_MAX_DEPTH", "3")
-    with pytest.raises(ResourceError):
-        strongify_index(2)  # doubled depth 4 exceeds the bound
-    with pytest.raises(ResourceError):
-        enumerate_level(4)
-    monkeypatch.setenv("COMBLAB_MAX_DEPTH", "nonsense")
-    with pytest.raises(ArgumentError):
-        enumerate_level(1)
+    # Every caller of the level guard builds at the budget and is refused one
+    # node above it: level 2 has 16 nodes, level 1 has 4.  The checks and the
+    # witness then count their comb tables, 8 combs at most at depth 1.
+    family = weave_witness(2, 2, 1, OMEGA)
+    identity = {node: node for node in enumerate_level(2)}
+    grid_map = grid_embed_index(2).mapping
+    small = weave_witness(1, 2, 1, OMEGA)
+    at_depth_2 = (lambda: enumerate_level(2),
+                  lambda: comb_entries(2, CombClass("up", 1), 1),  # its 16 singletons
+                  lambda: strongify_index(2),
+                  lambda: grid_embed_index(2),
+                  lambda: IndexMap(2, "grid", grid_map),
+                  lambda: pullback(family, identity))
+    at_depth_1 = (lambda: check_weave(small, 1, 2, 1, OMEGA, strong=True),
+                  lambda: weave_witness(1, 2, 1, OMEGA))
+    monkeypatch.setattr(errors, "BUDGET", 16)
+    for call in at_depth_2:
+        call()
+    monkeypatch.setattr(errors, "BUDGET", 15)
+    for call in at_depth_2:
+        _refused_quickly(call, "level 2 would have 16 nodes, over the limit 15")
+    monkeypatch.setattr(errors, "BUDGET", 8)
+    assert check_weave(small, 1, 2, 1, OMEGA, strong=True).ok
+    assert weave_witness(1, 2, 1, OMEGA).to_json() == small.to_json()
+    monkeypatch.setattr(errors, "BUDGET", 7)
+    for call in at_depth_1:
+        _refused_quickly(call, "enumeration would produce 8 combs, over the limit 7")
+    monkeypatch.setattr(errors, "BUDGET", 3)
+    for call in at_depth_1:
+        _refused_quickly(call, "level 1 would have 4 nodes, over the limit 3")
+    monkeypatch.undo()
+    # Only level d is enumerated: the images at depth 2d are not a level.
+    assert len(strongify_index(7).mapping) == 4 ** 7
 
 
-def test_comb_graph_bound():
-    with pytest.raises(ResourceError):
-        comb_graph(5)
+def test_comb_graph_bound(monkeypatch):
+    # The comb graph classifies its C(4^d, 2) pairs: 120 at depth 2.
+    monkeypatch.setattr(errors, "BUDGET", 120)
+    assert len(comb_graph(2)[0].edges) == 40
+    monkeypatch.setattr(errors, "BUDGET", 119)
+    _refused_quickly(lambda: comb_graph(2),
+                     "comb graph at depth 2 would classify 120 pairs, over the limit 119")
+    monkeypatch.undo()
+    _refused_quickly(lambda: comb_graph(6),
+                     "comb graph at depth 6 would classify 8386560 pairs, over the limit 2000000")
+    graph, tree = comb_graph(5)  # 523,776 pairs
+    assert (graph.n, len(graph.edges)) == (1024, 174592)
+    assert eval_cotree(tree) == graph
 
 
-def test_weave_witness_resource_limit():
-    with pytest.raises(ResourceError):
-        weave_witness(3, 2, 1, OMEGA, limit=100)
+def test_weave_witness_resource_limit(monkeypatch):
+    # The witness's atoms, its genuine-k extras included, are counted before
+    # the extras are made: depth 1 with k = 3 has 8 combs and 10 node subsets
+    # of size below 3, 18 atoms before the repeats go.
+    monkeypatch.setattr(errors, "BUDGET", 18)
+    assert len(weave_witness(1, 3, 1, OMEGA, genuine_k=True).universe) == 10
+    monkeypatch.setattr(errors, "BUDGET", 17)
+    _refused_quickly(lambda: weave_witness(1, 3, 1, OMEGA, genuine_k=True),
+                     "witness universe would have 18 atoms, over the limit 17")
+    monkeypatch.undo()
+    _refused_quickly(lambda: weave_witness(4, 2, 1, OMEGA),
+                     r"enumeration would produce \d+ combs, over the limit 2000000")
+
+
+def test_every_other_guard_reads_the_one_budget(monkeypatch):
+    above = _above(grid_points(3), product_leq)
+    chains = _require_chain_count(above, 5, "chain listing")
+    empty = Graph(4, [])
+    pattern = graph_witness(empty)
+    monkeypatch.setattr(errors, "BUDGET", chains)
+    assert _require_chain_count(above, 5, "chain listing") == chains
+    monkeypatch.setattr(errors, "BUDGET", chains - 1)
+    _refused_quickly(lambda: _require_chain_count(above, 5, "chain listing"),
+                     f"chain listing would produce at least {chains} chains of at most 5 "
+                     f"points, over the limit {chains - 1}")
+    monkeypatch.setattr(errors, "BUDGET", 15)
+    assert check_graph_pattern(pattern, empty).ok  # 15 nonempty subsets of 4 vertices
+    assert Graph.from_json({"n": 15, "edges": []}).n == 15
+    monkeypatch.setattr(errors, "BUDGET", 14)
+    _refused_quickly(lambda: check_graph_pattern(pattern, empty),
+                     "graph pattern check would scan 15 subsets, over the limit 14")
+    _refused_quickly(lambda: Graph.from_json({"n": 15, "edges": []}),
+                     "graph has 15 vertices, over the limit 14")
+
+
+def test_run_battery_counts_its_largest_sweep(monkeypatch):
+    # The grid embedding's pairs at depth max_depth + 1 are counted before
+    # any check runs: C(16, 2) = 120 at max depth 1.
+    def first_check(max_depth):
+        raise ResourceError("the first check ran")
+
+    monkeypatch.setattr(verify, "_pair_dichotomy", first_check)
+    monkeypatch.setattr(errors, "BUDGET", 120)
+    with pytest.raises(ResourceError, match="^the first check ran$"):
+        run_battery(1)
+    monkeypatch.setattr(errors, "BUDGET", 119)
+    _refused_quickly(lambda: run_battery(1),
+                     "verify-paper at max depth 1 would classify 120 grid-embedding pairs, "
+                     "over the limit 119")
 
 
 def test_negative_depths():

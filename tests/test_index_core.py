@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from comblab import errors
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import (EMPTY, Letter, Node, decode, encode,
-                                enumerate_level, extend, meet, meet_all,
+                                enumerate_level, extend, level_size, meet, meet_all,
                                 node_from_pairs, node_to_pairs)
 
 
@@ -91,11 +93,23 @@ def test_enumerate_level_counts_and_uniqueness():
 
 
 def test_enumerate_level_bound(monkeypatch):
-    enumerate_level(3)  # warm the cache; the bound must still apply afterwards
-    monkeypatch.setenv("COMBLAB_MAX_DEPTH", "2")
-    with pytest.raises(ResourceError) as err:
+    # The level's 4^d nodes are held to the budget, read at every call: a
+    # cached level is refused too once the budget drops below it.
+    enumerate_level(3)
+    monkeypatch.setattr(errors, "BUDGET", 64)
+    assert len(enumerate_level(3)) == level_size(3) == 64
+    monkeypatch.setattr(errors, "BUDGET", 63)
+    with pytest.raises(ResourceError, match="^level 3 would have 64 nodes, over the limit 63$"):
         enumerate_level(3)
-    assert "2" in str(err.value)
+    monkeypatch.undo()
+    assert level_size(10) == 4 ** 10  # 1,048,576 nodes: within the budget
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="^level 11 would have 4194304 nodes"):
+        enumerate_level(11)
+    # A depth past the budget's bit length is refused without its power.
+    with pytest.raises(ResourceError, match="^level 1000000000 would have at least"):
+        enumerate_level(10 ** 9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_codec_examples():
