@@ -82,12 +82,14 @@ def _read_json(path: str, fold=None):
 # refusing NaN and the infinities, which are not JSON.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 _WRITE_SIZE = 1 << 16
+_SLICE_SIZE = 1 << 12
 
 
-def _pieces(value, depth: int = 2):
-    """The text of `_ENCODE(value)` in pieces: a dict or a list is opened
-    `depth` levels deep (a dict's keys in sorted order), and each value below
-    that is encoded whole, so no piece holds the whole text."""
+def _pieces(value, depth: int = 4):
+    """The text of `_ENCODE(value)` in pieces: a dict, or a list of dicts,
+    is opened `depth` levels deep (a dict's keys in sorted order), any other
+    list is encoded `_SLICE_SIZE` items at a time, and each value below that
+    is encoded whole, so no piece holds the whole text."""
     if not depth or not value or not isinstance(value, (dict, list)):
         yield _ENCODE(value)
     elif isinstance(value, dict):
@@ -99,13 +101,32 @@ def _pieces(value, depth: int = 2):
             yield from _pieces(value[key], depth - 1)
             opening = ","
         yield "}"
-    else:
+    elif isinstance(value[0], dict):
         opening = "["
         for item in value:
             yield opening
             yield from _pieces(item, depth - 1)
             opening = ","
         yield "]"
+    else:
+        opening = "["
+        for start in range(0, len(value), _SLICE_SIZE):
+            yield opening + _items_text(value[start:start + _SLICE_SIZE])
+            opening = ","
+        yield "]"
+
+
+def _items_text(items: list) -> str:
+    """`_ENCODE(items)` without its brackets.  Strings that need no escape
+    are joined as they are, so they are not escaped one by one: joined on
+    commas they encode to exactly two more characters, the quotes."""
+    try:
+        text = ",".join(items)
+    except TypeError:  # an item is not a string
+        return _ENCODE(items)[1:-1]
+    if len(_ENCODE(text)) == len(text) + 2:
+        return '"' + '","'.join(items) + '"'
+    return _ENCODE(items)[1:-1]
 
 
 def _batched(pieces):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
+from . import errors
 from .errors import ArgumentError, require_within
 from .index_core import Node, common_prefix, encode, enumerate_level, level_size
 
@@ -371,7 +372,9 @@ def comb_entries(d: int, cls: CombClass, max_size: int) -> CombTable:
     level_size(d)
     if max_size < 1:
         raise ArgumentError("max_size must be at least 1")
-    require_within(sum(_count_vector(d, cls, max_size)), "enumeration would produce", "combs")
+    counts, cut = _count_vector(d, cls, max_size, errors.BUDGET + 1)
+    require_within(sum(count for _, count in counts),
+                   f"enumeration would produce{' at least' if cut else ''}", "combs")
     table = _build_entries(d, cls, max_size, {})
     if cls.kind == "wide-right" and cls.reading == LITERAL:
         table = _dedupe_entries(table)
@@ -463,28 +466,36 @@ def _dedupe_entries(table: CombTable) -> CombTable:
 
 
 @lru_cache(maxsize=None)
-def _count_vector(d: int, cls: CombClass, max_size: int) -> tuple:
-    """counts[s] = number of size-(s+1) combs of the class at depth d."""
+def _count_vector(d: int, cls: CombClass, max_size: int, cap: int) -> tuple:
+    """(counts, cut): counts holds (s, number of size-s combs of the class at
+    depth d) for each size s <= max_size that has combs, ascending.  Counting
+    stops at `cap`: each count is held to it, and a level whose block combs
+    alone pass it skips its cross-block combs.  cut tells whether counting
+    stopped, which makes the sum of the counts a lower bound that passes the
+    cap.  So the counts stay small however deep the level, and only sizes
+    that have combs are paired."""
     if d == 0:
-        return tuple([1] + [0] * (max_size - 1))
-    sub = _count_vector(d - 1, cls, max_size)
+        return ((1, 1),), False
+    sub, cut = _count_vector(d - 1, cls, max_size, cap)
     part_cls = _part_class(cls)
-    part = sub if part_cls is cls else _count_vector(d - 1, part_cls, max_size)
-    out = [4 * c for c in sub]
-    pairings = len(_CROSS_BLOCKS[cls.kind])
-    for sa in range(1, max_size):
-        if not size_within(sa, cls.n):
-            continue
-        ca = part[sa - 1]
-        if ca == 0:
-            continue
-        for sb in range(1, max_size - sa + 1):
-            cb = part[sb - 1]
-            if cb:
-                out[sa + sb - 1] += pairings * ca * cb
-    # Literal-wide overlaps with narrow-right; this overestimates, which is
-    # fine for a resource guard.
-    return tuple(out)
+    part, part_cut = (sub, cut) if part_cls is cls else \
+        _count_vector(d - 1, part_cls, max_size, cap)
+    out = {size: 4 * count for size, count in sub}
+    if sum(out.values()) > cap:  # past the cap on the block combs alone
+        cut = True
+    else:
+        pairings = len(_CROSS_BLOCKS[cls.kind])
+        for sa, ca in part:
+            if not size_within(sa, cls.n):
+                continue
+            for sb, cb in part:
+                if sa + sb > max_size:
+                    break
+                out[sa + sb] = out.get(sa + sb, 0) + pairings * ca * cb
+        # Literal-wide overlaps with narrow-right; this overestimates, which
+        # is fine for a resource guard.
+        cut = cut or part_cut or max(out.values()) > cap
+    return tuple((size, min(out[size], cap)) for size in sorted(out)), cut
 
 
 def enumerate_combs(d: int, cls: CombClass, max_size: int) -> Iterator[frozenset]:

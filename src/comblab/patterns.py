@@ -15,16 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, compress, groupby, islice
+from itertools import combinations, compress, cycle, groupby, islice, repeat
 from math import comb as binom
-from operator import and_, lt, or_
+from operator import and_, itemgetter, lt, or_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
 from .combs import (CombClass, RECURSIVE, comb_entries, is_comb, mask_indices,
                     wide_right)
 from .errors import ArgumentError, ParseError, ResourceError, require_within
-from .index_core import Node, encode, enumerate_level
+from .index_core import Node, encode, enumerate_level, level_size
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_MAX_VIOLATIONS = 10
@@ -53,8 +53,9 @@ class SetSystem:
 
     def __init__(self, universe: Iterable[str], family: dict):
         self.universe = tuple(universe)
-        if not _distinct(self.universe):
-            raise ArgumentError("universe atoms must be distinct")
+        # Whether the universe is in name order already, so that naming
+        # atoms sorts nothing.
+        self._in_order = _distinct_in_order(self.universe)
         self.family = {index: self._mask(atoms) for index, atoms in family.items()}
         self.indices = frozenset(self.family)
 
@@ -62,6 +63,7 @@ class SetSystem:
         """A system over the same universe whose sets are given as masks."""
         out = SetSystem.__new__(SetSystem)
         out.universe = self.universe
+        out._in_order = self._in_order
         out.family = family
         out.indices = frozenset(family)
         return out
@@ -107,8 +109,8 @@ class SetSystem:
         return names[0] if names else None
 
     def atom_names(self, mask: int) -> list[str]:
-        return sorted(compress(self.universe,
-                               bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BYTE)))
+        names = compress(self.universe, bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BYTE))
+        return list(names) if self._in_order else sorted(names)
 
     def reindexed(self, mapping: dict) -> "SetSystem":
         """New system with family b'_new = b_old over the same universe."""
@@ -127,7 +129,8 @@ class SetSystem:
         for index in sorted(self.family, key=lambda i: enc(i)):
             entries.append({"index": enc(index),
                             "set": self.atom_names(self.family[index])})
-        return {"universe": sorted(self.universe), "family": entries}
+        universe = list(self.universe) if self._in_order else sorted(self.universe)
+        return {"universe": universe, "family": entries}
 
     @staticmethod
     def fold_entry(entry: dict) -> dict:
@@ -198,18 +201,23 @@ class SetSystem:
         return system._with_masks(family)
 
 
-def _distinct(atoms: tuple) -> bool:
-    """Whether no two atoms are equal, told without an index of them: atoms
-    that strictly increase as given or once sorted are distinct.  Atoms that
-    do not sort that way (two types, a partial order) are counted in a set.
-    An unhashable atom raises TypeError, as it would as a key of the index."""
+def _distinct_in_order(atoms: tuple) -> bool:
+    """Whether the atoms strictly increase as given; ArgumentError when two
+    are equal.  Told without an index of them: atoms that strictly increase
+    as given or once sorted are distinct.  Atoms that do not sort that way
+    (two types, a partial order) are counted in a set.  An unhashable atom
+    raises TypeError, as it would as a key of the index."""
     hash(atoms)
     try:
-        if _increasing(atoms) or _increasing(sorted(atoms)):
+        if _increasing(atoms):
             return True
+        if _increasing(sorted(atoms)):
+            return False
     except TypeError:
         pass
-    return len(set(atoms)) == len(atoms)
+    if len(set(atoms)) < len(atoms):
+        raise ArgumentError("universe atoms must be distinct")
+    return False
 
 
 def _increasing(atoms) -> bool:
@@ -228,6 +236,8 @@ class _FoldedAtoms(str):
         return repr(self.split(self.SEPARATOR))
 
 
+# The weave witness joins its keys, and names its atoms, this many at a time.
+_NAME_BATCH = 4096
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 # _BIT_TO_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0".
@@ -904,32 +914,43 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
     node's bit across them.
     """
     _require_k(k)
-    level = enumerate_level(d)
-    masks = comb_entries(d, wide_right(n), max_size=len(level)).masks
+    nodes = level_size(d)
+    masks = comb_entries(d, wide_right(n), max_size=nodes).masks
     if genuine_k:
-        require_within(len(masks) + sum(binom(len(level), size) for size in range(1, k)),
+        sizes = range(1, min(k, nodes + 1))  # no subset has more than `nodes` nodes
+        require_within(len(masks) + sum(binom(nodes, size) for size in sizes),
                        "witness universe would have", "atoms")
         masks += [sum(1 << i for i in combo)
-                  for size in range(1, k)
-                  for combo in combinations(range(len(level)), size)]
-    width = (len(level) + 7) // 8
-    for pos, mask in enumerate(masks):  # in place, so each int dies as its key is made
-        masks[pos] = mask.to_bytes(width, "little").translate(_REVERSED_BITS)
-    masks.sort(reverse=True)
-    # Appended one by one: `b"".join` would hold an 80-byte buffer per atom.
+                  for size in sizes
+                  for combo in combinations(range(nodes), size)]
+    width = (nodes + 7) // 8
+    keys = list(map(bytes.translate, map(int.to_bytes, masks, repeat(width), repeat("little")),
+                    repeat(_REVERSED_BITS)))
+    del masks
+    keys.sort(reverse=True)
+    # Joined _NAME_BATCH at a time: `b"".join` holds an 80-byte buffer per item.
     raw = bytearray()
-    for key, _ in groupby(masks):
-        raw += key
-    del masks  # the keys die here: 16 MB at depth 3
+    unique = map(itemgetter(0), groupby(keys))
+    while batch := b"".join(islice(unique, _NAME_BATCH)):
+        raw += batch
+    del keys, unique  # the keys die here: 16 MB at depth 3
     # tables[b][value] names the nodes of byte b set in `value`, each
-    # followed by a comma.
+    # followed by a comma; the first byte's names open with "{" and the last
+    # byte's close with "\x01".  A batch of keys read through the tables is
+    # then one text of "{n1,...,nk,\x01" per atom, cut into names at once.
+    level = enumerate_level(d)
     digits = [(node.digits or "-") + "," for node in level]
-    digits += [""] * (8 * width - len(level))
+    digits += [""] * (8 * width - nodes)
     tables = [["".join(digits[8 * b + j] for j in range(8) if value >> (7 - j) & 1)
                for value in range(256)]
               for b in range(width)]
-    names = ["{" + "".join(map(list.__getitem__, tables, raw[start:start + width]))[:-1] + "}"
-             for start in range(0, len(raw), width)]
+    tables[0] = ["{" + entry for entry in tables[0]]
+    tables[-1] = [entry + "\x01" for entry in tables[-1]]
+    names = []
+    step = width * _NAME_BATCH
+    for start in range(0, len(raw), step):
+        text = "".join(map(list.__getitem__, cycle(tables), raw[start:start + step]))
+        names += text.replace(",\x01", "}\x01")[:-1].split("\x01")
     # Node i's set: bit 7 - i % 8 of byte i // 8 across all atoms, read as a
     # binary numeral with atom 0 as its lowest digit.
     family = {node: int(raw[i // 8::width].translate(_BIT_TO_DIGIT[7 - i % 8])[::-1], 2)

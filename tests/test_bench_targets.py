@@ -4,9 +4,15 @@ only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer():
@@ -31,3 +37,22 @@ def test_tracer_targets_resolve():
         assert attr in vars(owner), name
         raw = vars(owner)[attr]
         assert callable(getattr(raw, "__func__", raw)), name
+
+
+def test_traced_witness_records_the_write_layers(tmp_path):
+    # The traced weave-build run reads the witness's write side from these
+    # spans: a write path that went round `to_json` or `_emit` would leave
+    # them at zero.
+    prefix, out = str(tmp_path / "spans"), tmp_path / "weave1.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), prefix, str(time.monotonic_ns()), "weave1", "--",
+         "witness", "weave", "--depth", "1", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tracer = _tracer()
+    spans = tracer.aggregate(tracer.load(prefix))
+    for name in ("patterns.weave_witness", "patterns.SetSystem.to_json", "cli.json_dump"):
+        assert spans[f"{name}.calls"] == 1 and spans[f"{name}.s"] > 0, name
+    universe = json.loads(out.read_text(encoding="utf-8"))["universe"]
+    assert spans["patterns.weave_witness.atoms"] == len(universe) == 8

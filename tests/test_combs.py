@@ -308,12 +308,18 @@ def test_enumerate_combs_resource_limit(monkeypatch):
     cls = CombClass("wide-right", OMEGA)
     monkeypatch.setattr(errors, "BUDGET", 288)
     assert len(list(enumerate_combs(2, cls, 16))) == 288
-    monkeypatch.setattr(errors, "BUDGET", 287)
-    start = time.perf_counter()
-    with pytest.raises(ResourceError,
-                       match="^enumeration would produce 288 combs, over the limit 287$"):
-        list(enumerate_combs(2, cls, 16))
-    assert time.perf_counter() - start < 0.1
+    # By size they are 16, 80, 128 and 64.  Counting stops past the budget:
+    # a count above it is held there, and a level whose block combs alone
+    # (4 times the level below's 8) pass it skips its cross-block combs; the
+    # refusal then gives the sum it reached as a lower bound.
+    for budget, message in ((287, "288"), (127, "288"), (126, "at least 287"),
+                            (31, "at least 112"), (30, "at least 32")):
+        monkeypatch.setattr(errors, "BUDGET", budget)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError, match=f"^enumeration would produce {message} "
+                                                f"combs, over the limit {budget}$"):
+            list(enumerate_combs(2, cls, 16))
+        assert time.perf_counter() - start < 0.1
 
 
 def test_comb_table_matches_reference():

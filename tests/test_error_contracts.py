@@ -169,8 +169,14 @@ def test_weave_witness_resource_limit(monkeypatch):
     _refused_quickly(lambda: weave_witness(1, 3, 1, OMEGA, genuine_k=True),
                      "witness universe would have 18 atoms, over the limit 17")
     monkeypatch.undo()
+    # The comb count stops once it passes the budget, so a deep level within
+    # the node budget is refused at once: depth 8 used to spend 1.5 s, and
+    # depth 9 10 s, on an exact count of about 170 digits.
     _refused_quickly(lambda: weave_witness(4, 2, 1, OMEGA),
-                     r"enumeration would produce \d+ combs, over the limit 2000000")
+                     "enumeration would produce at least 26753165 combs, over the limit 2000000")
+    for d in (8, 9, 10):
+        _refused_quickly(lambda: weave_witness(d, 2, 1, OMEGA),
+                         r"enumeration would produce at least \d{8} combs, over the limit 2000000")
 
 
 def test_every_other_guard_reads_the_one_budget(monkeypatch):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from comblab import errors
+from comblab import errors, patterns
 from comblab.combs import OMEGA
 from comblab.cographs import Graph, comb_graph
 from comblab.errors import ArgumentError, ParseError, ResourceError
@@ -68,6 +68,28 @@ def test_set_system_int_atoms_are_names():
         SetSystem([1, 5], {"a": {0}})
     with pytest.raises(ArgumentError, match="atom 7 is not in the universe"):
         ci.mutated_without("a", 7)
+
+
+def test_atom_names_sorted_on_a_universe_out_of_order():
+    # Names are listed without a sort only when the universe increases as
+    # given; realizable names its atoms c0, ..., c10, which do not ("c10" <
+    # "c2").  Index 10 is in every must-consist set, so it has every atom.
+    template = Template.make(range(11), [{i, 10} for i in range(11)], [], 2)
+    system = realizable(template)
+    assert system.universe == tuple(f"c{i}" for i in range(11))
+    names = sorted(system.universe)
+    assert system.atom_names(system.set_of(10)) == names
+    assert system.reindexed({"x": 10}).atom_names(system.set_of(10)) == names
+    assert system.common_atom([10]) == "c0"
+    payload = system.to_json(repr)
+    assert payload["universe"] == names
+    assert [entry["set"] for entry in payload["family"]][:3] == [["c0"], ["c1"], names]
+    assert SetSystem.from_json(payload, int).to_json(repr) == payload
+    reversed_payload = {"universe": names[::-1], "family": payload["family"]}
+    assert SetSystem.from_json(reversed_payload, int).to_json(repr) == payload
+    in_order = SetSystem(names, {0: names[::-1]})
+    assert in_order.to_json(repr) == {"universe": names, "family": [{"index": "0",
+                                                                     "set": names}]}
 
 
 def test_consistent_unknown_index():
@@ -283,6 +305,13 @@ def test_weave_witness_genuine_k():
     report = check_weave(ci, 2, 2, OMEGA, OMEGA, strong=True)
     assert not report.ok
     assert report.violations[0].kind == INCONSISTENCY
+    # Past the level's size every node subset is an atom already: a huge k
+    # used to loop over every size below it.
+    start = time.perf_counter()
+    everything = weave_witness(1, 10 ** 9, 1, OMEGA, genuine_k=True)
+    assert time.perf_counter() - start < 0.5
+    assert everything.to_json() == weave_witness(1, 5, 1, OMEGA, genuine_k=True).to_json()
+    assert len(everything.universe) == 2 ** 4 - 1
 
 
 def test_weave_witness_matches_reference(monkeypatch):
@@ -300,6 +329,14 @@ def test_weave_witness_matches_reference(monkeypatch):
                     got = weave_witness(*args)
                     assert got.to_json() == reference_weave_witness(*args).to_json(), args
                     assert list(got.universe) == sorted(got.universe)
+    # Atoms are named a batch of keys at a time: batches of 1 and 7 keys cut
+    # the depth-2 witnesses (two bytes a key) at every edge.
+    for batch in (1, 7):
+        monkeypatch.setattr(patterns, "_NAME_BATCH", batch)
+        for args in ((2, 2, 1, OMEGA), (2, 3, 1, 1, True), (1, 2, 1, 2)):
+            assert weave_witness(*args).to_json() == \
+                reference_weave_witness(*args).to_json(), (batch, args)
+    monkeypatch.undo()
     for args, budget in (((2, 1, 1, OMEGA), None), ((2, 2, 1, OMEGA), 10),
                          ((1, 3, 1, OMEGA, True), 10), ((1, 3, 1, OMEGA, True), 17)):
         if budget is not None:
