@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, compress, cycle, groupby, islice, repeat
 from math import comb as binom
-from operator import and_, itemgetter, lt, or_
+from operator import and_, is_, itemgetter, lt, or_
 from typing import Callable, Iterable, Optional
 
 from . import combs as combs_mod
 from .combs import (CombClass, RECURSIVE, comb_entries, is_comb, mask_indices,
                     wide_right)
-from .errors import ArgumentError, ParseError, ResourceError, require_within
+from .errors import (ArgumentError, ComblabError, ParseError, ResourceError,
+                     require_within)
 from .index_core import Node, encode, enumerate_level, level_size
 
 DEFAULT_SEED = 0xC0FFEE
@@ -70,16 +71,15 @@ class SetSystem:
 
     @cached_property
     def _atom_id(self) -> dict:
-        """Atom name -> bit, built by the first `_mask` call.  A system whose
-        sets are all given as masks, as `from_json` returns and as the weave
-        witness is, holds none unless a set is later masked by name: 17 MB
-        for the 332,928 atoms of the depth-3 weave witness."""
+        """Atom name -> bit, built by the first `_mask` call, or by `_pack`
+        when it packs a universe in one block or a name misses its block.  A
+        system whose sets are all given as masks, as the weave witness is,
+        holds none unless a set is later masked by name: 17 MB for the
+        332,928 atoms of the depth-3 weave witness."""
         return {name: i for i, name in enumerate(self.universe)}
 
     def _mask(self, atoms: Iterable) -> int:
         """The mask of the named atoms; every atom is looked up by name."""
-        # One byte per atom, read as a binary numeral: a single big-int
-        # conversion instead of one universe-wide `|` per atom.
         bits = bytearray(len(self.universe))
         atom_id = self._atom_id
         for atom in atoms:
@@ -87,7 +87,7 @@ class SetSystem:
                 bits[atom_id[atom]] = 1
             except (KeyError, TypeError):  # an unhashable atom is not in the universe either
                 raise ArgumentError(f"atom {atom!r} is not in the universe") from None
-        return int(bits[::-1].translate(_BYTE_TO_DIGIT) or b"0", 2)
+        return _numeral(bits)
 
     def set_of(self, index) -> int:
         try:
@@ -137,7 +137,7 @@ class SetSystem:
         """Applied to each JSON object as a set-system file is decoded: an
         entry's 'set' of string atoms becomes one `_FoldedAtoms` string, so
         the decoded file does not hold one string per atom of every set at
-        once.  `from_json` splits each set back as it packs the mask.  A set
+        once.  `from_json` packs the masks from the folded texts.  A set
         that is empty, holds a non-string, or has an atom containing the
         separator stays a list."""
         atoms = entry.get("set")
@@ -172,33 +172,105 @@ class SetSystem:
                              if type(atom) is not first)
             raise ParseError(f"universe[{pos}] must have the type of universe[0] "
                              f"({first.__name__}), got {atom!r}")
-        family = {}
-        for pos, entry in enumerate(payload["family"]):
-            if not isinstance(entry, dict) or "index" not in entry:
-                raise ParseError(f"family[{pos}] must be an object with an 'index'")
-            atoms = entry.get("set")
+        # Every entry is checked before any atom is looked up.  Atoms are
+        # looked up entry by entry only when one is not in the universe or an
+        # entry is refused, so that the first failing entry raises.
+        family, sets, refused = {}, [], None
+        try:
+            for pos, entry in enumerate(payload["family"]):
+                if not isinstance(entry, dict) or "index" not in entry:
+                    raise ParseError(f"family[{pos}] must be an object with an 'index'")
+                atoms = entry.get("set")
+                if isinstance(atoms, _FoldedAtoms):
+                    if first is not str:
+                        atoms = atoms.names()
+                elif not isinstance(atoms, list):
+                    raise ParseError(f"family[{pos}] needs a 'set' list")
+                try:
+                    index = index_decoder(entry["index"])
+                except (ParseError, ValueError, TypeError) as err:
+                    raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: "
+                                     f"{err}") from None
+                if index in family:
+                    raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
+                # Atoms are looked up by value, and `True == 1 == 1.0`; no other
+                # JSON type equals a string, so a string universe needs no test.
+                if first is not str:
+                    for atom in atoms:
+                        if type(atom) is not first:
+                            raise ParseError(f"family[{pos}]: atom {atom!r} must have the "
+                                             f"type of the universe's atoms ({first.__name__})")
+                family[index] = None
+                sets.append(atoms)
+        except ComblabError as err:
+            refused = err
+        masks = None if refused else system._pack(sets)
+        if masks is None:
+            for pos, atoms in enumerate(sets):
+                if isinstance(atoms, _FoldedAtoms):
+                    atoms = atoms.names()
+                try:
+                    system._mask(atoms)
+                except ArgumentError as err:
+                    raise ArgumentError(f"family[{pos}]: {err}") from None
+            raise refused
+        return system._with_masks(dict(zip(family, masks)))
+
+    def _pack(self, sets: list) -> Optional[list]:
+        """The masks of `from_json`'s checked sets, or None when an atom is
+        not in the universe.
+
+        A list is masked by `_mask`.  Folded sets are packed together, one
+        block of the universe at a time: `_PACK_BLOCK` atoms of a universe
+        in name order, otherwise the whole universe.  Each block's names are
+        looked up in a dict of that block alone, which stays in cache where
+        the whole universe's index does not.  A set in name order gives up
+        to each block the atoms that sort below the next block's first name,
+        found by a binary search of its text.  A name that misses the block's
+        dict is looked up in `_atom_id`, so a set or a universe out of order
+        is packed all the same, only with less locality.
+        """
+        masks = [None] * len(sets)
+        folded = []
+        for pos, atoms in enumerate(sets):
             if isinstance(atoms, _FoldedAtoms):
-                atoms = atoms.split(_FoldedAtoms.SEPARATOR)
-            elif not isinstance(atoms, list):
-                raise ParseError(f"family[{pos}] needs a 'set' list")
+                folded.append(pos)
+                continue
             try:
-                index = index_decoder(entry["index"])
-            except (ParseError, ValueError, TypeError) as err:
-                raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: {err}") from None
-            if index in family:
-                raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
-            # Atoms are looked up by value, and `True == 1 == 1.0`; no other
-            # JSON type equals a string, so a string universe needs no test.
-            if first is not str:
-                for atom in atoms:
-                    if type(atom) is not first:
-                        raise ParseError(f"family[{pos}]: atom {atom!r} must have the type "
-                                         f"of the universe's atoms ({first.__name__})")
-            try:
-                family[index] = system._mask(atoms)
-            except ArgumentError as err:
-                raise ArgumentError(f"family[{pos}]: {err}") from None
-        return system._with_masks(family)
+                masks[pos] = self._mask(atoms)
+            except ArgumentError:
+                return None
+        universe, size = self.universe, len(self.universe)
+        blocked = self._in_order and size > _PACK_BLOCK
+        rows = [bytearray(size) for _ in folded]
+        starts = [0] * len(folded)
+        for low in range(0, size, _PACK_BLOCK) if blocked else (0,):
+            high = low + _PACK_BLOCK
+            if blocked:
+                names_at = dict(zip(universe[low:high], range(low, high)))
+                bound = universe[high] if high < size else None
+            else:
+                names_at, bound = self._atom_id, None
+            for j, pos in enumerate(folded):
+                text, start = sets[pos], starts[j]
+                end = _cut(text, start, bound)
+                if end == start:
+                    continue
+                starts[j] = end
+                names, row = text[start:end - 1].split(_FoldedAtoms.SEPARATOR), rows[j]
+                try:
+                    for at in map(names_at.__getitem__, names):
+                        row[at] = 1
+                except KeyError:
+                    ats = list(map(self._atom_id.get, names))
+                    if None in ats:
+                        return None
+                    for at in ats:
+                        row[at] = 1
+        for j, pos in enumerate(folded):
+            masks[pos] = _numeral(rows[j])
+            rows[j] = None
+        return masks
 
 
 def _distinct_in_order(atoms: tuple) -> bool:
@@ -224,6 +296,34 @@ def _increasing(atoms) -> bool:
     return all(map(lt, atoms, islice(atoms, 1, None)))
 
 
+def _numeral(bits: bytearray) -> int:
+    """The mask with bit i set where bits[i] is 1: one byte per atom, read
+    as a binary numeral in a single big-int conversion instead of one
+    universe-wide `|` per atom."""
+    return int(bits[::-1].translate(_BYTE_TO_DIGIT) or b"0", 2)
+
+
+def _cut(text: str, start: int, bound: Optional[str]) -> int:
+    """Where the first atom of a folded set at or after `start` that does not
+    sort below `bound` begins, for a set in name order; len(text) + 1 when
+    there is none or no bound.  `start` is where an atom begins: at 0 or
+    after a separator."""
+    low, high = start, len(text) + 1
+    if bound is None:
+        return high
+    while low < high:
+        mid = (low + high) // 2
+        first = text.rfind(_FoldedAtoms.SEPARATOR, low, mid) + 1 or low
+        last = text.find(_FoldedAtoms.SEPARATOR, first)
+        if last < 0:
+            last = len(text)
+        if text[first:last] < bound:
+            low = last + 1
+        else:
+            high = first
+    return low
+
+
 class _FoldedAtoms(str):
     """A family entry's string atoms, joined on SEPARATOR by
     `SetSystem.fold_entry`.  Its repr is the list's, so a message that quotes
@@ -232,12 +332,20 @@ class _FoldedAtoms(str):
     __slots__ = ()
     SEPARATOR = "\n"
 
+    def names(self) -> list[str]:
+        """The atoms, as plain strings: `split` gives the folded text itself
+        back for the one empty atom of [""], and its repr is this list's."""
+        return str(self).split(self.SEPARATOR)
+
     def __repr__(self) -> str:
-        return repr(self.split(self.SEPARATOR))
+        return repr(self.names())
 
 
 # The weave witness joins its keys, and names its atoms, this many at a time.
 _NAME_BATCH = 4096
+# `SetSystem.from_json` packs the folded sets over a universe in name order
+# this many atoms at a time.
+_PACK_BLOCK = 4096
 _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 # _BIT_TO_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0".
@@ -435,16 +543,23 @@ def _fold_plan(table, target) -> bytearray:
     (it is a part of a folded compound, so its state must be kept); _SKIP
     when neither.
 
-    Folded combs are those of size `target` (all when it is None; True is
-    _FOLD) plus their part ancestry.  Parts precede compounds, so one
-    backward pass marks every compound before its parts.
+    Folded combs are those of size `target` (all when it is None) plus their
+    part ancestry, which is marked from the combs of size `target` down, so
+    only the folded combs are visited, each once.
     """
-    plan = bytearray([target is None or size == target for size in table.sizes])
+    if target is None:
+        plan = bytearray([_FOLD]) * len(table)
+    else:
+        plan = bytearray(map(target.__eq__, table.sizes))  # True is _FOLD
     a, b = table.a, table.b
-    for pos in range(len(table) - 1, -1, -1):
-        if plan[pos] and a[pos] >= 0:
-            plan[a[pos]] |= _KEEP
-            plan[b[pos]] |= _KEEP
+    todo = list(compress(range(len(plan)), plan))
+    while todo:
+        pos = todo.pop()
+        if a[pos] >= 0:
+            for part in (a[pos], b[pos]):
+                if not plan[part]:
+                    todo.append(part)
+                plan[part] |= _KEEP
     return plan
 
 
@@ -461,12 +576,12 @@ def _family_consistency(ci, table, level, target=None):
     """
     states = [ci.state(node) for node in level]
     meet, verdict, monotone = ci.meet, ci.verdict, ci.monotone
+    masks, a, b = table.masks, table.a, table.b
     parts = {}
     verdicts = [None] * len(table)
-    for pos, (mask, ia, ib, role) in enumerate(zip(table.masks, table.a, table.b,
-                                                   _fold_plan(table, target))):
-        if role == _SKIP:
-            continue
+    plan = _fold_plan(table, target)
+    for pos in compress(range(len(plan)), plan):  # the rows that are not _SKIP
+        mask, ia, ib, role = masks[pos], a[pos], b[pos], plan[pos]
         if ia < 0:
             state = states[mask.bit_length() - 1]
         else:
@@ -523,16 +638,28 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     if n is combs_mod.OMEGA and ci.monotone and cons_cls.reading == RECURSIVE:
         target = min(cap, 2 ** d)
     cons_verdicts = _family_consistency(ci, cons_table, level, target=target)
-    inconsistent = [pos for pos, verdict in enumerate(cons_verdicts) if verdict is False]
+    inconsistent = list(compress(range(len(cons_verdicts)),
+                                 map(is_, cons_verdicts, repeat(False))))
     for pos in _report_order(cons_table, inconsistent):
         sink.add(lambda: violation(CONSISTENCY, cons_table.masks[pos], cons_cls))
     return sink.report(cap, truncated=cap < 2 ** d)
 
 
 def _report_order(table, positions: list[int]) -> list[int]:
-    """The given table positions by size, then by ascending level positions."""
-    sizes, masks = table.sizes, table.masks
-    return sorted(positions, key=lambda i: (sizes[i], mask_indices(masks[i])))
+    """The given table positions by size, then by ascending level positions.
+
+    Of two combs of one size, the one holding the lowest level position
+    where they differ comes first.  That position is the highest where their
+    masks differ once the bits are reversed over a common width, so within a
+    size the order is that of the reversed masks, descending: the order of
+    the weave witness's name-order keys, compared as bytes in C.
+    """
+    masks = list(map(table.masks.__getitem__, positions))
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    keys = map(bytes.translate, map(int.to_bytes, masks, repeat(width), repeat("little")),
+               repeat(_REVERSED_BITS))
+    by_key = [pos for _, pos in sorted(zip(keys, positions), key=itemgetter(0), reverse=True)]
+    return sorted(by_key, key=table.sizes.__getitem__)
 
 
 # --- grids ----------------------------------------------------------------

@@ -9,10 +9,10 @@ from comblab import errors
 from comblab.combs import (_CROSS_BLOCKS, LITERAL, OMEGA, CombClass,
                            RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
                            size_within, wide_right)
-from comblab.errors import ArgumentError, ResourceError
+from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
-from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report,
+from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _FoldedAtoms,
                               SetSystem, Violation, comparable, grid_points, is_antichain,
                               k_inconsistent, product_leq, strictly_below)
 
@@ -435,6 +435,59 @@ def random_set_system(indices, rng, atoms=4):
     family = {index: {u for u in universe if rng.random() < 0.55}
               for index in indices}
     return SetSystem(universe, family)
+
+
+def reference_from_json(payload, index_decoder):
+    """`SetSystem.from_json` the sequential way: each entry is checked and
+    then packed by name lookups in the whole universe's index, in family
+    order, so the first failing entry raises."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"set system must be a JSON object, got {type(payload).__name__}")
+    for key in ("universe", "family"):
+        if not isinstance(payload.get(key), list):
+            raise ParseError(f"set system needs a {key!r} list")
+    try:
+        system = SetSystem(payload["universe"], {})
+    except TypeError:
+        pos, atom = next((pos, atom) for pos, atom in enumerate(payload["universe"])
+                         if isinstance(atom, (list, dict)))
+        raise ParseError(f"universe[{pos}] must be a JSON scalar, got {atom!r}") from None
+    first = type(system.universe[0]) if system.universe else str
+    if len(set(map(type, system.universe))) > 1:
+        pos, atom = next((pos, atom) for pos, atom in enumerate(system.universe)
+                         if type(atom) is not first)
+        raise ParseError(f"universe[{pos}] must have the type of universe[0] "
+                         f"({first.__name__}), got {atom!r}")
+    atom_id = {name: i for i, name in enumerate(system.universe)}
+    family = {}
+    for pos, entry in enumerate(payload["family"]):
+        if not isinstance(entry, dict) or "index" not in entry:
+            raise ParseError(f"family[{pos}] must be an object with an 'index'")
+        atoms = entry.get("set")
+        if isinstance(atoms, _FoldedAtoms):
+            atoms = str(atoms).split(_FoldedAtoms.SEPARATOR)
+        elif not isinstance(atoms, list):
+            raise ParseError(f"family[{pos}] needs a 'set' list")
+        try:
+            index = index_decoder(entry["index"])
+        except (ParseError, ValueError, TypeError) as err:
+            raise ParseError(f"family[{pos}]: bad index {entry['index']!r}: {err}") from None
+        if index in family:
+            raise ArgumentError(f"family[{pos}]: duplicate index {entry['index']!r}")
+        if first is not str:
+            for atom in atoms:
+                if type(atom) is not first:
+                    raise ParseError(f"family[{pos}]: atom {atom!r} must have the type "
+                                     f"of the universe's atoms ({first.__name__})")
+        bits = bytearray(len(system.universe))
+        for atom in atoms:
+            try:
+                bits[atom_id[atom]] = 1
+            except (KeyError, TypeError):
+                raise ArgumentError(f"family[{pos}]: atom {atom!r} is not in the universe") \
+                    from None
+        family[index] = int(bits[::-1].translate(bytes.maketrans(b"\x00\x01", b"01")) or b"0", 2)
+    return system._with_masks(family)
 
 
 def induced_p4_oracle(graph):

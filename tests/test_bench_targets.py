@@ -56,3 +56,24 @@ def test_traced_witness_records_the_write_layers(tmp_path):
         assert spans[f"{name}.calls"] == 1 and spans[f"{name}.s"] > 0, name
     universe = json.loads(out.read_text(encoding="utf-8"))["universe"]
     assert spans["patterns.weave_witness.atoms"] == len(universe) == 8
+
+
+def test_traced_check_records_the_read_layers(tmp_path):
+    # The traced weave-check run reads the witness's read side from these
+    # spans: a read path that went round `_read_json` or `from_json`, with
+    # the packing moved into a helper of its own, would leave them at zero.
+    path, prefix = tmp_path / "weave1.json", str(tmp_path / "spans")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "comblab.cli", "witness", "weave", "--depth", "1",
+                    "--out", str(path)], env=env, check=True, capture_output=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, str(TRACER), prefix, str(time.monotonic_ns()), "check1", "--",
+         "check-weave", "--depth", "1", "-k", "2", "--strong", "--in", str(path),
+         "--out", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    tracer = _tracer()
+    spans = tracer.aggregate(tracer.load(prefix))
+    for name in ("cli.json_load", "patterns.SetSystem.from_json", "patterns.check_weave"):
+        assert spans[f"{name}.calls"] == 1 and spans[f"{name}.s"] > 0, name
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["ok"]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from cli_fixtures import build_workdir, golden_commands, run_cli
-from comblab import cli
+from comblab import cli, patterns
 from comblab.errors import ComblabError
 from comblab.index_core import decode
 from comblab.patterns import SetSystem
-from helpers import MALFORMED_SET_SYSTEMS
+from helpers import MALFORMED_SET_SYSTEMS, reference_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -90,6 +91,10 @@ SET_SYSTEM_ERRORS = MALFORMED_SET_SYSTEMS + [
      r"family\[0\]: atom 'zz' is not in the universe"),
     ({"universe": ["a"], "family": [{"index": "-", "set": ["a"]}, {"index": "-", "set": []}]},
      r"family\[1\]: duplicate index '-'"),
+    # [""] is folded to an empty text, which `split` gave back as itself: its
+    # repr recursed without end.
+    ({"universe": ["a"], "family": [{"index": "-", "set": [""]}]},
+     r"family\[0\]: atom '' is not in the universe"),
     ({"universe": [1, 2], "family": [{"index": "-", "set": ["1", "2"]}]},
      r"family\[0\]: atom '1' must have the type of the universe's atoms \(int\)"),
     ({"universe": ["a", {"set": ["a", "b"]}], "family": []},
@@ -133,6 +138,117 @@ def test_set_system_file_reader_matches_from_json(tmp_path, monkeypatch, payload
     for system in (cli._load_system(str(path), "node"), cli._load_system("-", "node")):
         assert (system.universe, system.family) == (expected.universe, expected.family)
         assert system.to_json() == expected.to_json()
+
+
+def _packing_payloads(rng):
+    """Set-system payloads for the block packer: string universes in and out
+    of order, sets sorted and not, repeated, empty and unknown atoms, atoms
+    with the separator or none at all, int universes, and structural errors
+    before and after an atom error."""
+    names = sorted({"".join(rng.choice("ab\n") for _ in range(rng.randrange(4)))
+                    for _ in range(12)})
+    wide = [f"w{i:05d}" for i in range(9000)]  # crosses the default block's edges
+
+    def entries(universe, strange):
+        out = []
+        for i in range(rng.randrange(7)):
+            atoms = [rng.choice(universe) for _ in range(rng.randrange(8))] if universe else []
+            if rng.random() < 0.5:
+                atoms = sorted(set(atoms), key=universe.index)
+            if rng.random() < 0.2:
+                atoms.insert(rng.randrange(len(atoms) + 1), rng.choice(strange))
+            out.append({"index": "0" * i or "-", "set": atoms})
+        if out and rng.random() < 0.3:
+            out.insert(rng.randrange(len(out) + 1), rng.choice([
+                {"set": []}, {"index": "0", "set": "a"}, {"index": "x", "set": []},
+                {"index": "0" * rng.randrange(len(out)) or "-", "set": []}, "-"]))
+        return out
+
+    yield from [
+        # an atom error, then a structural one, in either order
+        {"universe": ["a", "b"],
+         "family": [{"index": "-", "set": ["b", "q", "a"]}, {"index": "x", "set": []}]},
+        {"universe": ["a", "b"],
+         "family": [{"index": "0", "set": []}, {"index": "-", "set": ["q"]}, {"set": []}]},
+        {"universe": ["a", "b"],
+         "family": [{"index": "-", "set": ["a"]}, {"index": "-", "set": ["q"]}]},
+        # unknown atoms in several entries: the first entry's first one
+        {"universe": ["a", "b", "c"],
+         "family": [{"index": "-", "set": ["a"]}, {"index": "0", "set": ["c", "r", "a", "q"]},
+                    {"index": "1", "set": ["p"]}]},
+        {"universe": ["c", "a", "b"],
+         "family": [{"index": "-", "set": ["b", "a", "a", ""]}, {"index": "0", "set": ["c"]}]},
+        {"universe": [], "family": [{"index": "-", "set": []}, {"index": "0", "set": ["a"]}]},
+        {"universe": ["", "\n", "a\nb"],
+         "family": [{"index": "-", "set": ["", ""]}, {"index": "0", "set": ["a\nb", ""]},
+                    {"index": "1", "set": ["\n", "a"]}]},
+    ]
+    for _ in range(60):
+        universe = rng.sample(names, rng.randrange(len(names) + 1))
+        if rng.random() < 0.5:
+            universe.sort()
+        yield {"universe": universe,
+               "family": entries(universe, ["zz", "", "a\nz", 7, ["a"], {"b": 1}])}
+    for _ in range(10):
+        universe = rng.sample(range(20), 8)
+        yield {"universe": universe, "family": entries(universe, [99, "a", 1.5, True])}
+    for _ in range(4):
+        universe = wide if rng.random() < 0.7 else rng.sample(wide, len(wide))
+        family = [{"index": "0" * i or "-",
+                   "set": sorted(rng.sample(wide, rng.randrange(1, 3000)))} for i in range(3)]
+        for entry in rng.sample(family, rng.randrange(3)):
+            entry["set"].insert(rng.randrange(len(entry["set"])), "w0999x")
+        yield {"universe": universe, "family": family}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_block_packing_matches_the_sequential_reader(tmp_path, monkeypatch, block):
+    # from_json packs the folded sets one universe block at a time; masks,
+    # or the error raised and its message, must be those of checking and
+    # packing the entries one by one, from a folded file or plain lists.
+    def outcome(read):
+        try:
+            system = read()
+        except ComblabError as err:
+            return type(err), str(err)
+        return system.universe, system.family, f"in_order={system._in_order}"
+
+    if block is not None:
+        monkeypatch.setattr(patterns, "_PACK_BLOCK", block)
+    path = tmp_path / "system.json"
+    rng = random.Random(0xC0FFEE + (block or 0))
+    kinds = {"is not in the universe", "duplicate index", "bad index", "must be an object",
+             "needs a 'set' list", "must have the type", "in_order=True", "in_order=False"}
+    seen = set()
+    for payload in _packing_payloads(rng):
+        text = json.dumps(payload)
+        path.write_text(text)
+        want = outcome(lambda: reference_from_json(json.loads(text), decode))
+        seen.update(kind for kind in kinds if kind in str(want[-1]))
+        assert outcome(lambda: SetSystem.from_json(json.loads(text), decode)) == want, text
+        folded = lambda: cli._read_json(str(path), SetSystem.fold_entry)  # noqa: E731
+        assert outcome(lambda: reference_from_json(folded(), decode)) == want, text
+        assert outcome(lambda: SetSystem.from_json(folded(), decode)) == want, text
+    assert seen == kinds
+
+
+def test_block_packing_needs_no_universe_index(monkeypatch):
+    # Sets in name order over a universe in name order are packed from the
+    # blocks' own dicts alone; the universe-wide index is built only when a
+    # name misses its block.
+    universe = [f"w{i:05d}" for i in range(9000)]
+    family = [{"index": "-", "set": universe[::3]}, {"index": "0", "set": universe[4000:4100]}]
+    built = []
+    monkeypatch.setattr(SetSystem, "_atom_id", property(
+        lambda system: built.append(1) or {name: i for i, name in enumerate(system.universe)}))
+    for unsorted in (False, True):
+        if unsorted:
+            family[1]["set"].reverse()
+        payload = {"universe": universe, "family": [SetSystem.fold_entry(dict(entry))
+                                                    for entry in family]}
+        system = SetSystem.from_json(payload, decode)
+        assert system.atom_names(system.set_of(decode("0"))) == universe[4000:4100]
+        assert bool(built) == unsorted
 
 
 def test_fold_entry_joins_string_sets_only():
@@ -701,10 +817,12 @@ def test_weave_witness_depth_3_peak_memory(weave3):
 def test_check_weave_depth_3_peak_memory(weave3, tmp_path):
     # json.load held every atom name of every set at once: the check peaked
     # at 262 MB.  With each set's atoms folded into one string while the file
-    # is decoded, and split back one set at a time, it peaks near 150 MB.
+    # is decoded, it peaks near 150 MB, while the file's text is decoded; the
+    # masks are packed after that, one universe block at a time, and their
+    # state (a byte per atom per set, 21 MB) must stay below that peak.
     path, _, _ = weave3
     code, peak_kb = peak_of(["check-weave", "--depth", "3", "-k", "2", "--strong",
                              "--in", str(path), "--out", str(tmp_path / "report.json")])
     assert code == 0
     assert json.loads((tmp_path / "report.json").read_text())["ok"]
-    assert peak_kb < 190 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    assert peak_kb < 160 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from comblab import errors, patterns
-from comblab.combs import OMEGA
+from comblab.combs import OMEGA, CombTable, mask_indices
 from comblab.cographs import Graph, comb_graph
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
@@ -18,7 +18,7 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               grid_witness, is_antichain, k_inconsistent, realizable,
                               strict_chains, triangle_free_demo, weave_witness)
 from comblab.patterns import (_REVERSED_BITS, _above, _maximal_independent_sets,
-                              _require_chain_count, default_cap, product_leq,
+                              _report_order, _require_chain_count, default_cap, product_leq,
                               strictly_below)
 
 from helpers import (SEED, direct_grid_ok, direct_weave_ok, random_graph,
@@ -239,6 +239,23 @@ def test_check_weave_report_matches_reference(monkeypatch):
                                                      reading=reading,
                                                      max_violations=max_violations)
                         assert got == want, (d, k, m, n, strong, reading, max_violations)
+
+
+def test_report_order_matches_the_position_key():
+    # Violations used to be sorted by size and then by `mask_indices`, the
+    # ascending level positions; the reversed masks, descending, must give
+    # the same order, ties included, on masks of one size and of several.
+    rng = random.Random(SEED)
+    for width in (1, 3, 8, 9, 64, 200):
+        masks = []
+        for size in range(1, min(width, 4) + 1):
+            masks += [sum(1 << i for i in rng.sample(range(width), size)) for _ in range(40)]
+        masks += rng.sample(masks, 10)  # equal masks keep their order
+        table = CombTable(masks, [mask.bit_count() for mask in masks], [], [])
+        for _ in range(5):
+            positions = sorted(rng.sample(range(len(masks)), rng.randrange(len(masks) + 1)))
+            want = sorted(positions, key=lambda i: (table.sizes[i], mask_indices(masks[i])))
+            assert _report_order(table, positions) == want, width
 
 
 def test_check_weave_literal_catches_non_extendable_pair():
