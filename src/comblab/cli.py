@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from itertools import chain
 
 from . import cographs as cographs_mod
@@ -86,11 +87,22 @@ _SLICE_SIZE = 1 << 12
 
 
 def _pieces(value, depth: int = 4):
-    """The text of `_ENCODE(value)` in pieces: a dict, or a list of dicts,
-    is opened `depth` levels deep (a dict's keys in sorted order), any other
-    list is encoded `_SLICE_SIZE` items at a time, and each value below that
-    is encoded whole, so no piece holds the whole text."""
-    if not depth or not value or not isinstance(value, (dict, list)):
+    """The text of `_ENCODE(value)` in pieces, an iterator standing for the
+    list of its items: a dict, or a list of dicts, is opened `depth` levels
+    deep (a dict's keys in sorted order), an iterator is written one item at
+    a time as it is drawn, any other list is encoded `_SLICE_SIZE` items at
+    a time, and each value below that is encoded whole, so no piece holds
+    the whole text."""
+    if depth and isinstance(value, list) and value and isinstance(value[0], dict):
+        value = iter(value)
+    if isinstance(value, Iterator):
+        opening = "["
+        for item in value:
+            yield opening
+            yield from _pieces(item, depth - 1)
+            opening = ","
+        yield "[]" if opening == "[" else "]"
+    elif not depth or not value or not isinstance(value, (dict, list)):
         yield _ENCODE(value)
     elif isinstance(value, dict):
         opening = "{"
@@ -101,13 +113,6 @@ def _pieces(value, depth: int = 4):
             yield from _pieces(value[key], depth - 1)
             opening = ","
         yield "}"
-    elif isinstance(value[0], dict):
-        opening = "["
-        for item in value:
-            yield opening
-            yield from _pieces(item, depth - 1)
-            opening = ","
-        yield "]"
     else:
         opening = "["
         for start in range(0, len(value), _SLICE_SIZE):
@@ -116,16 +121,21 @@ def _pieces(value, depth: int = 4):
         yield "]"
 
 
+# Printable ASCII that json writes as it is: all but `"` and `\`.
+_PLAIN = bytes(range(0x20, 0x7F)).translate(None, b'"\\')
+
+
 def _items_text(items: list) -> str:
-    """`_ENCODE(items)` without its brackets.  Strings that need no escape
-    are joined as they are, so they are not escaped one by one: joined on
-    commas they encode to exactly two more characters, the quotes."""
+    """`_ENCODE(items)` without its brackets.  When the strings joined on
+    `","` are ASCII and hold no character outside `_PLAIN` but the
+    separators' 2(n - 1) quotes, none needs an escape, and the joined text
+    is written between quotes rather than escaped string by string."""
     try:
-        text = ",".join(items)
+        text = '","'.join(items)
     except TypeError:  # an item is not a string
         return _ENCODE(items)[1:-1]
-    if len(_ENCODE(text)) == len(text) + 2:
-        return '"' + '","'.join(items) + '"'
+    if text.isascii() and len(text.encode("ascii").translate(None, _PLAIN)) == 2 * len(items) - 2:
+        return '"' + text + '"'
     return _ENCODE(items)[1:-1]
 
 
@@ -447,15 +457,15 @@ def _cmd_grid_to_weave(args) -> int:
     return _finish(pulled.to_json(), args.out, f"pulled back to {len(pulled.indices)} node(s)")
 
 
+def _encode_eps_index(index) -> str:
+    """An `eps-scale` index, a pair of symbolic coordinates, as JSON text."""
+    return json.dumps([index[0].to_json(), index[1].to_json()], separators=(",", ":"))
+
+
 def _cmd_eps_scale(args) -> int:
     ci = _load_system(args.path, "grid")
     scaled = transforms_mod.epsilon_scale(ci)
-
-    def encode_eps(index):
-        return json.dumps([index[0].to_json(), index[1].to_json()],
-                          separators=(",", ":"))
-
-    return _finish(scaled.to_json(index_encoder=encode_eps), args.out,
+    return _finish(scaled.to_json(index_encoder=_encode_eps_index), args.out,
                    f"scaled {len(scaled.indices)} point(s)")
 
 

@@ -124,13 +124,17 @@ class SetSystem:
         return self._with_masks(family)
 
     def to_json(self, index_encoder: Callable = None) -> dict:
+        """The JSON form, whose family is an iterator over its entries in
+        the order of their encoded indices.  An entry, and the list naming
+        its atoms, is made only when the iterator reaches it, so a writer
+        holds one set's names at a time: 1.9 million names at once for the
+        depth-3 weave witness otherwise."""
         enc = index_encoder or encode_index
-        entries = []
-        for index in sorted(self.family, key=lambda i: enc(i)):
-            entries.append({"index": enc(index),
-                            "set": self.atom_names(self.family[index])})
+        order = sorted(((enc(index), index) for index in self.family), key=itemgetter(0))
         universe = list(self.universe) if self._in_order else sorted(self.universe)
-        return {"universe": universe, "family": entries}
+        family = ({"index": key, "set": self.atom_names(self.family[index])}
+                  for key, index in order)
+        return {"universe": universe, "family": family}
 
     @staticmethod
     def fold_entry(entry: dict) -> dict:
@@ -341,7 +345,8 @@ class _FoldedAtoms(str):
         return repr(self.names())
 
 
-# The weave witness joins its keys, and names its atoms, this many at a time.
+# The weave witness makes its keys, joins them, and names its atoms this many
+# at a time.
 _NAME_BATCH = 4096
 # `SetSystem.from_json` packs the folded sets over a universe in name order
 # this many atoms at a time.
@@ -1051,9 +1056,16 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
                   for size in sizes
                   for combo in combinations(range(nodes), size)]
     width = (nodes + 7) // 8
-    keys = list(map(bytes.translate, map(int.to_bytes, masks, repeat(width), repeat("little")),
-                    repeat(_REVERSED_BITS)))
+    # Each mask is replaced by its key in the same list, _NAME_BATCH at a
+    # time, so the masks (14 MB at depth 3) and the keys (16 MB) are never
+    # all alive at once.
+    keys = masks
     del masks
+    for start in range(0, len(keys), _NAME_BATCH):
+        part = slice(start, start + _NAME_BATCH)
+        keys[part] = map(bytes.translate,
+                         map(int.to_bytes, keys[part], repeat(width), repeat("little")),
+                         repeat(_REVERSED_BITS))
     keys.sort(reverse=True)
     # Joined _NAME_BATCH at a time: `b"".join` holds an 80-byte buffer per item.
     raw = bytearray()

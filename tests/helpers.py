@@ -1,6 +1,7 @@
 """Shared test oracles: slow, definition-direct computations that the fast
 paths are checked against."""
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -427,6 +428,16 @@ def reference_maximal_independent_sets(n, masks):
             continue
         out.append(tuple(members))
     return sorted(out)
+
+
+def materialized(value):
+    """`value` with every iterator in it, at any depth, drawn into a list:
+    the plain data that a lazy `SetSystem.to_json()` stands for."""
+    if isinstance(value, dict):
+        return {key: materialized(item) for key, item in value.items()}
+    if isinstance(value, (list, Iterator)):
+        return [materialized(item) for item in value]
+    return value
 
 
 def random_set_system(indices, rng, atoms=4):

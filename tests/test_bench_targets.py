@@ -42,14 +42,20 @@ def test_tracer_targets_resolve():
 def test_traced_witness_records_the_write_layers(tmp_path):
     # The traced weave-build run reads the witness's write side from these
     # spans: a write path that went round `to_json` or `_emit` would leave
-    # them at zero.
+    # them at zero.  `to_json` returns its family lazily, so the sets are
+    # named inside `_emit`'s span; the file must not change under the tracer.
     prefix, out = str(tmp_path / "spans"), tmp_path / "weave1.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["witness", "weave", "--depth", "1", "--out"]
     proc = subprocess.run(
         [sys.executable, str(TRACER), prefix, str(time.monotonic_ns()), "weave1", "--",
-         "witness", "weave", "--depth", "1", "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
-        timeout=120)
+         *argv, str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    plain = tmp_path / "untraced.json"
+    subprocess.run([sys.executable, "-m", "comblab.cli", *argv, str(plain)], env=env,
+                   check=True, capture_output=True, timeout=120)
+    assert out.read_bytes() == plain.read_bytes()
     tracer = _tracer()
     spans = tracer.aggregate(tracer.load(prefix))
     for name in ("patterns.weave_witness", "patterns.SetSystem.to_json", "cli.json_dump"):

@@ -5,17 +5,18 @@ import random
 import subprocess
 import sys
 import time
+from collections.abc import Iterator
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from cli_fixtures import build_workdir, golden_commands, run_cli
-from comblab import cli, patterns
+from comblab import cli, patterns, transforms
 from comblab.errors import ComblabError
-from comblab.index_core import decode
-from comblab.patterns import SetSystem
-from helpers import MALFORMED_SET_SYSTEMS, reference_from_json
+from comblab.index_core import decode, enumerate_level
+from comblab.patterns import SetSystem, encode_index
+from helpers import MALFORMED_SET_SYSTEMS, materialized, reference_from_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -137,7 +138,7 @@ def test_set_system_file_reader_matches_from_json(tmp_path, monkeypatch, payload
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     for system in (cli._load_system(str(path), "node"), cli._load_system("-", "node")):
         assert (system.universe, system.family) == (expected.universe, expected.family)
-        assert system.to_json() == expected.to_json()
+        assert materialized(system.to_json()) == materialized(expected.to_json())
 
 
 def _packing_payloads(rng):
@@ -695,6 +696,8 @@ _ESCAPED = ['a"b', "back\\slash", "tab\there", "\x00\x1f", "\x7f", "\u00e9", "\u
 
 @pytest.mark.parametrize("items", [
     [], _ESCAPED, [_Name("x"), "y", _Name('"'), _Name("")],
+    ["\x7f"], ["\x1f"], ["a\x7fb"], ["x", "a\x1fb"], ['"'], ["\\"], ["x", '"', "y"],
+    ['a","b'], ['","'], ["x", "y", "z\\"], ["x"] * (_SLICE - 1) + ['a"b'],
     list(range(-3, 4)), [0.1, 1e300, -0.0, 2.5, 10 ** 30], [True, False, None],
     [[1, 2], [3, "4"], []], ["a", 1, None, [2, "\n"], {"b": "c"}, 1.5, True, _Name("z")],
     [{"b": 1, "a": ["x", 2]}, "x", [1]],
@@ -708,6 +711,64 @@ def test_pieces_encode_lists_as_json_dumps(items):
     # must still be json's, string by string, at the slice edges too.
     for value in (items, {"universe": items, "family": [{"index": "0", "set": items}]}):
         assert "".join(cli._pieces(value)) + "\n" == _dumps(value)
+
+
+def test_plain_names_are_joined_without_the_encoder(monkeypatch):
+    # A slice of names needing no escape is written between quotes: a fast
+    # path that always fell back to the encoder would still write json's text.
+    calls = []
+    real = cli._ENCODE
+    monkeypatch.setattr(cli, "_ENCODE", lambda value: calls.append(value) or real(value))
+    names = [f"{i:05d} ,[]{{}}'~" for i in range(10_000)]
+    assert "".join(cli._pieces(names)) + "\n" == _dumps(names)
+    assert calls == []
+
+
+_NAME_PARTS = ["a", "b", "z", " ", ",", '"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028",
+               '","', '""']
+
+
+def _random_systems(rng):
+    """(system, index encoder) pairs: string universes in and out of name
+    order with names that need every kind of escape, int universes, an empty
+    family, empty sets, and a grid family scaled by `eps-scale`."""
+    level = enumerate_level(2)
+    for trial in range(60):
+        if trial % 5 == 4:
+            universe = rng.sample(range(-50, 50), rng.randrange(1, 12))
+        else:
+            universe = sorted({"".join(rng.choice(_NAME_PARTS) for _ in range(rng.randrange(4)))
+                               for _ in range(rng.randrange(1, 25))})
+            if trial % 2:
+                rng.shuffle(universe)
+        family = {node: [atom for atom in universe if rng.random() < 0.5]
+                  for node in rng.sample(level, rng.randrange(len(level) + 1))}
+        yield SetSystem(universe, family), encode_index
+    wide = [f"w{i:05d}" for i in range(9000)]  # crosses the default slice's edges
+    wide[rng.randrange(9000)] = 'w"'
+    yield SetSystem(wide, {node: [atom for atom in wide if rng.random() < 0.5]
+                           for node in level[:3]}), encode_index
+    yield SetSystem(["a"], {}), encode_index
+    points = [(i, j) for i in range(3) for j in range(3)]
+    grid = SetSystem(["p", 'q"', "r"], {pt: rng.sample(["p", 'q"', "r"], rng.randrange(4))
+                                        for pt in points})
+    yield transforms.epsilon_scale(grid), cli._encode_eps_index
+
+
+@pytest.mark.parametrize("slice_size", [1, 2, 3, cli._SLICE_SIZE])
+def test_lazy_set_system_writes_the_text_of_json_dumps(tmp_path, monkeypatch, slice_size):
+    # `to_json` names each set only when the writer reaches it; the text must
+    # be json's for the same data, read from `universe` and `atom_names`.
+    monkeypatch.setattr(cli, "_SLICE_SIZE", slice_size)
+    target = tmp_path / "system.json"
+    for system, enc in _random_systems(random.Random(slice_size)):
+        value = {"universe": sorted(system.universe),
+                 "family": [{"index": enc(index), "set": system.atom_names(system.set_of(index))}
+                            for index in sorted(system.indices, key=enc)]}
+        payload = system.to_json(enc)
+        assert isinstance(payload["family"], Iterator)
+        cli._emit(payload, str(target))
+        assert target.read_text(encoding="utf-8") == _dumps(value)
 
 
 def test_emit_makes_few_writes():
@@ -726,6 +787,17 @@ def test_emit_makes_few_writes():
         cli._emit(payload, "-")
     assert out.getvalue() == _dumps(payload)
     assert out.writes <= len(out.getvalue()) // cli._WRITE_SIZE + 1
+    # The depth-3 weave witness's shape: 64 sets of about 29,000 names each,
+    # written one set at a time as `to_json` names them.
+    rng = random.Random(64)
+    universe = [f"{i:05d}" for i in range(58_000)]
+    system = SetSystem(universe, {})._with_masks(
+        {node: rng.getrandbits(len(universe)) for node in enumerate_level(3)})
+    out = CountingStdout()
+    with redirect_stdout(out):
+        cli._emit(system.to_json(), "-")
+    assert out.getvalue() == _dumps(materialized(system.to_json()))
+    assert out.writes <= len(out.getvalue()) // cli._WRITE_SIZE + 1
 
 
 def test_emit_matches_json_dumps_on_every_golden_payload(workdir, tmp_path, monkeypatch):
@@ -733,6 +805,7 @@ def test_emit_matches_json_dumps_on_every_golden_payload(workdir, tmp_path, monk
     real = cli._emit
 
     def recording(payload, out_path, raw=None):
+        payload = materialized(payload)
         emitted.append((payload, raw))
         real(payload, out_path, raw)
 
@@ -808,10 +881,12 @@ def test_weave_witness_depth_3_peak_memory(weave3):
     # With the atoms made in name order from the masks, instead of sorted by
     # name, and no atom index built to tell them distinct, it peaked at 71 MB;
     # with the atoms named in batches and string lists written by slices
-    # rather than one name at a time, it peaks near 66 MB.
+    # rather than one name at a time, it peaked near 66 MB.  With each set
+    # named only when the writer reaches it, and the comb masks replaced by
+    # their keys in place, it peaks near 52 MB.
     _, code, peak_kb = weave3
     assert code == 0
-    assert peak_kb < 70 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+    assert peak_kb < 56 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_check_weave_depth_3_peak_memory(weave3, tmp_path):

@@ -18,7 +18,7 @@ from comblab.patterns import (SetSystem, _above, _require_chain_count, check_gra
 from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave, pullback,
                                 strongify_index)
 from comblab.verify import run_battery
-from helpers import MALFORMED_SET_SYSTEMS
+from helpers import MALFORMED_SET_SYSTEMS, materialized
 
 
 def test_letter_from_digit_rejects_garbage():
@@ -50,7 +50,7 @@ def test_set_system_validation():
 
 
 def test_set_system_from_json_rejects_duplicate_index():
-    payload = weave_witness(1, 2, 1, 1).to_json()
+    payload = materialized(weave_witness(1, 2, 1, 1).to_json())
     payload["family"].append({"index": "0", "set": []})
     with pytest.raises(ArgumentError, match="duplicate index '0'"):
         SetSystem.from_json(payload, decode)
@@ -132,7 +132,8 @@ def test_depth_bounds(monkeypatch):
         _refused_quickly(call, "level 2 would have 16 nodes, over the limit 15")
     monkeypatch.setattr(errors, "BUDGET", 8)
     assert check_weave(small, 1, 2, 1, OMEGA, strong=True).ok
-    assert weave_witness(1, 2, 1, OMEGA).to_json() == small.to_json()
+    assert materialized(weave_witness(1, 2, 1, OMEGA).to_json()) == \
+        materialized(small.to_json())
     monkeypatch.setattr(errors, "BUDGET", 7)
     for call in at_depth_1:
         _refused_quickly(call, "enumeration would produce 8 combs, over the limit 7")
