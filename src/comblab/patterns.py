@@ -48,7 +48,6 @@ class SetSystem:
     """
 
     top = -1
-    monotone = True
     meet = staticmethod(and_)
     verdict = staticmethod(bool)
 
@@ -363,11 +362,12 @@ class PredicateOracle:
     """Consistency given by a deterministic predicate instead of sets.
 
     As a fold, the state is the family itself, `meet` is union and the
-    verdict asks the predicate once; a predicate promises no monotonicity.
+    verdict asks the predicate once.  The predicate must be downward closed,
+    as consistency is: every subfamily of a consistent family is consistent.
+    The checkers rely on it to skip families that cannot change a report.
     """
 
     top = frozenset()
-    monotone = False
     meet = staticmethod(or_)
 
     def __init__(self, indices: Iterable, predicate: Callable[[frozenset], bool]):
@@ -427,8 +427,8 @@ def consistent(ci, indices: Iterable) -> bool:
     The one consistency fold of both interfaces: `state(index)` is one
     index's state, `meet(s, t)` combines two, `top` is the state of the empty
     family and `verdict(state)` says whether the family is consistent.  The
-    checkers use only these and `monotone`, the promise that every subfamily
-    of a consistent family is consistent.
+    checkers use only these four, and rely on the contract of consistency:
+    every subfamily of a consistent family is consistent.
     """
     return ci.verdict(reduce(ci.meet, map(ci.state, indices), ci.top))
 
@@ -544,9 +544,9 @@ _SKIP, _FOLD, _KEEP = 0, 1, 2
 
 
 def _fold_plan(table, target) -> bytearray:
-    """Per comb, bit flags: _FOLD (its verdict feeds the report) and _KEEP
-    (it is a part of a folded compound, so its state must be kept); _SKIP
-    when neither.
+    """Per comb, bit flags: _FOLD (it has the target size, or there is no
+    target) and _KEEP (it is a part of a folded compound, so its state must
+    be kept); _SKIP when neither.
 
     Folded combs are those of size `target` (all when it is None) plus their
     part ancestry, which is marked from the combs of size `target` down, so
@@ -574,13 +574,12 @@ def _family_consistency(ci, table, level, target=None):
     The state of a compound comb is the meet of its two parts' states (for a
     set system, the `&` of their masks), so one meet per comb suffices; only
     the states of parts are kept.  When `target` is given, only the combs of
-    that size (and the parts they are built from) are folded.  A monotone
-    system gets a verdict on every folded comb, parts included; a predicate
-    is asked only on the combs of size `target`.  Returns a list of verdicts
-    aligned with the table (None where none was taken).
+    that size (and the parts they are built from) are folded.  Every folded
+    comb gets a verdict, parts included.  Returns a list of verdicts aligned
+    with the table (None where none was taken).
     """
     states = [ci.state(node) for node in level]
-    meet, verdict, monotone = ci.meet, ci.verdict, ci.monotone
+    meet, verdict = ci.meet, ci.verdict
     masks, a, b = table.masks, table.a, table.b
     parts = {}
     verdicts = [None] * len(table)
@@ -593,8 +592,7 @@ def _family_consistency(ci, table, level, target=None):
             state = meet(parts[ia], parts[ib])
         if role & _KEEP:
             parts[pos] = state
-        if role & _FOLD or monotone:
-            verdicts[pos] = verdict(state)
+        verdicts[pos] = verdict(state)
     return verdicts
 
 
@@ -635,12 +633,12 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     cons_table = comb_entries(d, cons_cls, cap)
     # With an unbounded part size, every up-, right-, or recursive-wide comb
     # below min(cap, 2^d) extends inside its class, so the size-min(cap, 2^d)
-    # combs cover everything and monotonicity settles the rest.  The literal
-    # wide class has non-extendable small combs (a deep wide pair admits no
-    # third element), bounded classes cap their lower parts, and predicate
-    # oracles promise no monotonicity: all three are checked in full.
+    # combs cover everything and downward closure settles the rest.  The
+    # literal wide class has non-extendable small combs (a deep wide pair
+    # admits no third element) and bounded classes cap their lower parts:
+    # both are checked in full.
     target = None
-    if n is combs_mod.OMEGA and ci.monotone and cons_cls.reading == RECURSIVE:
+    if n is combs_mod.OMEGA and cons_cls.reading == RECURSIVE:
         target = min(cap, 2 ** d)
     cons_verdicts = _family_consistency(ci, cons_table, level, target=target)
     inconsistent = list(compress(range(len(cons_verdicts)),
@@ -817,9 +815,8 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     family (every chain family when strong) is consistent.  Strict chains are
     pairwise strictly increasing in both coordinates; chains are pairwise
     comparable in the product order.  The default cap max(k, 2s, 8) covers
-    every chain of the square, so grid checks are exact by default.  A
-    monotone system is decided on its maximal chains; a predicate is asked
-    on every chain up to the cap.
+    every chain of the square, so grid checks are exact by default.  Every
+    interface is decided on its maximal chains (`_failing_subchains`).
     """
     _require_k(k)
     _require_side(s)
@@ -828,12 +825,7 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     _require_indices(ci, points, "grid family")
     cap = _checked_cap(cap, default_cap(k, s))
     above = _above(points, product_leq if strong else strictly_below)
-    states = [ci.state(pt) for pt in points]
-    if ci.monotone:
-        levels = _failing_subchains(ci, states, above, cap)
-    else:
-        _require_chain_count(above, cap, "grid check")
-        levels = _failing_chains(ci, states, above, cap)
+    levels = _failing_subchains(ci, [ci.state(pt) for pt in points], above, cap)
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
@@ -850,16 +842,6 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
     return sink.report(cap, truncated=cap < 2 * s - 1)
 
 
-def _failing_chains(ci, states, above, cap: int):
-    """Every failing chain of at most `cap` points, as position tuples in
-    report order: one list, made as it is drawn.  Each chain's state is one
-    meet on its prefix's."""
-    meet, verdict = ci.meet, ci.verdict
-    walk = _walk_chains(above, cap, lambda prefix, chain: meet(prefix, states[chain[-1]]),
-                        ci.top)
-    yield sorted((chain for chain, state in walk if not verdict(state)), key=_by_size)
-
-
 def _covers(above) -> list[list[int]]:
     """The cover lists of the order whose successor lists are `above`: j
     covers i when j is in above[i] and no other member of above[i] lies
@@ -873,18 +855,18 @@ def _covers(above) -> list[list[int]]:
 
 
 def _failing_subchains(ci, states, above, cap: int):
-    """The failing chains of a monotone system with at most `cap` points,
-    as position tuples: an iterator of lists, one per size, each in
-    lexicographic order.
+    """The failing chains with at most `cap` points, as position tuples: an
+    iterator of lists, one per size, each in lexicographic order.
 
     Every chain lies in a maximal chain: a path through the cover lists from
-    a minimal point (one in no successor list) to a point with no cover.  A
-    failing chain makes every maximal chain through it fail, so the failing
-    chains are the failing subchains of the failing maximal chains.  Those
-    are folded here along one prefix-sharing walk; each size's subchains are
-    then taken from them as the iterator is drawn, kept once and asked from
-    their points' states.  The maximal chains, and each size's candidates,
-    are counted before they are made and held to the budget.
+    a minimal point (one in no successor list) to a point with no cover.
+    Consistency is downward closed, so a failing chain makes every maximal
+    chain through it fail, and the failing chains are the failing subchains
+    of the failing maximal chains.  Those are folded here along one
+    prefix-sharing walk; each size's subchains are then taken from them as
+    the iterator is drawn, kept once and asked from their points' states.
+    The maximal chains, and each size's candidates, are counted before they
+    are made and held to the budget.
     """
     covers = _covers(above)
     reached = reduce(or_, (1 << j for later in above for j in later), 0)
@@ -944,12 +926,12 @@ def _graph_fold(ci, n: int, masks, cap: int):
 
     Each entry is one step on its parent's.  The first edge is met at the
     first vertex with an earlier neighbour and pairs it with the latest such
-    neighbour.  On a monotone system, once a subset has an edge and is
-    inconsistent, so is every extension, and none of them mismatches: the
-    walk skips them.
+    neighbour.  Once a subset has an edge and is inconsistent, so is every
+    extension, since consistency is downward closed, and none of them
+    mismatches: the walk skips them.
     """
     states = [ci.state(v) for v in range(n)]
-    meet, verdict, monotone = ci.meet, ci.verdict, ci.monotone
+    meet, verdict = ci.meet, ci.verdict
 
     def step(parent, combo):
         seen, edge, state, _ = parent
@@ -958,7 +940,7 @@ def _graph_fold(ci, n: int, masks, cap: int):
             edge = ((masks[v] & seen).bit_length() - 1, v)
         state = meet(state, states[v])
         ok = verdict(state)
-        if monotone and edge is not None and not ok:
+        if edge is not None and not ok:
             return None
         return seen | 1 << v, edge, state, ok
 

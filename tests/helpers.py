@@ -550,6 +550,33 @@ def random_graph(n, p, rng):
     return Graph(n, edges)
 
 
+def small_graphs(max_n):
+    """Every labelled graph on at most max_n vertices, by vertex count."""
+    from comblab.cographs import Graph
+
+    graphs = []
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        graphs += [Graph(n, [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1])
+                   for chosen in range(1 << len(pairs))]
+    return graphs
+
+
+def downward_closed(ci, indices):
+    """Whether every subfamily of a consistent family is consistent, over
+    every family of the indices: each consistent family F must stay
+    consistent when any one x in F is taken out.  Families are visited by
+    size, so the verdict on each F - {x} is already known."""
+    indices = list(indices)
+    verdicts = {(): ci.consistent(())}
+    for size in range(1, len(indices) + 1):
+        for family in combinations(indices, size):
+            verdicts[family] = ok = ci.consistent(family)
+            if ok and not all(verdicts[family[:i] + family[i + 1:]] for i in range(size)):
+                return False
+    return True
+
+
 def random_subsystem_mutations(system, rng, count):
     """Deterministic stream of (index, atom) single-deletion mutations."""
     picks = []

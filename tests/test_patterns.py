@@ -2,12 +2,13 @@ import random
 import time
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
 from comblab import errors, patterns
 from comblab.combs import OMEGA, CombTable, mask_indices
-from comblab.cographs import Graph, comb_graph
+from comblab.cographs import Graph, comb_graph, graph_to_weave_oracle
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import assignment_oracle, assignment_oracle_slow
@@ -20,12 +21,14 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
 from comblab.patterns import (_REVERSED_BITS, _above, _maximal_independent_sets,
                               _report_order, _require_chain_count, default_cap, product_leq,
                               strictly_below)
+from comblab.transforms import strongify_weave
 
-from helpers import (SEED, direct_grid_ok, direct_weave_ok, materialized, random_graph,
-                     random_set_system, random_subsystem_mutations,
+from helpers import (SEED, direct_grid_ok, direct_weave_ok, downward_closed, materialized,
+                     random_graph, random_set_system, random_subsystem_mutations,
                      reference_chains, reference_check_graph_pattern, reference_check_grid,
                      reference_check_weave, reference_grid_witness,
-                     reference_maximal_independent_sets, reference_weave_witness)
+                     reference_maximal_independent_sets, reference_weave_witness,
+                     small_graphs)
 
 
 def small_system():
@@ -553,8 +556,8 @@ def test_check_grid_report_matches_reference_on_random_systems():
 
 
 def test_check_grid_predicate_report_matches_reference():
-    # A predicate oracle has no mask to carry; its verdicts are asked per
-    # chain over the same walk.
+    # A predicate oracle has no mask to carry; its verdicts are asked on the
+    # same maximal chains and their failing subchains.
     rng = random.Random(SEED + 7)
     for s in (2, 3):
         systems = _single_atom_mutations(grid_witness(s, 2))
@@ -627,7 +630,7 @@ def _lattice_path_witness(s):
 
 def test_chains_are_counted_before_they_are_made():
     # The count is the number of chains listed; the 7 x 7 square's 1,150,591
-    # chains at the default cap stay allowed for a predicate.
+    # chains at the default cap stay allowed for a listing.
     for s in range(1, 6):
         points = grid_points(s)
         for related, listed in ((product_leq, chains), (strictly_below, strict_chains)):
@@ -636,12 +639,14 @@ def test_chains_are_counted_before_they_are_made():
                 assert _require_chain_count(above, cap, "test") == len(listed(s, cap))
     assert _require_chain_count(_above(grid_points(7), product_leq),
                                 default_cap(2, 7), "test") == 1_150_591
-    # A monotone system is decided on the maximal chains: the 8 x 8 square
-    # has 3,432 of them against 12,451,583 chains, which a predicate or a
-    # listing still has to make and is refused before a single one is made.
+    # Every interface is decided on the maximal chains: the 8 x 8 square
+    # has 3,432 of them against 12,451,583 chains, which a listing still has
+    # to make and is refused before a single one is made.
     everywhere = SetSystem(["a"], {pt: {"a"} for pt in grid_points(8)})
     start = time.perf_counter()
     assert check_grid(everywhere, 8, 9, strong=True).ok
+    assert check_grid(PredicateOracle(grid_points(8), lambda family: True), 8, 9,
+                      strong=True).ok
     assert time.perf_counter() - start < 1.0
     # The strict chains of the 8 x 8 square are few enough to check.
     assert check_grid(everywhere, 8, 9).ok
@@ -665,8 +670,8 @@ def test_chains_are_counted_before_they_are_made():
     with pytest.raises(ResourceError, match="2704156 maximal chains, over the limit"):
         check_grid(SetSystem(["a"], {pt: {"a"} for pt in grid_points(13)}), 13, 2,
                    strong=True)
-    with pytest.raises(ResourceError, match="grid check would produce .* over the limit"):
-        check_grid(PredicateOracle(grid_points(8), lambda family: True), 8, 9, strong=True)
+    with pytest.raises(ResourceError, match="2704156 maximal chains, over the limit"):
+        check_grid(PredicateOracle(grid_points(13), lambda family: True), 13, 2, strong=True)
     with pytest.raises(ResourceError, match="over the limit"):
         chains(8, 15)
     with pytest.raises(ResourceError, match="over the limit"):
@@ -716,23 +721,37 @@ def test_graph_witness_oracle_and_materialized_agree():
                 assert oracle.consistent(combo) == system.consistent(combo)
 
 
-def _flipped(oracle, family):
-    """The predicate oracle with its verdict on one family reversed."""
-    family = frozenset(family)
-    return PredicateOracle(oracle.indices,
-                           lambda fam: oracle.consistent(fam) != (fam == family))
+def _downward_mutations(graph, rng):
+    """The graph-witness predicate changed in three downward-closed ways:
+    every family holding one random vertex refused, one random non-edge pair
+    forbidden, and every subset of a random set that holds an edge allowed.  The first two make independent sets inconsistent, the
+    third makes families with an edge consistent."""
+    oracle, n = graph_witness(graph), graph.n
+    out = []
+    if n:
+        v = rng.randrange(n)
+        out.append(PredicateOracle(range(n), lambda fam: oracle.consistent(fam) and v not in fam))
+    non_edges = sorted(set(combinations(range(n), 2)) - graph.edges)
+    if non_edges:
+        pair = frozenset(rng.choice(non_edges))
+        out.append(PredicateOracle(range(n),
+                                   lambda fam: oracle.consistent(fam) and not pair <= fam))
+    if graph.edges:
+        allowed = frozenset(rng.choice(sorted(graph.edges)))
+        allowed |= {u for u in range(n) if rng.random() < 0.5}
+        out.append(PredicateOracle(range(n), lambda fam: oracle.consistent(fam) or fam <= allowed))
+    return out
 
 
 def _graph_pattern_cases(graph, rng):
     """Both witnesses of the graph and their mutations: every single-atom
-    deletion of the set system, and the predicate flipped on a single
-    vertex, on the whole vertex set and on a random subset."""
-    oracle = graph_witness(graph)
-    cases = _single_atom_mutations(graph_witness(graph, materialize=True)) + [oracle]
-    if graph.n:
-        random_subset = [v for v in range(graph.n) if rng.random() < 0.5] or [0]
-        cases += [_flipped(oracle, family)
-                  for family in ([0], range(graph.n), random_subset)]
+    deletion of the set system, and the downward-closed mutations of the
+    predicate, each checked to be downward closed on every vertex subset."""
+    cases = _single_atom_mutations(graph_witness(graph, materialize=True))
+    cases.append(graph_witness(graph))
+    for mutant in _downward_mutations(graph, rng):
+        assert downward_closed(mutant, range(graph.n)), graph.edges
+        cases.append(mutant)
     return cases
 
 
@@ -741,13 +760,10 @@ def test_check_graph_pattern_report_matches_reference():
     # on up to 9: whole reports equal the subset-by-subset scan, and the
     # maximal independent sets equal the scan over all vertex subsets.
     rng = random.Random(SEED + 8)
-    graphs = []
-    for n in range(6):
-        pairs = list(combinations(range(n), 2))
-        graphs += [Graph(n, [pair for bit, pair in enumerate(pairs) if chosen >> bit & 1])
-                   for chosen in range(1 << len(pairs))]
+    graphs = small_graphs(5)
     assert len(graphs) == 1 + 1 + 2 + 8 + 64 + 1024
     graphs += [random_graph(n, rng.random(), rng) for n in range(6, 10) for _ in range(4)]
+    kinds = Counter()
     for graph in graphs:
         masks = graph.adjacency_masks()
         assert _maximal_independent_sets(graph.n, masks) == \
@@ -759,6 +775,10 @@ def test_check_graph_pattern_report_matches_reference():
                 got = check_graph_pattern(ci, graph, cap=cap, max_violations=max_violations)
                 assert got.to_json() == reference_check_graph_pattern(
                     ci, graph, cap=cap, max_violations=max_violations), (graph, cap)
+                if isinstance(ci, PredicateOracle):
+                    kinds.update(violation.kind for violation in got.violations)
+    # The predicate mutations break both clauses.
+    assert kinds[CONSISTENCY] and kinds[INCONSISTENCY]
 
 
 def test_maximal_independent_sets_limit():
@@ -780,36 +800,135 @@ def _counting(system):
     return PredicateOracle(system.indices, predicate), asked
 
 
-@pytest.mark.parametrize("d, k, counts", [(1, 2, (8, 10)), (1, 3, (6, 8)),
-                                          (2, 2, (136, 328)), (2, 3, (112, 304))])
+# Each count pair is (asks, asks of a full walk over every family up to the
+# cap), without and with `strong`.  A family is asked at most once per walk.
+# The weave has two walks, the up side and the consistency side, and each
+# takes a verdict on every comb it folds, parts included, so a single node
+# is asked on both sides.  The consistency side folds only its largest combs
+# and their parts, so from d = 2 on a check asks fewer than a full walk.  At
+# d = 1, k = 2 it asks more (12 and 14 against 8 and 10), because the up
+# side also asks the parts of its size-k combs.
+@pytest.mark.parametrize("d, k, counts", [(1, 2, ((12, 8), (14, 10))),
+                                          (1, 3, ((6, 6), (8, 8))),
+                                          (2, 2, ((88, 136), (152, 328))),
+                                          (2, 3, ((68, 112), (132, 304)))])
 def test_predicate_asked_once_per_family_weave(d, k, counts):
-    # The up side asks only the combs of size k, never their parts; a
-    # predicate promises no monotonicity, so the consistency side asks every
-    # comb up to the cap.
-    for strong, want in zip((False, True), counts):
+    for strong, (want, full) in zip((False, True), counts):
         ci, asked = _counting(weave_witness(d, 2, 1, OMEGA))
         assert check_weave(ci, d, k, 1, OMEGA, strong=strong).ok
-        assert set(asked.values()) == {1}
+        assert max(asked.values()) <= 2
         assert sum(asked.values()) == want, (d, k, strong)
+        if d >= 2:
+            assert want < full
 
 
-@pytest.mark.parametrize("s, counts", [(2, (6, 12)), (3, (28, 112)), (4, (105, 1043))])
+# The grid has two walks: the maximal chains, then the subchains of the
+# failing ones, which include those maximal chains again.  So the strong
+# 2 x 2 check of the strict-chain witness asks more than a full walk (14
+# against 12): both of its maximal chains fail and are asked twice.
+@pytest.mark.parametrize("s, counts", [(2, ((4, 6), (14, 12))),
+                                       (3, ((18, 28), (51, 112))),
+                                       (4, ((63, 105), (156, 1043)))])
 def test_predicate_asked_once_per_family_grid(s, counts):
-    for strong, want in zip((False, True), counts):
+    for strong, (want, full) in zip((False, True), counts):
         ci, asked = _counting(grid_witness(s, 2))
         check_grid(ci, s, 2, strong=strong)
-        assert set(asked.values()) == {1}
+        assert max(asked.values()) <= 2
         assert sum(asked.values()) == want, (s, strong)
+        if s >= 3:
+            assert want < full
 
 
 def test_predicate_asked_once_per_family_graph():
-    # No subset is skipped for a predicate: every nonempty vertex subset of
-    # the depth-2 comb graph is asked once.
+    # One walk, each subset asked once; once a subset holds an edge and is
+    # inconsistent, its extensions are skipped.  A full walk asks every
+    # nonempty vertex subset of the depth-2 comb graph.
     graph, _ = comb_graph(2)
     ci, asked = _counting(graph_witness(graph))
     assert check_graph_pattern(ci, graph).ok
     assert set(asked.values()) == {1}
-    assert sum(asked.values()) == 2 ** 16 - 1 == 65_535
+    assert sum(asked.values()) == 1008 < 2 ** 16 - 1
+
+
+def _four_members(system):
+    """The system's consistency behind a predicate, exposed through nothing
+    but the indices, the four fold members, `consistent` and `common_atom`:
+    reading any other member raises AttributeError."""
+    oracle = PredicateOracle(system.indices, system.consistent)
+    bare = SimpleNamespace(indices=oracle.indices, state=oracle.state, meet=oracle.meet,
+                           verdict=oracle.verdict, top=oracle.top,
+                           common_atom=oracle.common_atom)
+    bare.consistent = lambda indices: consistent(bare, indices)
+    return bare
+
+
+def _without_atoms(report):
+    payload = report.to_json()
+    for violation in payload["violations"]:
+        violation.pop("atom", None)
+    return payload
+
+
+def test_checkers_read_only_the_four_fold_members():
+    # A bare interface gets the report of the set system it answers for,
+    # without atoms, which a predicate does not name.  The weave systems
+    # and settings are those of the weave reference test, so this also
+    # compares the predicate path of the consistency side's shortcut.
+    from comblab.combs import LITERAL, RECURSIVE
+
+    rng = random.Random(SEED + 5)
+    settings = ((1, False, RECURSIVE), (2, True, RECURSIVE), (OMEGA, False, RECURSIVE),
+                (OMEGA, True, RECURSIVE), (OMEGA, True, LITERAL))
+    for d in (1, 2):
+        witness = weave_witness(d, 2, 1, OMEGA)
+        systems = [witness, weave_witness(d, 2, 1, 1)]
+        systems += [witness.mutated_without(index, atom)
+                    for index, atom in random_subsystem_mutations(witness, rng, 3)]
+        systems += [random_set_system(enumerate_level(d), rng) for _ in range(2)]
+        for system in systems:
+            bare = _four_members(system)
+            for k, m in ((2, 1), (3, OMEGA)):
+                for n, strong, reading in settings:
+                    for max_violations in (0, 1, 3, 10):
+                        got, want = (check_weave(ci, d, k, m, n, strong=strong,
+                                                 reading=reading, max_violations=max_violations)
+                                     for ci in (bare, system))
+                        assert _without_atoms(got) == _without_atoms(want), \
+                            (d, k, m, n, strong, reading, max_violations)
+    for s in range(1, 5):
+        systems = _single_atom_mutations(grid_witness(s, 2))
+        systems += [random_set_system(grid_points(s), rng, atoms=3) for _ in range(3)]
+        for system in systems:
+            bare = _four_members(system)
+            for strong in (False, True):
+                for cap in (None, 2):
+                    got, want = (check_grid(ci, s, 2, strong=strong, cap=cap, max_violations=3)
+                                 for ci in (bare, system))
+                    assert _without_atoms(got) == _without_atoms(want), (s, strong, cap)
+    for graph in small_graphs(5):
+        witness = graph_witness(graph, materialize=True)
+        systems = [witness]
+        if graph.n:
+            systems += [witness.mutated_without(index, atom)
+                        for index, atom in random_subsystem_mutations(witness, rng, 2)]
+        for system in systems:
+            got, want = (check_graph_pattern(ci, graph) for ci in (_four_members(system), system))
+            assert _without_atoms(got) == _without_atoms(want), graph.edges
+
+
+def test_every_predicate_built_is_downward_closed():
+    # The contract the checkers rely on: for every consistent family F and
+    # every x in F, F - {x} is consistent.
+    for graph in small_graphs(5):
+        assert downward_closed(graph_witness(graph), range(graph.n)), graph.edges
+    for length in range(2, 7):
+        for side in triangle_free_demo(length):
+            assert downward_closed(side, range(length)), length
+    pattern = graph_witness(comb_graph(1)[0])
+    assert downward_closed(graph_to_weave_oracle(pattern, 1), enumerate_level(1))
+    # A pullback along the strongify map: level 2 read back at level 1.
+    deep = graph_to_weave_oracle(graph_witness(comb_graph(2)[0]), 2)
+    assert downward_closed(strongify_weave(deep), enumerate_level(1))
 
 
 def test_predicate_oracle_unknown_index():
