@@ -1,10 +1,13 @@
 """Definition-faithful brute-force oracles.
 
 These deliberately avoid the insights the fast paths rely on: comb
-membership builds the class from its inductive definition, trying every pair
-of parts and every candidate split prefix, and template feasibility sweeps
-the full assignment space.  They exist to be slow and obviously right, so the
-fast implementations can be checked against them.
+membership builds the class from its inductive definition, deciding each
+candidate pair of parts by the branch relations, which try every candidate
+split prefix; template feasibility sweeps the full assignment space.  They
+exist to be slow and obviously right, so the fast implementations can be
+checked against them.  The one shortcut is an index that offers the closure
+only the part pairs a relation could hold on (see `_file_parts`); every
+offered pair is still decided by the relation itself.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ def build_tree_comb_oracle(nodes: frozenset, cls: CombClass, memo: dict = None) 
     class with |A| within the class bound and the class's branch relation
     holding from A to B.  The closure is grown size by size up to len(nodes)
     and kept in `memo` under (cls, depth), so a query costs the closure of
-    its whole level up to its size.  Every caller stays at depth <= 2; a
-    deeper sweep would need an index of the candidate pairs.
+    its whole level up to its size.  Candidate pairs come from an index of
+    the parts by split prefix and letters (`_file_parts`), which makes the
+    closures of depth 3 affordable up to size 4.
     """
     if not nodes:
         raise ArgumentError("oracle requires a nonempty set")
@@ -81,6 +85,41 @@ def build_tree_comb_oracle(nodes: frozenset, cls: CombClass, memo: dict = None) 
         memo = {}
     (depth,) = depths
     return frozenset(nodes) in _closure(cls, depth, len(nodes), memo)[len(nodes)]
+
+
+# The letters a part may carry at the split position, per class kind: the
+# A-part's letter set, then the B-part's letter sets the relation admits.
+_ADMITTED = {
+    "up": {"0": ("1",), "2": ("3",)},
+    "right": {"0": ("2",), "1": ("3",)},
+    "wide-right": dict.fromkeys(("0", "1", "01"), ("2", "3", "23")),
+}
+
+
+def _file_parts(parts: set, depth: int) -> dict:
+    """The parts filed under (tau, the letters their nodes carry at |tau|),
+    once for each prefix tau of their meet that is shorter than `depth`.
+
+    Every branch relation that holds from A to B holds at a prefix tau that
+    both meets extend, with all of A's letters at |tau| on one side and all
+    of B's on the other, so the pair meets under the keys of that tau.
+    """
+    filed = {}
+    for part in parts:
+        digits = [node.digits for node in part]
+        meet = common_prefix(digits)
+        for p in range(min(len(meet), depth - 1) + 1):
+            letters = meet[p] if p < len(meet) else "".join(sorted({d[p] for d in digits}))
+            filed.setdefault((meet[:p], letters), []).append(part)
+    return filed
+
+
+def _filed(cls: CombClass, depth: int, parts: list, size: int, memo: dict) -> dict:
+    """`_file_parts` of the class's members of one size, kept in `memo`."""
+    filed = memo.setdefault(("filed", cls, depth), [])
+    while len(filed) <= size:
+        filed.append(_file_parts(parts[len(filed)], depth))
+    return filed[size]
 
 
 def _closure(cls: CombClass, depth: int, size: int, memo: dict) -> list[set]:
@@ -100,16 +139,20 @@ def _closure(cls: CombClass, depth: int, size: int, memo: dict) -> list[set]:
         relation = widely_left
         part_cls = CombClass("right", cls.n) if cls.reading == LITERAL else cls
     parts = levels if part_cls == cls else _closure(part_cls, depth, size - 1, memo)
+    admitted = _ADMITTED[cls.kind]
     while len(levels) <= size:
         m = len(levels)
         members = set()
         for a_size in range(1, m):
             if not size_within(a_size, cls.n):
                 continue
-            for a_set in parts[a_size]:
-                for b_set in parts[m - a_size]:
-                    if a_set.isdisjoint(b_set) and relation(a_set, b_set):
-                        members.add(a_set | b_set)
+            b_filed = _filed(part_cls, depth, parts, m - a_size, memo)
+            for (tau, letters), a_parts in _filed(part_cls, depth, parts, a_size, memo).items():
+                for b_letters in admitted.get(letters, ()):
+                    for b_set in b_filed.get((tau, b_letters), ()):
+                        for a_set in a_parts:
+                            if a_set.isdisjoint(b_set) and relation(a_set, b_set):
+                                members.add(a_set | b_set)
         levels.append(members)
     return levels
 

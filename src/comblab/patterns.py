@@ -864,7 +864,8 @@ def _failing_subchains(ci, states, above, cap: int):
     chain through it fail, and the failing chains are the failing subchains
     of the failing maximal chains.  Those are folded here along one
     prefix-sharing walk; each size's subchains are then taken from them as
-    the iterator is drawn, kept once and asked from their points' states.
+    the iterator is drawn, kept once and asked from their points' states,
+    except the failing maximal chains themselves, which the walk has asked.
     The maximal chains, and each size's candidates, are counted before they
     are made and held to the budget.
     """
@@ -882,6 +883,7 @@ def _failing_subchains(ci, states, above, cap: int):
                         lambda prefix, chain: meet(prefix, states[chain[-1]]), top,
                         starts=minimal)
     failing = [chain for chain, state in walk if not covers[chain[-1]] and not verdict(state)]
+    known = set(failing)
 
     def levels(made: int):
         for size in range(1, min(cap, max(map(len, failing), default=0)) + 1):
@@ -889,8 +891,8 @@ def _failing_subchains(ci, states, above, cap: int):
             require_within(made, "grid check would make",
                            f"maximal chains and candidate chains of at most {size} points")
             candidates = {sub for chain in failing for sub in combinations(chain, size)}
-            yield sorted(sub for sub in candidates
-                         if not verdict(reduce(meet, map(states.__getitem__, sub), top)))
+            yield sorted(sub for sub in candidates if sub in known
+                         or not verdict(reduce(meet, map(states.__getitem__, sub), top)))
 
     return levels(made)
 

@@ -56,13 +56,26 @@ def _wide_characterization(max_depth: int) -> CheckResult:
     d = min(max_depth, 2)
     level = enumerate_level(d)
     cls = CombClass("wide-right", OMEGA)
+    # partners[j]: the earlier nodes that make an UpOne pair with node j.  A
+    # set is pair-free iff the set without its top node is pair-free and
+    # that node has no partner among the rest.
+    partners = [0] * len(level)
+    for (i, a), (j, b) in combinations(enumerate(level), 2):
+        if combs_mod.classify_pair(a, b) == UP_ONE:
+            partners[j] |= 1 << i
+    pairfree = [True] * (1 << len(level))
+    for mask in range(1, len(pairfree)):
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        pairfree[mask] = pairfree[rest] and not partners[top] & rest
+    bits = [1 << i for i in range(len(level))]
     for size in range(1, len(level) + 1):
-        for combo in combinations(level, size):
+        for combo, combo_bits in zip(combinations(level, size), combinations(bits, size)):
             wide = combs_mod.is_comb(combo, cls) is not None
-            pairfree = not combs_mod.has_up_pair(combo)
-            if wide != pairfree:
+            free = pairfree[sum(combo_bits)]
+            if wide != free:
                 return CheckResult("wide-characterization", False,
-                                   f"{[repr(n) for n in combo]}: wide={wide}, pair-free={pairfree}")
+                                   f"{[repr(n) for n in combo]}: wide={wide}, pair-free={free}")
     return CheckResult("wide-characterization", True, f"all subsets at depth {d}")
 
 
@@ -77,9 +90,10 @@ def _recognition_vs_brute(max_depth: int) -> CheckResult:
     memo = {}
     for size in range(1, 5):
         for combo in combinations(level, size):
+            nodes = frozenset(combo)
             for cls in classes:
                 fast = combs_mod.is_comb(combo, cls) is not None
-                slow = build_tree_comb_oracle(frozenset(combo), cls, memo)
+                slow = build_tree_comb_oracle(nodes, cls, memo)
                 if fast != slow:
                     return CheckResult("recognition-vs-brute", False,
                                        f"{[repr(n) for n in combo]} under {cls!r}")
@@ -90,15 +104,15 @@ def _strongify(max_depth: int) -> CheckResult:
     for d in range(max_depth + 1):
         fmap = transforms_mod.strongify_index(d)
         level = enumerate_level(d)
-        for a, b in combinations(level, 2):
+        images = [fmap.apply(node) for node in level]
+        for (a, fa), (b, fb) in combinations(zip(level, images), 2):
             before = combs_mod.classify_pair(a, b)
-            after = combs_mod.classify_pair(fmap.apply(a), fmap.apply(b))
+            after = combs_mod.classify_pair(fa, fb)
             if before != after:
                 return CheckResult("strongify-pairs", False,
                                    f"{a!r},{b!r}: {before} became {after}")
             kinds_before = {w.kind.kind for w in combs_mod.split_relation({a}, {b})}
-            kinds_after = {w.kind.kind for w in
-                           combs_mod.split_relation({fmap.apply(a)}, {fmap.apply(b)})}
+            kinds_after = {w.kind.kind for w in combs_mod.split_relation({fa}, {fb})}
             if combs_mod.NARROW_BELOW in kinds_before and \
                     combs_mod.NARROW_BELOW not in kinds_after:
                 return CheckResult("strongify-pairs", False,
@@ -121,18 +135,16 @@ def _grid_embedding(max_depth: int) -> CheckResult:
             return CheckResult("grid-embedding", False, f"not injective at depth {d}")
         if any(not (0 <= x < side and 0 <= y < side) for x, y in points):
             return CheckResult("grid-embedding", False, f"image escapes the box at depth {d}")
-        for i, a in enumerate(level):
-            for b in level[i + 1:]:
-                verdict = combs_mod.classify_pair(a, b)
-                p, q = fmap.apply(a), fmap.apply(b)
-                strict = patterns_mod.strictly_below(p, q) or patterns_mod.strictly_below(q, p)
-                incomp = not patterns_mod.comparable(p, q)
-                if verdict == UP_ONE and not incomp:
-                    return CheckResult("grid-embedding", False,
-                                       f"up-pair {a!r},{b!r} not incomparable")
-                if verdict == WIDE_RIGHT_ONE and not strict:
-                    return CheckResult("grid-embedding", False,
-                                       f"wide pair {a!r},{b!r} not strictly comparable")
+        for (a, p), (b, q) in combinations(zip(level, points), 2):
+            verdict = combs_mod.classify_pair(a, b)
+            strict = patterns_mod.strictly_below(p, q) or patterns_mod.strictly_below(q, p)
+            incomp = not patterns_mod.comparable(p, q)
+            if verdict == UP_ONE and not incomp:
+                return CheckResult("grid-embedding", False,
+                                   f"up-pair {a!r},{b!r} not incomparable")
+            if verdict == WIDE_RIGHT_ONE and not strict:
+                return CheckResult("grid-embedding", False,
+                                   f"wide pair {a!r},{b!r} not strictly comparable")
     return CheckResult("grid-embedding", True, f"all pairs at depths <= {top}")
 
 

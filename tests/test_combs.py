@@ -165,6 +165,25 @@ def test_build_tree_comb_oracle_matches_reference():
                         (sorted(map(encode, combo)), cls)
 
 
+def test_recognition_matches_build_tree_comb_oracle_depth3():
+    # The classes of acceptance criterion 3, on every set of at most three
+    # nodes at depth 3; the oracle's part-pair index makes this scale cheap.
+    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
+               for n in (1, 2, OMEGA)]
+    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
+    level = enumerate_level(3)
+    memo = {}
+    compared = 0
+    for size in range(1, 4):
+        for combo in combinations(level, size):
+            combo = frozenset(combo)
+            for cls in classes:
+                assert (is_comb(combo, cls) is not None) == \
+                    build_tree_comb_oracle(combo, cls, memo), (sorted(map(encode, combo)), cls)
+                compared += 1
+    assert compared == 12 * (64 + 2016 + 41664)
+
+
 def test_build_tree_comb_oracle_errors():
     with pytest.raises(ArgumentError):
         build_tree_comb_oracle(frozenset(), CombClass("up", 1))

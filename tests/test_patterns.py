@@ -823,17 +823,18 @@ def test_predicate_asked_once_per_family_weave(d, k, counts):
 
 
 # The grid has two walks: the maximal chains, then the subchains of the
-# failing ones, which include those maximal chains again.  So the strong
-# 2 x 2 check of the strict-chain witness asks more than a full walk (14
-# against 12): both of its maximal chains fail and are asked twice.
-@pytest.mark.parametrize("s, counts", [(2, ((4, 6), (14, 12))),
+# failing ones.  Those include the failing maximal chains again, which the
+# second walk takes as failing without asking.  So the strong 2 x 2 check of
+# the strict-chain witness, where both maximal chains fail, asks each of
+# its 12 families once, as a full walk does.
+@pytest.mark.parametrize("s, counts", [(2, ((4, 6), (12, 12))),
                                        (3, ((18, 28), (51, 112))),
                                        (4, ((63, 105), (156, 1043)))])
 def test_predicate_asked_once_per_family_grid(s, counts):
     for strong, (want, full) in zip((False, True), counts):
         ci, asked = _counting(grid_witness(s, 2))
         check_grid(ci, s, 2, strong=strong)
-        assert max(asked.values()) <= 2
+        assert max(asked.values()) == 1
         assert sum(asked.values()) == want, (s, strong)
         if s >= 3:
             assert want < full

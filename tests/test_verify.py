@@ -1,0 +1,97 @@
+"""The battery's exhaustive sweeps keep their strength: one planted defect
+in a recognizer, a classifier or an oracle relation, on one subset or one
+pair, fails the sweep and is named in its detail."""
+
+import pytest
+
+from comblab import combs, oracle, verify
+from comblab.combs import OMEGA, UP_ONE, WIDE_RIGHT_ONE, CombClass
+from comblab.index_core import enumerate_level
+
+WIDE_OMEGA = CombClass("wide-right", OMEGA)
+
+
+def _subset(*digits):
+    """The level-2 nodes with these digits, in the sweeps' order."""
+    return [node for node in enumerate_level(2) if node.digits in digits]
+
+
+def _listed(subset):
+    """A subset as the sweeps' details list it."""
+    return str([repr(node) for node in subset])
+
+
+def _flip_is_comb(monkeypatch, subset, cls):
+    real, target = combs.is_comb, frozenset(subset)
+
+    def flipped(nodes, comb_cls):
+        verdict = real(nodes, comb_cls)
+        if comb_cls != cls or frozenset(nodes) != target:
+            return verdict
+        return "planted certificate" if verdict is None else None
+
+    monkeypatch.setattr(combs, "is_comb", flipped)
+
+
+# A pair, a mid-size set, and the whole level: a sweep that skips a size
+# misses one of them.
+WIDE_SUBSETS = [("03", "33"), ("00", "02", "11", "13", "20", "31", "32"),
+                tuple(node.digits for node in enumerate_level(2))]
+
+
+@pytest.mark.parametrize("digits", WIDE_SUBSETS)
+def test_wide_characterization_catches_a_flipped_recognizer(monkeypatch, digits):
+    subset = _subset(*digits)
+    _flip_is_comb(monkeypatch, subset, WIDE_OMEGA)
+    result = verify._wide_characterization(2)
+    assert not result.ok
+    assert result.detail.startswith(_listed(subset) + ": wide="), result.detail
+
+
+# An early up pair, a wide pair, and an up pair late in the order.
+@pytest.mark.parametrize("digits", [("00", "01"), ("10", "12"), ("21", "30")])
+def test_wide_characterization_catches_a_flipped_pair(monkeypatch, digits):
+    subset = _subset(*digits)
+    real = combs.classify_pair
+    target = frozenset(subset)
+
+    def flipped(a, b):
+        verdict = real(a, b)
+        if {a, b} != target:
+            return verdict
+        return WIDE_RIGHT_ONE if verdict == UP_ONE else UP_ONE
+
+    monkeypatch.setattr(combs, "classify_pair", flipped)
+    result = verify._wide_characterization(2)
+    assert not result.ok
+    assert result.detail.startswith(_listed(subset) + ": wide="), result.detail
+
+
+@pytest.mark.parametrize("digits, cls", [
+    (("21",), CombClass("up", 1)),
+    (("01", "12", "30"), CombClass("right", 2)),
+    (("00", "02", "20", "22"), WIDE_OMEGA),
+])
+def test_recognition_vs_brute_catches_a_flipped_recognizer(monkeypatch, digits, cls):
+    subset = _subset(*digits)
+    _flip_is_comb(monkeypatch, subset, cls)
+    result = verify._recognition_vs_brute(2)
+    assert not result.ok
+    assert result.detail == f"{_listed(subset)} under {cls!r}"
+
+
+def test_recognition_vs_brute_catches_a_rejected_oracle_pair(monkeypatch):
+    # {00, 02} widely left of {20, 22} is the only build of their union, a
+    # wide comb of the largest size the sweep covers.
+    real = oracle.widely_left
+    a_part, b_part = frozenset(_subset("00", "02")), frozenset(_subset("20", "22"))
+    assert real(a_part, b_part)
+
+    def rejecting(a_set, b_set):
+        return False if (a_set, b_set) == (a_part, b_part) else real(a_set, b_set)
+
+    monkeypatch.setattr(oracle, "widely_left", rejecting)
+    result = verify._recognition_vs_brute(2)
+    assert not result.ok
+    subset = _subset("00", "02", "20", "22")
+    assert result.detail == f"{_listed(subset)} under {CombClass('wide-right', 2)!r}"
