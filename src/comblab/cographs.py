@@ -10,7 +10,6 @@ recognition and induced-path search stay fast on exhaustive sweeps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Union
 
 from . import combs as combs_mod
@@ -120,24 +119,32 @@ class P4Certificate(NamedTuple):
         return list(self)
 
 
-@dataclass(frozen=True)
-class Cotree:
-    """Decomposition tree: leaves carry vertices, internal vertices combine
-    children by disjoint union or join."""
-
+class _CotreeFields(NamedTuple):
     op: str
     vertex: Optional[int] = None
     children: tuple = ()
 
-    def __post_init__(self):
-        if self.op == LEAF:
-            if self.vertex is None or self.children:
+
+class Cotree(_CotreeFields):
+    """Decomposition tree: leaves carry vertices, internal vertices combine
+    children by disjoint union or join."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, op: str, vertex: Optional[int] = None, children: tuple = ()):
+        if op == LEAF:
+            if vertex is None or children:
                 raise ArgumentError("a leaf carries exactly one vertex")
-        elif self.op in (UNION, JOIN):
-            if len(self.children) < 2:
-                raise ArgumentError(f"a {self.op} node needs at least two children")
+        elif op in (UNION, JOIN):
+            if len(children) < 2:
+                raise ArgumentError(f"a {op} node needs at least two children")
         else:
-            raise ArgumentError(f"unknown cotree op {self.op!r}")
+            raise ArgumentError(f"unknown cotree op {op!r}")
+        return super().__new__(cls, op, vertex, children)
+
+    def __hash__(self):  # a tuple's own hash recurses in C with no depth check
+        return hash((self.op, self.vertex, self.children))
 
     def fold(self, at_leaf, at_inner):
         """The tree's value bottom-up: at_leaf(vertex) at a leaf, and

@@ -17,9 +17,8 @@ rest of the library relies on, so it is the default.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import errors
 from .errors import ArgumentError, require_within
@@ -65,8 +64,7 @@ NARROW_LEFT = "narrow-left"
 WIDE_LEFT = "wide-left"
 
 
-@dataclass(frozen=True)
-class SplitKind:
+class SplitKind(NamedTuple):
     kind: str
     bit: Optional[int] = None
 
@@ -89,8 +87,7 @@ def wide_left() -> SplitKind:
     return SplitKind(WIDE_LEFT)
 
 
-@dataclass(frozen=True)
-class SplitWitness:
+class SplitWitness(NamedTuple):
     tau: Node
     kind: SplitKind
 
@@ -98,20 +95,25 @@ class SplitWitness:
         return {"tau": encode(self.tau), "kind": self.kind.to_json()}
 
 
-@dataclass(frozen=True)
-class CombClass:
+class _CombClassFields(NamedTuple):
     kind: str  # "up" | "right" | "wide-right"
     n: object  # int or OMEGA
     reading: str = RECURSIVE
 
-    def __post_init__(self):
-        if self.kind not in ("up", "right", "wide-right"):
-            raise ArgumentError(f"unknown comb kind {self.kind!r}")
-        _check_bound(self.n)
-        if self.reading not in (RECURSIVE, LITERAL):
-            raise ArgumentError(f"unknown wide reading {self.reading!r}")
-        if self.kind != "wide-right" and self.reading != RECURSIVE:
+
+class CombClass(_CombClassFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, kind: str, n, reading: str = RECURSIVE):
+        if kind not in ("up", "right", "wide-right"):
+            raise ArgumentError(f"unknown comb kind {kind!r}")
+        _check_bound(n)
+        if reading not in (RECURSIVE, LITERAL):
+            raise ArgumentError(f"unknown wide reading {reading!r}")
+        if kind != "wide-right" and reading != RECURSIVE:
             raise ArgumentError("the reading switch only applies to wide-right combs")
+        return super().__new__(cls, kind, n, reading)
 
     def __repr__(self):
         if self.kind == "wide-right":
@@ -131,8 +133,7 @@ def wide_right(n, reading: str = RECURSIVE) -> CombClass:
     return CombClass("wide-right", n, reading)
 
 
-@dataclass(frozen=True)
-class CombCertificate:
+class CombCertificate(NamedTuple):
     """Binary proof tree: leaves are singletons, internal vertices carry the
     split witness and the size of the lower/left part."""
 

@@ -9,8 +9,7 @@ failure naming the requirement and the element where the search got stuck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ArgumentError, ComblabError
 
@@ -85,8 +84,7 @@ class RequirementPoset:
         return self._leq(a, b)
 
 
-@dataclass(frozen=True)
-class DensePredicate:
+class DensePredicate(NamedTuple):
     """A named requirement with a membership test; density above every
     element is a promise checked only by the bounded search."""
 
@@ -94,8 +92,7 @@ class DensePredicate:
     test: Callable[[object], bool]
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     element: object
     satisfied: tuple  # indices of requirements credited at this element
 

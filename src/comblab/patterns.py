@@ -13,12 +13,11 @@ witnessed at size k (subsets of combs, chains, and antichains stay in class).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, compress, cycle, groupby, islice, repeat
 from math import comb as binom
-from operator import and_, is_, itemgetter, lt, or_
-from typing import Callable, Iterable, Optional
+from operator import and_, eq, is_, itemgetter, lt, or_
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import combs as combs_mod
 from .combs import (CombClass, RECURSIVE, comb_entries, is_comb, mask_indices,
@@ -455,8 +454,7 @@ def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # Consistency | Inconsistency
     indices: tuple
     certificate: object = None
@@ -474,12 +472,11 @@ class Violation:
         return out
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     ok: bool
     cap: int
     truncated: bool = False
-    violations: list = field(default_factory=list)
+    violations: Sequence = ()
     violations_truncated: bool = False
 
     def to_json(self) -> dict:
@@ -555,7 +552,7 @@ def _fold_plan(table, target) -> bytearray:
     if target is None:
         plan = bytearray([_FOLD]) * len(table)
     else:
-        plan = bytearray(map(target.__eq__, table.sizes))  # True is _FOLD
+        plan = bytearray(map(eq, table.sizes, repeat(target)))  # True is _FOLD
     a, b = table.a, table.b
     todo = list(compress(range(len(plan)), plan))
     while todo:
@@ -953,8 +950,7 @@ def _graph_fold(ci, n: int, masks, cap: int):
 # --- templates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """Abstract requirements: some families must be consistent, others must be
     k-inconsistent."""
 

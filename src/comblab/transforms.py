@@ -13,8 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ArgumentError, ParseError, is_int_pair, json_fields
 from .index_core import Letter, Node, decode, encode, enumerate_level
@@ -23,17 +22,37 @@ from .patterns import level_depth
 GridPoint = tuple  # (x, y) under the product order
 
 
-@dataclass(frozen=True)
 class EpsCoord:
     """The value a - b*eps for an infinitesimal eps > 0.
 
     Ordered lexicographically with the epsilon part reversed: more epsilon
     subtracted means smaller.  With `<`, `<=` and equality defined, the
     product order helpers of `patterns` compare scaled points directly.
+    Not a tuple: a tuple's own `>` and `>=` would disagree with the key, and
+    `patterns.encode_index` would read the value as a grid point.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"EpsCoord(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     def key(self) -> tuple:
         return (self.a, -self.b)
@@ -48,22 +67,27 @@ class EpsCoord:
         return [self.a, self.b]
 
 
-@dataclass(frozen=True)
-class IndexMap:
-    """A total injective reindexing of one level into nodes or grid points."""
-
+class _IndexMapFields(NamedTuple):
     depth: int
     codomain: str  # "level" | "grid"
     mapping: dict
 
-    def __post_init__(self):
-        level = enumerate_level(self.depth)
-        missing = [node for node in level if node not in self.mapping]
+
+class IndexMap(_IndexMapFields):
+    """A total injective reindexing of one level into nodes or grid points."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, depth: int, codomain: str, mapping: dict):
+        level = enumerate_level(depth)
+        missing = [node for node in level if node not in mapping]
         if missing:
             raise ArgumentError(f"index map is missing {encode(missing[0])}")
-        targets = list(self.mapping.values())
+        targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ArgumentError("index map must be injective")
+        return super().__new__(cls, depth, codomain, mapping)
 
     def apply(self, node: Node):
         try:

@@ -10,8 +10,8 @@ table or classifier flips at least one verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import cographs as cographs_mod
 from . import combs as combs_mod
@@ -24,8 +24,7 @@ from .index_core import enumerate_level, level_size
 from .patterns import DEFAULT_SEED
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
