@@ -17,7 +17,7 @@ from . import patterns as patterns_mod
 from .combs import UP_ONE, mask_indices
 from .errors import (ArgumentError, ParseError, is_int_pair, json_fields,
                      require_within)
-from .index_core import EMPTY, Letter, Node, enumerate_level, level_size
+from .index_core import Letter, Node, enumerate_level, level_size
 
 UNION = "union"
 JOIN = "join"
@@ -120,63 +120,55 @@ class P4Certificate(NamedTuple):
 
 
 class _CotreeFields(NamedTuple):
-    op: str
-    vertex: Optional[int] = None
-    children: tuple = ()
+    nodes: tuple
 
 
 class Cotree(_CotreeFields):
     """Decomposition tree: leaves carry vertices, internal vertices combine
-    children by disjoint union or join."""
+    children by disjoint union or join.  It is held flat in post-order,
+    `(LEAF, vertex)` at a leaf and `(op, child count)` after the children's
+    entries, so equality, hashing and `repr` are a tuple's."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
 
-    def __new__(cls, op: str, vertex: Optional[int] = None, children: tuple = ()):
-        if op == LEAF:
-            if vertex is None or children:
-                raise ArgumentError("a leaf carries exactly one vertex")
-        elif op in (UNION, JOIN):
-            if len(children) < 2:
-                raise ArgumentError(f"a {op} node needs at least two children")
-        else:
-            raise ArgumentError(f"unknown cotree op {op!r}")
-        return super().__new__(cls, op, vertex, children)
-
-    def __hash__(self):  # a tuple's own hash recurses in C with no depth check
-        return hash((self.op, self.vertex, self.children))
+    def __new__(cls, nodes: tuple):
+        if not isinstance(nodes, tuple):
+            raise ArgumentError(f"cotree nodes must be a tuple, got {type(nodes).__name__}")
+        finished = 0  # subtrees complete so far
+        for pos, entry in enumerate(nodes):
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ArgumentError(f"cotree entry {pos} is not an (op, value) pair: {entry!r}")
+            op, value = entry
+            if op == LEAF:
+                if type(value) is not int:
+                    raise ArgumentError("a leaf carries exactly one vertex")
+                finished += 1
+                continue
+            _check_inner(op, value)
+            if value > finished:
+                raise ArgumentError(f"cotree entry {pos}: a {op} node of {value} "
+                                    f"children follows {finished} subtrees")
+            finished -= value - 1
+        if finished != 1:
+            raise ArgumentError(f"a cotree needs exactly one root, got {finished}")
+        return super().__new__(cls, nodes)
 
     def fold(self, at_leaf, at_inner):
         """The tree's value bottom-up: at_leaf(vertex) at a leaf, and
-        at_inner(op, values of the children in order) at an inner vertex.
-        Post-order from an explicit stack, so a deep tree needs no deep
-        recursion."""
+        at_inner(op, values of the children in order) at an inner vertex."""
         values = []
-        stack = [(self, False)]
-        while stack:
-            tree, expanded = stack.pop()
-            if tree.op == LEAF:
-                values.append(at_leaf(tree.vertex))
-            elif expanded:
-                split = len(values) - len(tree.children)
-                kids = values[split:]
-                del values[split:]
-                values.append(at_inner(tree.op, kids))
+        for op, value in self.nodes:
+            if op == LEAF:
+                values.append(at_leaf(value))
             else:
-                stack.append((tree, True))
-                stack.extend((child, False) for child in reversed(tree.children))
+                kids = values[-value:]
+                del values[-value:]
+                values.append(at_inner(op, kids))
         return values[0]
 
     def leaves(self) -> list[int]:
-        out = []
-        stack = [self]
-        while stack:
-            tree = stack.pop()
-            if tree.op == LEAF:
-                out.append(tree.vertex)
-            else:
-                stack.extend(reversed(tree.children))
-        return out
+        return [value for op, value in self.nodes if op == LEAF]
 
     def to_json(self):
         return self.fold(lambda v: {"op": LEAF, "v": v},
@@ -186,65 +178,70 @@ class Cotree(_CotreeFields):
     def from_json(cls, payload) -> "Cotree":
         """Read {"op": "leaf", "v": v} or {"op": ..., "children": [...]}; a
         malformed value raises ParseError naming where it is."""
-        def read(node, where: str) -> "Cotree":
+        nodes = []
+
+        def read(node, where: str) -> None:
             (op,) = json_fields(node, where, op=str)
             if op == LEAF:
                 (vertex,) = json_fields(node, where, v=int)
                 if vertex < 0:
                     raise ParseError(f"{where}: leaf vertex must be nonnegative, got {vertex}")
-                return cls(LEAF, vertex=vertex)
+                nodes.append((LEAF, vertex))
+                return
             (children,) = json_fields(node, where, children=list)
-            kids = tuple(read(child, f"{where}.children[{pos}]")
-                         for pos, child in enumerate(children))
+            for pos, child in enumerate(children):
+                read(child, f"{where}.children[{pos}]")
             try:
-                return cls(op, children=kids)
+                _check_inner(op, len(children))
             except ArgumentError as err:
                 raise ParseError(f"{where}: {err}") from None
+            nodes.append((op, len(children)))
 
-        return read(payload, "cotree")
+        read(payload, "cotree")
+        return cls(tuple(nodes))
 
     def to_dot(self) -> str:
         """Vertices are numbered in pre-order, and the edge to a child follows
         the child's subtree."""
         lines = ["digraph T {"]
         count = 0
-        stack = [(self, None)]  # (tree, parent's number), or an edge's line
+        # One fold pairs each vertex's label with its children, then an
+        # explicit stack walks them in pre-order.
+        top = self.fold(lambda v: (f"v{v}", ()), lambda op, kids: (op, kids))
+        stack = [(top, None)]  # ((label, children), parent's number), or an edge's line
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 lines.append(item)
                 continue
-            tree, parent = item
-            label = f"v{tree.vertex}" if tree.op == LEAF else tree.op
+            (label, kids), parent = item
             lines.append(f'  n{count} [label="{label}"];')
             if parent is not None:
                 stack.append(f"  n{parent} -> n{count};")
-            stack.extend((child, count) for child in reversed(tree.children))
+            stack.extend((kid, count) for kid in reversed(kids))
             count += 1
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def normalized(self) -> "Cotree":
-        """Flatten nested same-op children so union/join levels alternate."""
-        def flatten(op: str, kids: list) -> "Cotree":
-            flat = []
-            for child in kids:
-                flat.extend(child.children if child.op == op else (child,))
-            return Cotree(op, children=tuple(flat))
 
-        return self.fold(leaf, flatten)
+def _check_inner(op, count) -> None:
+    """An inner vertex's op is union or join, over at least two children."""
+    if op not in (UNION, JOIN):
+        raise ArgumentError(f"unknown cotree op {op!r}")
+    if type(count) is not int or count < 2:
+        raise ArgumentError(f"a {op} node needs at least two children")
 
 
 def leaf(vertex: int) -> Cotree:
-    return Cotree(LEAF, vertex=vertex)
+    return Cotree(((LEAF, vertex),))
 
 
 def union(*children: Cotree) -> Cotree:
-    return Cotree(UNION, children=tuple(children))
+    return Cotree(tuple(e for child in children for e in child.nodes) + ((UNION, len(children)),))
 
 
 def join(*children: Cotree) -> Cotree:
-    return Cotree(JOIN, children=tuple(children))
+    return Cotree(tuple(e for child in children for e in child.nodes) + ((JOIN, len(children)),))
 
 
 def combine(op: str, g0: Graph, g1: Graph) -> Graph:
@@ -377,34 +374,30 @@ def _decompose(graph: Graph) -> Optional[Cotree]:
 
     A multi-vertex cograph is disconnected or co-disconnected; its pieces are
     split in turn from an explicit stack, so a deep cotree needs no deep
-    recursion, and the tree is assembled bottom-up once every piece has split.
-    A piece that neither splits holds an induced four-path.
+    recursion.  A split pushes its `(op, piece count)` entry under its
+    pieces, so the entries leave the stack in post-order.  A piece that
+    neither splits holds an induced four-path.
     """
     masks = graph._masks
-    full = (1 << graph.n) - 1
-    splits = []  # (vertices, op, pieces), each piece after the set it splits
-    stack = [full]
+    nodes = []
+    stack = [(1 << graph.n) - 1]  # vertex masks, and the entries of split sets
     while stack:
         vertices = stack.pop()
-        if vertices & (vertices - 1) == 0:
-            splits.append((vertices, LEAF, ()))
-            continue
-        comps = _components(vertices, masks)
-        op = UNION
-        if len(comps) == 1:
-            comps = _components(vertices, masks, complement=True)
-            if len(comps) == 1:
-                return None
-            op = JOIN
-        splits.append((vertices, op, comps))
-        stack.extend(comps)
-    built = {}
-    for vertices, op, comps in reversed(splits):
-        if op == LEAF:
-            built[vertices] = leaf(vertices.bit_length() - 1)
+        if isinstance(vertices, tuple):
+            nodes.append(vertices)
+        elif vertices & (vertices - 1) == 0:
+            nodes.append((LEAF, vertices.bit_length() - 1))
         else:
-            built[vertices] = Cotree(op, children=tuple(map(built.pop, comps)))
-    return built[full]
+            comps = _components(vertices, masks)
+            op = UNION
+            if len(comps) == 1:
+                comps = _components(vertices, masks, complement=True)
+                if len(comps) == 1:
+                    return None
+                op = JOIN
+            stack.append((op, len(comps)))
+            stack.extend(reversed(comps))
+    return Cotree(tuple(nodes))
 
 
 def comb_graph(d: int) -> tuple[Graph, Cotree]:
@@ -442,26 +435,27 @@ def embed_cograph(tree: Cotree) -> tuple[int, dict]:
     Children are embedded recursively, right-padded with the letter (0,0) to a
     common depth (padding never moves a pair's meet), and a discriminator
     letter is prepended: (0,0)/(1,0) for a union, (0,0)/(0,1) for a join.
-    Multi-child vertices fold left.  Leaf vertices must be distinct.
+    Multi-child vertices fold left, so child j > 0 of an m-child vertex gets
+    the letters pad * (m-1-j) + discriminator, and child 0 gets pad * (m-1).
+    A vertex's node is its ancestors' letters, outermost first, right-padded
+    to the longest: the root's depth.  Leaf vertices must be distinct.
     """
     _distinct_leaves(tree)
     pad = Letter(0, 0).digit
-
-    def lift(mapping: dict, letter: str, depth: int, to_depth: int) -> dict:
-        return {v: Node(letter + node.digits + pad * (to_depth - depth))
-                for v, node in mapping.items()}
-
-    def embed(op: str, kids: list) -> tuple[int, dict]:
-        second = Letter(1, 0) if op == UNION else Letter(0, 1)
-        depth, mapping = kids[0]
-        for child_depth, child_map in kids[1:]:
-            common = max(depth, child_depth)
-            mapping = lift(mapping, pad, depth, common) | \
-                lift(child_map, second.digit, child_depth, common)
-            depth = common + 1
-        return depth, mapping
-
-    return tree.fold(lambda v: (0, {v: EMPTY}), embed)
+    # Backwards, the post-order meets each vertex before its children, the
+    # last child first; each entry takes its letters from the top of `above`.
+    above = [""]
+    placed = []
+    for op, value in reversed(tree.nodes):
+        letters = above.pop()
+        if op == LEAF:
+            placed.append((value, letters))
+            continue
+        second = (Letter(1, 0) if op == UNION else Letter(0, 1)).digit
+        above.append(letters + pad * (value - 1))
+        above.extend(letters + pad * (value - 1 - j) + second for j in range(1, value))
+    depth = max(len(letters) for _, letters in placed)
+    return depth, {v: Node(letters.ljust(depth, pad)) for v, letters in reversed(placed)}
 
 
 def graph_to_weave_oracle(pattern_ci, d: int):
@@ -511,21 +505,20 @@ def random_cotree(n_leaves: int, seed: int) -> Cotree:
     rng = random.Random(seed)
     labels = list(range(n_leaves))
     rng.shuffle(labels)
+    nodes = []
 
-    def build(items: list[int], op: str) -> Cotree:
+    def build(items: list[int], op: str) -> None:
         if len(items) == 1:
-            return leaf(items[0])
+            nodes.append((LEAF, items[0]))
+            return
         parts = min(len(items), rng.randint(2, 3))
         cuts = sorted(rng.sample(range(1, len(items)), parts - 1))
-        groups = []
+        other = UNION if op == JOIN else JOIN
         prev = 0
         for cut in cuts + [len(items)]:
-            groups.append(items[prev:cut])
+            build(items[prev:cut], other)
             prev = cut
-        other = UNION if op == JOIN else JOIN
-        return Cotree(op, children=tuple(build(g, other) for g in groups))
+        nodes.append((op, parts))
 
-    top = rng.choice((UNION, JOIN))
-    if n_leaves == 1:
-        return leaf(labels[0])
-    return build(labels, top)
+    build(labels, rng.choice((UNION, JOIN)))
+    return Cotree(tuple(nodes))

@@ -510,7 +510,7 @@ class _ViolationSink:
             ok=self.total == 0,
             cap=cap,
             truncated=truncated,
-            violations=self.items,
+            violations=tuple(self.items),
             violations_truncated=self.total > len(self.items),
         )
 

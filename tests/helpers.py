@@ -270,7 +270,7 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
             violations.append(Violation(CONSISTENCY, tuple(sorted(nodes)),
                                         is_comb(nodes, cons_cls)))
     return Report(ok=not violations, cap=cap, truncated=cap < 2 ** d,
-                  violations=violations[:max_violations],
+                  violations=tuple(violations[:max_violations]),
                   violations_truncated=len(violations) > max_violations).to_json()
 
 
@@ -344,7 +344,7 @@ def reference_check_grid(ci, s, k, strong=False, cap=None, max_violations=10):
         if not ci.consistent(fam):
             violations.append(Violation(CONSISTENCY, fam, {"structure": structure}))
     return Report(ok=not violations, cap=cap, truncated=cap < 2 * s - 1,
-                  violations=violations[:max_violations],
+                  violations=tuple(violations[:max_violations]),
                   violations_truncated=len(violations) > max_violations).to_json()
 
 
@@ -377,7 +377,7 @@ def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10):
                                             {"structure": "edge", "edge": list(edge)},
                                             ci.common_atom(combo)))
     return Report(ok=not violations, cap=cap, truncated=cap < graph.n,
-                  violations=violations[:max_violations],
+                  violations=tuple(violations[:max_violations]),
                   violations_truncated=len(violations) > max_violations).to_json()
 
 
@@ -601,7 +601,7 @@ def with_shared_atom(system, indices):
 
 def all_small_cotrees(max_leaves):
     """Every alternating cotree on leaf sets 0..k-1 for k <= max_leaves."""
-    from comblab.cographs import Cotree, leaf
+    from comblab.cographs import join, leaf, union
 
     def trees(labels, op):
         if len(labels) == 1:
@@ -612,7 +612,7 @@ def all_small_cotrees(max_leaves):
             if len(partition) == 1:
                 continue
             for kids in child_products(partition, other):
-                yield Cotree(op, children=tuple(kids))
+                yield (union if op == "union" else join)(*kids)
 
     def ordered_partitions(labels):
         if not labels:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -5,7 +7,7 @@ import pytest
 
 from comblab import cographs as cographs_mod
 from comblab.combs import OMEGA, UP_ONE, classify_pair
-from comblab.cographs import (Cotree, Graph, P4Certificate, comb_graph,
+from comblab.cographs import (JOIN, LEAF, UNION, Cotree, Graph, P4Certificate, comb_graph,
                               combine, cotree_of, embed_cograph, eval_cotree,
                               find_p4, graph_to_weave_oracle, join, leaf,
                               random_cotree, union, weave_to_graph_oracle)
@@ -68,17 +70,51 @@ def test_eval_cotree_roundtrip_random():
         assert eval_cotree(back) == graph
 
 
+def _post_order_oracle(nodes):
+    """Whether `nodes` is one tree in post-order, read by recursion from its
+    last entry."""
+    def start(pos):  # where the subtree ending at pos begins, or None
+        if pos < 0 or not (isinstance(nodes[pos], tuple) and len(nodes[pos]) == 2):
+            return None
+        op, value = nodes[pos]
+        if op == "leaf":
+            return pos if type(value) is int else None
+        if op not in ("union", "join") or type(value) is not int or value < 2:
+            return None
+        end = pos - 1
+        for _ in range(value):
+            first = start(end)
+            if first is None:
+                return None
+            end = first - 1
+        return end + 1
+
+    return bool(nodes) and start(len(nodes) - 1) == 0
+
+
 def test_cotree_validation():
-    with pytest.raises(ArgumentError):
-        Cotree("union", children=(leaf(0),))
-    with pytest.raises(ArgumentError):
-        Cotree("leaf")
-
-
-def test_normalized_flattens():
-    tree = union(union(leaf(0), leaf(1)), leaf(2)).normalized()
-    assert tree.op == "union"
-    assert len(tree.children) == 3
+    # `Cotree(nodes)` accepts exactly the post-order tuples of one tree, and
+    # refuses everything else with an ArgumentError.
+    assert Cotree(((LEAF, 0), (LEAF, 1), (UNION, 2))) == union(leaf(0), leaf(1))
+    for bad in ("union", [(LEAF, 0)], (), ((LEAF, 0), (LEAF, 1)),
+                ((LEAF, 0), (LEAF, 1), (LEAF, 2), (UNION, 5), (LEAF, 3), (LEAF, 4))):
+        with pytest.raises(ArgumentError):
+            Cotree(bad)
+    entries = [(LEAF, 0), (LEAF, 1), (LEAF, -2), (LEAF, "0"), (LEAF, True), (UNION, 0),
+               (UNION, 1), (UNION, 2), (JOIN, 2), (JOIN, 3), (UNION, 2.0), ("meet", 2),
+               ("union",), (LEAF, 0, 1), "leaf", None]
+    rng = random.Random(SEED + 6)
+    accepted = 0
+    for _ in range(20_000):
+        nodes = tuple(rng.choice(entries) for _ in range(rng.randint(0, 7)))
+        try:
+            Cotree(nodes)
+        except ArgumentError:
+            assert not _post_order_oracle(nodes), nodes
+        else:
+            assert _post_order_oracle(nodes), nodes
+            accepted += 1
+    assert accepted > 100
 
 
 # --- p4 search --------------------------------------------------------------
@@ -148,32 +184,52 @@ def test_find_p4_scans_only_graphs_that_are_not_cographs(monkeypatch):
 
 
 def test_deep_cograph_needs_no_deep_recursion():
-    # A threshold graph (each odd vertex joined to every earlier one) has a
-    # cotree about as deep as it has vertices: past the interpreter's
-    # recursion limit, the decomposition must still answer.
+    # A threshold graph's cotree is about as deep as it has vertices: past
+    # the interpreter's recursion limit, the decomposition must still answer.
     n = 1100
-    graph = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    graph = _threshold_graph(n)
     assert isinstance(cotree_of(graph), Cotree)
     assert find_p4(graph) is None
 
 
+def _threshold_graph(n):
+    # Each odd vertex is joined to every earlier one: a cotree about as deep
+    # as the graph has vertices.
+    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
 def test_deep_cotree_walks_need_no_deep_recursion():
     # The threshold graph's cotree is a path of 1,099 inner vertices: its
-    # walks and folds must not recurse once per level.  Deep trees are
-    # compared through their DOT text, since == on them recurses too.
+    # walks, folds, comparison, hash and repr must not recurse once per level.
     n = 1100
-    graph = Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+    graph = _threshold_graph(n)
     tree = cotree_of(graph)
     assert tree.leaves() == list(range(n))
     assert eval_cotree(tree) == graph
+    twin = cotree_of(graph)
+    assert tree is not twin and tree == twin and hash(tree) == hash(twin)
+    assert eval(repr(tree), {"Cotree": Cotree}) == tree
     dot = tree.to_dot()
-    assert tree.normalized().to_dot() == dot
     assert dot.count(" -> ") == 2 * n - 2 and dot.count("[label=") == 2 * n - 1
     depth = 0
     node = tree.to_json()
     while node["op"] != "leaf":
         node, depth = node["children"][0], depth + 1
     assert depth == n - 1
+
+
+def test_deep_cotree_embeds_exactly():
+    # The embedding of a deep cotree is injective and sends edges, and only
+    # edges, to UpOne pairs; checked on the pairs of 60 seeded vertices.
+    n = 1100
+    graph = _threshold_graph(n)
+    depth, mapping = embed_cograph(cotree_of(graph))
+    assert list(mapping) == list(range(n))
+    assert len(set(mapping.values())) == n
+    assert {node.depth for node in mapping.values()} == {depth}
+    sample = random.Random(SEED + 7).sample(range(n), 60)
+    for u, v in combinations(sample, 2):
+        assert (classify_pair(mapping[u], mapping[v]) == UP_ONE) == graph.has_edge(u, v)
 
 
 def test_cotree_outputs_are_p4_free():
@@ -197,14 +253,10 @@ def test_cotree_of_examples():
 
 def test_cotree_of_comb_graph_depth1():
     graph, tree = comb_graph(1)
-    assert tree.op == "union"
-    assert all(child.op == "join" for child in tree.children)
-    assert len(tree.children) == 2
-    # recognition recovers the same shape from the bare graph
-    recognized = cotree_of(graph)
-    assert recognized.op == "union"
-    assert sorted(child.op for child in recognized.children) == ["join", "join"]
-    assert all(len(child.children) == 2 for child in recognized.children)
+    expected = union(join(leaf(0), leaf(1)), join(leaf(2), leaf(3)))
+    assert tree == expected
+    # recognition recovers the same tree from the bare graph
+    assert cotree_of(graph) == expected
 
 
 def test_cotree_of_matches_find_p4_exhaustive_small():
@@ -278,6 +330,29 @@ def test_embed_cograph_exactness_random():
         for u, v in combinations(sorted(mapping), 2):
             assert (classify_pair(mapping[u], mapping[v]) == UP_ONE) == \
                 graph.has_edge(u, v)
+
+
+def test_cotree_texts_are_pinned():
+    # The JSON and DOT text and the embedding map, in order, of every
+    # alternating cotree on up to 5 leaves and of 300 seeded random cotrees,
+    # hashed together, so a change to any byte of them shows.
+    def trees():
+        yield from all_small_cotrees(5)
+        rng = random.Random(SEED + 5)
+        for _ in range(300):
+            yield random_cotree(rng.randint(1, 40), rng.randrange(1 << 30))
+
+    digest = hashlib.sha256()
+    count = 0
+    for tree in trees():
+        depth, mapping = embed_cograph(tree)
+        digest.update(json.dumps(tree.to_json()).encode())
+        digest.update(tree.to_dot().encode())
+        digest.update(f"{depth} {[(v, node.digits) for v, node in mapping.items()]}\n".encode())
+        count += 1
+    assert count == 835
+    assert digest.hexdigest() == \
+        "f94fd102ba041c0dbd2d5292b6061fb5dc205c72329696cb6cdfe45b607eeafc"
 
 
 # --- bridges ----------------------------------------------------------------

@@ -73,7 +73,7 @@ def test_checkers_reject_negative_max_violations():
         with pytest.raises(ArgumentError, match="max_violations"):
             check(-1)
         report = check(0)
-        assert report.ok and report.violations == []
+        assert report.ok and report.violations == ()
 
 
 def test_witness_parameter_validation():

@@ -1050,6 +1050,20 @@ def test_report_json_shape():
     assert set(payload) == {"ok", "cap", "truncated", "violations", "violations_truncated"}
 
 
+def test_checker_reports_are_hashable_values():
+    # A report holds its violations in a tuple: equal checks give equal
+    # reports with equal hashes, and the checker keeps no list to append to.
+    ci = weave_witness(1, 2, 1, OMEGA)
+    node = decode("0")
+    mutated = ci.mutated_without(node, ci.atom_names(ci.set_of(node))[0])
+    for system in (ci, mutated):
+        report, twin = (check_weave(system, 1, 2, 1, OMEGA) for _ in range(2))
+        assert type(report.violations) is tuple
+        assert report is not twin and report == twin and hash(report) == hash(twin)
+    assert not report.ok and report.violations
+    assert report.to_json()["violations"] == [v.to_json() for v in report.violations]
+
+
 def test_encode_index_forms():
     assert encode_index(decode("01")) == "01"
     assert encode_index((2, 3)) == "2,3"

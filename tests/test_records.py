@@ -22,7 +22,7 @@ def _always(_element) -> bool:
 
 
 def _leaf(vertex: int) -> cographs.Cotree:
-    return cographs.Cotree(cographs.LEAF, vertex)
+    return cographs.Cotree(((cographs.LEAF, vertex),))
 
 
 def _identity_map() -> transforms.IndexMap:
@@ -41,8 +41,8 @@ RECORDS = {
     "Report": (lambda: patterns.Report(False, 3, violations=(
         patterns.Violation(patterns.INCONSISTENCY, ((0, 1), (1, 0))),)), "ok"),
     "Template": (lambda: patterns.Template.make({1, 2, 3}, [{1, 2}], [{1, 2, 3}], 2), "k"),
-    "Cotree": (lambda: cographs.Cotree(cographs.JOIN, children=(_leaf(0), _leaf(1))),
-               "children"),
+    "Cotree": (lambda: cographs.Cotree(_leaf(0).nodes + _leaf(1).nodes + ((cographs.JOIN, 2),)),
+               "nodes"),
     "DensePredicate": (lambda: genericity.DensePredicate("all", _always), "test"),
     "ChainStep": (lambda: genericity.ChainStep("01", (0, 2)), "satisfied"),
     "EpsCoord": (lambda: transforms.EpsCoord(1, 2), "b"),
@@ -83,17 +83,31 @@ def test_record_contract(name):
     (lambda: combs.CombClass("wide-right", 1, "loose"), "unknown wide reading 'loose'"),
     (lambda: combs.CombClass("up", 1, combs.LITERAL),
      "the reading switch only applies to wide-right combs"),
-    (lambda: cographs.Cotree(cographs.LEAF), "a leaf carries exactly one vertex"),
-    (lambda: cographs.Cotree(cographs.LEAF, 0, (_leaf(1),)), "a leaf carries exactly one vertex"),
-    (lambda: cographs.Cotree(cographs.UNION, children=(_leaf(0),)),
+    (lambda: cographs.Cotree(((cographs.LEAF, None),)), "a leaf carries exactly one vertex"),
+    (lambda: cographs.Cotree(((cographs.LEAF, "0"),)), "a leaf carries exactly one vertex"),
+    (lambda: cographs.Cotree(_leaf(0).nodes + ((cographs.UNION, 1),)),
      "a union node needs at least two children"),
-    (lambda: cographs.Cotree("meet", children=(_leaf(0), _leaf(1))), "unknown cotree op 'meet'"),
+    (lambda: cographs.Cotree(_leaf(0).nodes * 2 + (("meet", 2),)), "unknown cotree op 'meet'"),
+    (lambda: cographs.Cotree(_leaf(0).nodes * 2 + ((cographs.JOIN, 2.0),)),
+     "a join node needs at least two children"),
+    (lambda: cographs.Cotree("union"), "cotree nodes must be a tuple, got str"),
+    (lambda: cographs.Cotree(list(_leaf(0).nodes)), "cotree nodes must be a tuple, got list"),
+    (lambda: cographs.Cotree(("union",)), "cotree entry 0 is not an (op, value) pair: 'union'"),
+    (lambda: cographs.Cotree(((cographs.LEAF, 0, 1),)),
+     "cotree entry 0 is not an (op, value) pair: ('leaf', 0, 1)"),
+    # Five children after three finished subtrees: the count of finished
+    # subtrees would still end at one.
+    (lambda: cographs.Cotree(_leaf(0).nodes * 3 + ((cographs.UNION, 5),) + _leaf(0).nodes * 2),
+     "cotree entry 3: a union node of 5 children follows 3 subtrees"),
+    (lambda: cographs.Cotree(_leaf(0).nodes * 2), "a cotree needs exactly one root, got 2"),
+    (lambda: cographs.Cotree(()), "a cotree needs exactly one root, got 0"),
     (lambda: transforms.IndexMap(1, "level", {}), "index map is missing 0"),
     (lambda: transforms.IndexMap(1, "grid", {node: (0, 0) for node in enumerate_level(1)}),
      "index map must be injective"),
     # `_replace` and `_make` build through the same checks.
     (lambda: combs.up(1)._replace(kind="down"), "unknown comb kind 'down'"),
-    (lambda: _leaf(0)._replace(op=cographs.UNION), "a union node needs at least two children"),
+    (lambda: _leaf(0)._replace(nodes=((cographs.UNION, 0),)),
+     "a union node needs at least two children"),
     (lambda: _identity_map()._replace(mapping={}), "index map is missing 0"),
 ])
 def test_record_validation_messages(build, message):
@@ -110,22 +124,22 @@ def test_eps_coord_order_agrees_with_its_key():
     assert patterns.encode_index(transforms.EpsCoord(1, 2)) == "EpsCoord(a=1, b=2)"
 
 
-def test_deep_cotree_hash_and_repr_stop_cleanly():
-    # A nested tuple hashes in C with no depth check; a cotree must raise
-    # RecursionError instead of overflowing the interpreter's stack.
+def test_deep_cotree_compares_hashes_and_prints():
+    # A 200,000-level tree is a flat tuple of 400,001 entries, so `==`,
+    # `hash` and `repr` are a tuple's and need no recursion at all.
     script = """if True:
         from comblab.cographs import JOIN, LEAF, Cotree
-        tree = Cotree(LEAF, 0)
+        nodes = [(LEAF, 0)]
         for v in range(1, 200_001):
-            tree = Cotree(JOIN, children=(tree, Cotree(LEAF, v)))
-        for probe in (hash, repr):
-            try:
-                probe(tree)
-            except RecursionError:
-                print(probe.__name__, "RecursionError")
+            nodes += [(LEAF, v), (JOIN, 2)]
+        tree, twin = Cotree(tuple(nodes)), Cotree(tuple(nodes))
+        print(tree is not twin and tree == twin, hash(tree) == hash(twin))
+        text = repr(tree)
+        print(text.startswith("Cotree(nodes=(('leaf', 0), ('leaf', 1), ('join', 2),"),
+              eval(text) == tree)
         """
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "hash RecursionError\nrepr RecursionError\n"
+    assert proc.stdout == "True True\nTrue True\n"
