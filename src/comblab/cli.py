@@ -25,7 +25,7 @@ from . import verify as verify_mod
 from .combs import CombClass, LITERAL, OMEGA, RECURSIVE
 from .errors import (ArgumentError, ComblabError, ParseError, ResourceError,
                      is_json_type, json_fields)
-from .index_core import decode, encode
+from .index_core import decode, encode, enumerate_level
 from .patterns import DEFAULT_SEED, SetSystem
 
 EXIT_OK = 0
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_enum_combs(args) -> int:
     cls = _comb_class(args)
     combs = list(combs_mod.enumerate_combs(args.depth, cls, args.max_size))
-    payload = [sorted(encode(node) for node in comb) for comb in combs]
+    # Each node's text is made once: `encode` makes a new string per call.
+    texts = {node: encode(node) for node in enumerate_level(args.depth)}
+    payload = [sorted(map(texts.__getitem__, comb)) for comb in combs]
     return _finish(payload, args.out, f"{len(payload)} comb(s)")
 
 

@@ -493,7 +493,7 @@ def weave_to_graph_oracle(ci, tree: Cotree):
         first = report.violations[0].to_json() if report.violations else None
         raise ArgumentError(f"input fails the strong weave conditions: {first}")
     pad = Letter(0, 0).digit
-    mapping = {v: Node(node.digits + pad * (d - embed_depth))
+    mapping = {v: Node(node + pad * (d - embed_depth))
                for v, node in vmap.items()}
     return ci.reindexed(mapping)
 

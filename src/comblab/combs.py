@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import errors
 from .errors import ArgumentError, require_within
@@ -159,15 +160,6 @@ class CombCertificate(NamedTuple):
         }
 
 
-def _as_digit_set(nodes: Iterable[Node]) -> list[str]:
-    out = []
-    for node in nodes:
-        if not isinstance(node, Node):
-            raise ArgumentError(f"expected Node, got {type(node).__name__}")
-        out.append(node.digits)
-    return out
-
-
 def split_relation(a_set: Iterable[Node], b_set: Iterable[Node]) -> tuple[SplitWitness, ...]:
     """All branch relations that hold between A and B, as witnesses.
 
@@ -175,18 +167,21 @@ def split_relation(a_set: Iterable[Node], b_set: Iterable[Node]) -> tuple[SplitW
     narrow-below witness excludes wide-left.  Returns () when no relation
     holds.
     """
-    a_digits = _as_digit_set(a_set)
-    b_digits = _as_digit_set(b_set)
-    if not a_digits or not b_digits:
+    a_nodes, b_nodes = list(a_set), list(b_set)
+    nodes = a_nodes + b_nodes
+    for node in nodes:
+        if not isinstance(node, Node):
+            raise ArgumentError(f"expected Node, got {type(node).__name__}")
+    if not a_nodes or not b_nodes:
         raise ArgumentError("split_relation requires nonempty sets")
-    if set(a_digits) & set(b_digits):
+    if not set(a_nodes).isdisjoint(b_nodes):
         raise ArgumentError("split_relation requires disjoint sets")
-    prefix = common_prefix(a_digits + b_digits)
+    prefix = common_prefix(nodes)
     p = len(prefix)
-    if any(len(s) <= p for s in a_digits) or any(len(s) <= p for s in b_digits):
+    if any(len(s) <= p for s in nodes):
         return ()
-    a_letters = {s[p] for s in a_digits}
-    b_letters = {s[p] for s in b_digits}
+    a_letters = {s[p] for s in a_nodes}
+    b_letters = {s[p] for s in b_nodes}
     tau = Node._raw(prefix)
     found = []
     for i, (lo, hi) in enumerate((("0", "1"), ("2", "3"))):
@@ -206,15 +201,14 @@ def classify_pair(a: Node, b: Node) -> str:
     UpOne when the letters at the meet position share their first coordinate,
     WideRightOne otherwise; exactly one verdict applies.
     """
-    da, db = a.digits, b.digits
-    if len(da) != len(db):
+    if len(a) != len(b):
         raise ArgumentError("classify_pair requires nodes of equal depth")
-    if da == db:
+    if a == b:
         raise ArgumentError("classify_pair requires distinct nodes")
     i = 0
-    while da[i] == db[i]:
+    while a[i] == b[i]:
         i += 1
-    return UP_ONE if (da[i] < "2") == (db[i] < "2") else WIDE_RIGHT_ONE
+    return UP_ONE if (a[i] < "2") == (b[i] < "2") else WIDE_RIGHT_ONE
 
 
 # The narrow split kinds per class, by the letters at the split position of
@@ -228,47 +222,51 @@ _WIDE_LEFT = wide_left()
 
 def is_comb(nodes: Iterable[Node], cls: CombClass) -> Optional[CombCertificate]:
     """Recognize membership in a comb class; returns a certificate or None."""
-    digit_map = {node.digits: node for node in nodes}
-    if not digit_map:
+    # In order as plain text, which for nodes of one depth is their own
+    # order.  Callers often pass them so, and checking is cheaper than
+    # sorting, which makes a plain string of every node.
+    nodes = tuple(nodes)
+    if not all(map(str.__lt__, nodes, nodes[1:])):
+        nodes = sorted(set(nodes), key=str)
+    if not nodes:
         raise ArgumentError("is_comb requires a nonempty set")
-    if len(set(map(len, digit_map))) != 1:
+    if len(set(map(len, nodes))) != 1:
         raise ArgumentError("is_comb requires nodes of equal depth")
-    return _recognize(sorted(digit_map), digit_map, cls)
+    return _recognize(nodes, cls)
 
 
-def _recognize(digits: list[str], digit_map, cls: CombClass) -> Optional[CombCertificate]:
-    # The digits are sorted and share their first p letters, so their letters
+def _recognize(nodes: Sequence[Node], cls: CombClass) -> Optional[CombCertificate]:
+    # The nodes are sorted and share their first p letters, so their letters
     # at p ascend: each part is a slice, cut where the B-part's letters begin.
-    if len(digits) == 1:
-        return CombCertificate(frozenset((digit_map[digits[0]],)))
-    lo, hi = digits[0], digits[-1]
+    if len(nodes) == 1:
+        return CombCertificate(frozenset(nodes))
+    lo, hi = nodes[0], nodes[-1]
     p = 0
     while lo[p] == hi[p]:
         p += 1
-    prefix = lo[:p]
     if cls.kind == "wide-right":
         if lo[p] >= "2" or hi[p] < "2":
             return None
-        cut = bisect_left(digits, prefix + "2")
+        cut = bisect_left(nodes, "2", key=itemgetter(p))
         kind = _WIDE_LEFT
         sub_cls = _part_class(cls)
     else:
         kind = _NARROW_SPLITS[cls.kind].get(lo[p] + hi[p])
         if kind is None:
             return None
-        cut = bisect_left(digits, prefix + hi[p])
-        if digits[cut - 1][p] != lo[p]:  # a third letter between the two
+        cut = bisect_left(nodes, hi[p], key=itemgetter(p))
+        if nodes[cut - 1][p] != lo[p]:  # a third letter between the two
             return None
         sub_cls = cls
     if not size_within(cut, cls.n):
         return None
-    cert_a = _recognize(digits[:cut], digit_map, sub_cls)
+    cert_a = _recognize(nodes[:cut], sub_cls)
     if cert_a is None:
         return None
-    cert_b = _recognize(digits[cut:], digit_map, sub_cls)
+    cert_b = _recognize(nodes[cut:], sub_cls)
     if cert_b is None:
         return None
-    return CombCertificate(cert_a.nodes | cert_b.nodes, SplitWitness(Node._raw(prefix), kind),
+    return CombCertificate(cert_a.nodes | cert_b.nodes, SplitWitness(Node._raw(lo[:p]), kind),
                            cut, cert_a, cert_b)
 
 

@@ -38,75 +38,62 @@ _LETTERS = tuple(Letter(i, j) for i in (0, 1) for j in (0, 1))
 LETTERS = _LETTERS
 
 
-class Node:
+class Node(str):
     """An element of the index tree: a finite sequence of letters.
 
-    Internally a node is its compact digit string, which keeps equality,
-    hashing, and prefix tests cheap.
+    A node is its compact digit string: it equals and hashes as that text,
+    and str's methods read its letters.  Nodes order by depth, then digits.
+    The empty node is the empty, falsy string, so a node prints through
+    :func:`encode`.
     """
 
-    __slots__ = ("_digits",)
+    __slots__ = ()
 
-    def __init__(self, digits: str = ""):
+    def __new__(cls, digits: str = ""):
         for pos, ch in enumerate(digits):
             if ch not in _DIGITS:
                 raise ParseError(f"invalid letter digit {ch!r}", position=pos)
-        self._digits = digits
+        return str.__new__(cls, digits)
+
+    # Internal fast path: digits already validated.
+    _raw = classmethod(str.__new__)
 
     @classmethod
     def from_letters(cls, letters: Iterable[Letter]) -> "Node":
-        node = cls.__new__(cls)
-        node._digits = "".join(let.digit for let in letters)
-        return node
+        return cls._raw("".join(let.digit for let in letters))
 
-    @classmethod
-    def _raw(cls, digits: str) -> "Node":
-        # Internal fast path: digits already validated.
-        node = cls.__new__(cls)
-        node._digits = digits
-        return node
-
-    @property
-    def digits(self) -> str:
-        return self._digits
-
-    @property
-    def depth(self) -> int:
-        return len(self._digits)
-
-    def __len__(self) -> int:
-        return len(self._digits)
+    depth = property(len)
 
     def letter_at(self, i: int) -> Letter:
-        if not 0 <= i < len(self._digits):
-            raise ArgumentError(f"position {i} out of range for node of depth {len(self._digits)}")
-        return _LETTERS[int(self._digits[i])]
+        if not 0 <= i < len(self):
+            raise ArgumentError(f"position {i} out of range for node of depth {len(self)}")
+        return _LETTERS[int(self[i])]
 
     @property
     def letters(self) -> tuple[Letter, ...]:
-        return tuple(_LETTERS[int(ch)] for ch in self._digits)
+        return tuple(_LETTERS[int(ch)] for ch in self)
 
     def extend(self, letter: Letter) -> "Node":
-        return Node._raw(self._digits + letter.digit)
+        return Node._raw(self + letter.digit)
 
     def is_prefix_of(self, other: "Node") -> bool:
-        return other._digits.startswith(self._digits)
+        return other.startswith(self)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Node) and self._digits == other._digits
-
-    def __hash__(self) -> int:
-        return hash(self._digits)
+    def _key(self) -> tuple:
+        # As a plain str the digits compare as text, not through these methods.
+        return len(self), str(self)
 
     def __lt__(self, other: "Node") -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return (len(self._digits), self._digits) < (len(other._digits), other._digits)
+        return self._key() < other._key() if isinstance(other, Node) else NotImplemented
 
     def __le__(self, other: "Node") -> bool:
-        if not isinstance(other, Node):
-            return NotImplemented
-        return self == other or self < other
+        return self._key() <= other._key() if isinstance(other, Node) else NotImplemented
+
+    def __gt__(self, other: "Node") -> bool:
+        return self._key() > other._key() if isinstance(other, Node) else NotImplemented
+
+    def __ge__(self, other: "Node") -> bool:
+        return self._key() >= other._key() if isinstance(other, Node) else NotImplemented
 
     def __repr__(self) -> str:
         return f"Node({encode(self)!r})"
@@ -127,18 +114,18 @@ def meet(a: Node, b: Node) -> Node:
 
 def meet_all(nodes: Iterable[Node]) -> Node:
     """Longest common prefix of a nonempty collection of nodes."""
-    digits = [node.digits for node in nodes]
-    if not digits:
+    return Node._raw(common_prefix(nodes))
+
+
+def common_prefix(words: Iterable[str]) -> str:
+    """Longest common prefix of a nonempty collection of words, as a str."""
+    # The common prefix of the lexicographic least and greatest words is that
+    # of all.  Nodes order by depth first, so every word is read as a str.
+    words = list(map(str, words))
+    if not words:
         raise ArgumentError("meet of an empty collection is undefined")
-    return Node._raw(common_prefix(digits))
-
-
-def common_prefix(digit_strings: list[str]) -> str:
-    # For equal-length words the common prefix of min and max is the common
-    # prefix of all; for mixed lengths the same trick still works because
-    # string comparison is lexicographic.
-    lo = min(digit_strings)
-    hi = max(digit_strings)
+    lo = min(words)
+    hi = max(words)
     n = min(len(lo), len(hi))
     i = 0
     while i < n and lo[i] == hi[i]:
@@ -173,7 +160,7 @@ def enumerate_level(d: int) -> tuple[Node, ...]:
 
 def encode(node: Node) -> str:
     """Compact text encoding; the empty node encodes as "-"."""
-    return node.digits or "-"
+    return str(node) or "-"
 
 
 def decode(text: str) -> Node:

@@ -19,46 +19,43 @@ from .errors import ArgumentError
 from .index_core import common_prefix, enumerate_level
 
 
-def _candidate_prefixes(digit_strings: list[str]) -> list[str]:
-    shared = common_prefix(digit_strings)
+def _candidate_prefixes(nodes: frozenset) -> list[str]:
+    shared = common_prefix(nodes)
     return [shared[:i] for i in range(len(shared) + 1)]
 
 
-def _extends(digits: str, prefix: str, letter_digit: str) -> bool:
+def _extends(node: str, prefix: str, letter_digit: str) -> bool:
     want = prefix + letter_digit
-    return digits.startswith(want)
+    return node.startswith(want)
 
 
 def narrowly_below(a_set: frozenset, b_set: frozenset) -> bool:
-    all_digits = [n.digits for n in a_set] + [n.digits for n in b_set]
-    for tau in _candidate_prefixes(all_digits):
+    for tau in _candidate_prefixes(a_set | b_set):
         for i in (0, 1):
             lo, hi = "02"[i], "13"[i]
-            if all(_extends(n.digits, tau, lo) for n in a_set) and \
-                    all(_extends(n.digits, tau, hi) for n in b_set):
+            if all(_extends(n, tau, lo) for n in a_set) and \
+                    all(_extends(n, tau, hi) for n in b_set):
                 return True
     return False
 
 
 def narrowly_left(a_set: frozenset, b_set: frozenset) -> bool:
-    all_digits = [n.digits for n in a_set] + [n.digits for n in b_set]
-    for tau in _candidate_prefixes(all_digits):
+    for tau in _candidate_prefixes(a_set | b_set):
         for j in (0, 1):
             lo, hi = "01"[j], "23"[j]
-            if all(_extends(n.digits, tau, lo) for n in a_set) and \
-                    all(_extends(n.digits, tau, hi) for n in b_set):
+            if all(_extends(n, tau, lo) for n in a_set) and \
+                    all(_extends(n, tau, hi) for n in b_set):
                 return True
     return False
 
 
 def widely_left(a_set: frozenset, b_set: frozenset) -> bool:
-    all_digits = [n.digits for n in a_set] + [n.digits for n in b_set]
-    for sigma in _candidate_prefixes(all_digits):
+    for sigma in _candidate_prefixes(a_set | b_set):
         p = len(sigma)
-        if all(len(n.digits) > p for n in a_set | b_set) and \
-                all(n.digits.startswith(sigma) for n in a_set | b_set) and \
-                all(n.digits[p] in "01" for n in a_set) and \
-                all(n.digits[p] in "23" for n in b_set):
+        if all(len(n) > p for n in a_set | b_set) and \
+                all(n.startswith(sigma) for n in a_set | b_set) and \
+                all(n[p] in "01" for n in a_set) and \
+                all(n[p] in "23" for n in b_set):
             return True
     return False
 
@@ -106,10 +103,9 @@ def _file_parts(parts: set, depth: int) -> dict:
     """
     filed = {}
     for part in parts:
-        digits = [node.digits for node in part]
-        meet = common_prefix(digits)
+        meet = common_prefix(part)
         for p in range(min(len(meet), depth - 1) + 1):
-            letters = meet[p] if p < len(meet) else "".join(sorted({d[p] for d in digits}))
+            letters = meet[p] if p < len(meet) else "".join(sorted({n[p] for n in part}))
             filed.setdefault((meet[:p], letters), []).append(part)
     return filed
 

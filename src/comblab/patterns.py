@@ -472,6 +472,20 @@ class Violation(NamedTuple):
         return out
 
 
+class Structure(NamedTuple):
+    """A grid or graph violation's certificate: the family's structure
+    (antichain, chain, strict-chain, independent or edge) and, for an edge,
+    the edge it holds."""
+
+    name: str
+    edge: Optional[tuple] = None
+
+    def to_json(self) -> dict:
+        if self.edge is None:
+            return {"structure": self.name}
+        return {"structure": self.name, "edge": list(self.edge)}
+
+
 class Report(NamedTuple):
     ok: bool
     cap: int
@@ -826,14 +840,14 @@ def check_grid(ci, s: int, k: int, *, strong: bool = False,
 
     for combo in antichains_of_size(s, k):
         if ci.consistent(combo):
-            sink.add(lambda: Violation(INCONSISTENCY, combo, {"structure": "antichain"},
+            sink.add(lambda: Violation(INCONSISTENCY, combo, Structure("antichain"),
                                        ci.common_atom(combo)))
 
     structure = "chain" if strong else "strict-chain"
     for level in levels:
         for chain in level:
             sink.add(lambda: Violation(CONSISTENCY, tuple(points[i] for i in chain),
-                                       {"structure": structure}))
+                                       Structure(structure)))
         if sink.total > sink.cap:  # later levels cannot change the report
             break
     return sink.report(cap, truncated=cap < 2 * s - 1)
@@ -911,10 +925,10 @@ def check_graph_pattern(ci, graph, *, cap: Optional[int] = None,
                   if (edge is None) != consistent]
     for combo, edge in sorted(mismatches, key=lambda item: _by_size(item[0])):
         if edge is None:
-            sink.add(lambda: Violation(CONSISTENCY, combo, {"structure": "independent"}))
+            sink.add(lambda: Violation(CONSISTENCY, combo, Structure("independent")))
         else:
             sink.add(lambda: Violation(INCONSISTENCY, combo,
-                                       {"structure": "edge", "edge": list(edge)},
+                                       Structure("edge", edge),
                                        ci.common_atom(combo)))
     return sink.report(cap, truncated=cap < graph.n)
 
@@ -1058,7 +1072,7 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
     # byte's close with "\x01".  A batch of keys read through the tables is
     # then one text of "{n1,...,nk,\x01" per atom, cut into names at once.
     level = enumerate_level(d)
-    digits = [(node.digits or "-") + "," for node in level]
+    digits = [encode(node) + "," for node in level]
     digits += [""] * (8 * width - nodes)
     tables = [["".join(digits[8 * b + j] for j in range(8) if value >> (7 - j) & 1)
                for value in range(256)]

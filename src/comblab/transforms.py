@@ -212,7 +212,7 @@ def grid_embed_index(d: int) -> IndexMap:
     for node in enumerate_level(d):
         x = y = 0
         width = 4 ** (d - 1) if d else 1
-        for ch in node.digits:
+        for ch in node:
             bx, by = BASE_OFFSETS[ch]
             x += bx * width
             y += by * width

@@ -60,7 +60,7 @@ def build_workdir(root):
     (root / "combpattern.json").write_text(out)
     from comblab.index_core import encode, enumerate_level
 
-    pairs = [[encode(node), encode(node) + "0" if node.digits else "0"]
+    pairs = [[encode(node), encode(node) + "0" if node else "0"]
              for node in enumerate_level(1)]
     (root / "prefixmap.json").write_text(json.dumps(
         {"depth": 1, "codomain": "level", "map": pairs}))

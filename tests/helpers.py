@@ -11,11 +11,11 @@ from comblab.combs import (_CROSS_BLOCKS, LITERAL, OMEGA, CombClass,
                            RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
                            size_within, wide_right)
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.index_core import enumerate_level
+from comblab.index_core import encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _FoldedAtoms,
-                              SetSystem, Violation, comparable, grid_points, is_antichain,
-                              k_inconsistent, product_leq, strictly_below)
+                              SetSystem, Structure, Violation, comparable, grid_points,
+                              is_antichain, k_inconsistent, product_leq, strictly_below)
 
 SEED = 0xC0FFEE
 
@@ -276,31 +276,29 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
 
 def reference_weave_witness(d, k, m, n, genuine_k=False):
     """weave_witness built the straightforward way: each comb as a sorted
-    tuple of node digit strings, one set of atom names per node, and the
-    names packed into masks by SetSystem."""
+    tuple of nodes, one set of atom names per node, and the names packed
+    into masks by SetSystem."""
     from math import comb as binom
 
     if not isinstance(k, int) or k < 2:
         raise ArgumentError(f"k must be an integer >= 2, got {k!r}")
     level = enumerate_level(d)
     table = comb_entries(d, wide_right(n), max_size=len(level))
-    atom_sets = [tuple(node.digits for node in mask_nodes(mask, level))
-                 for mask in table.masks]
+    atom_sets = [tuple(mask_nodes(mask, level)) for mask in table.masks]
     if genuine_k:
         extra_total = sum(binom(len(level), size) for size in range(1, k))
         if len(atom_sets) + extra_total > errors.BUDGET:
             raise ResourceError(f"witness universe would have {len(atom_sets) + extra_total} "
                                 f"atoms, over the limit {errors.BUDGET}")
-        digit_level = sorted(node.digits for node in level)
         for size in range(1, k):
-            atom_sets.extend(combinations(digit_level, size))
+            atom_sets.extend(combinations(sorted(level), size))
     atom_sets = sorted(set(atom_sets))
-    names = ["{" + ",".join(s or "-" for s in group) + "}" for group in atom_sets]
-    member = {node.digits: set() for node in level}
+    names = ["{" + ",".join(map(encode, group)) + "}" for group in atom_sets]
+    member = {node: set() for node in level}
     for name, group in zip(names, atom_sets):
-        for digit in group:
-            member[digit].add(name)
-    return SetSystem(names, {node: member[node.digits] for node in level})
+        for node in group:
+            member[node].add(name)
+    return SetSystem(names, member)
 
 
 def reference_chains(s, max_size, strong=True):
@@ -337,12 +335,12 @@ def reference_check_grid(ci, s, k, strong=False, cap=None, max_violations=10):
     violations = []
     for combo in combinations(grid_points(s), k):
         if is_antichain(combo) and ci.consistent(combo):
-            violations.append(Violation(INCONSISTENCY, combo, {"structure": "antichain"},
+            violations.append(Violation(INCONSISTENCY, combo, Structure("antichain"),
                                         ci.common_atom(combo)))
     structure = "chain" if strong else "strict-chain"
     for fam in reference_chains(s, cap, strong):
         if not ci.consistent(fam):
-            violations.append(Violation(CONSISTENCY, fam, {"structure": structure}))
+            violations.append(Violation(CONSISTENCY, fam, Structure(structure)))
     return Report(ok=not violations, cap=cap, truncated=cap < 2 * s - 1,
                   violations=tuple(violations[:max_violations]),
                   violations_truncated=len(violations) > max_violations).to_json()
@@ -371,10 +369,10 @@ def reference_check_graph_pattern(ci, graph, cap=None, max_violations=10):
                 seen |= 1 << v
             is_consistent = ci.consistent(combo)
             if edge is None and not is_consistent:
-                violations.append(Violation(CONSISTENCY, combo, {"structure": "independent"}))
+                violations.append(Violation(CONSISTENCY, combo, Structure("independent")))
             elif edge is not None and is_consistent:
                 violations.append(Violation(INCONSISTENCY, combo,
-                                            {"structure": "edge", "edge": list(edge)},
+                                            Structure("edge", edge),
                                             ci.common_atom(combo)))
     return Report(ok=not violations, cap=cap, truncated=cap < graph.n,
                   violations=tuple(violations[:max_violations]),

@@ -269,7 +269,7 @@ def _run_mutation_suite():
         report = check_graph_pattern(mutated, graph)
         assert not report.ok
         violation = next(v2 for v2 in report.violations if v2.kind == INCONSISTENCY)
-        cert_edge = tuple(violation.certificate["edge"])
+        cert_edge = violation.certificate.edge
         assert graph.has_edge(*cert_edge)
         assert set(cert_edge) <= set(violation.indices)
         cases += 1

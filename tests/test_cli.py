@@ -389,7 +389,7 @@ def test_verify_paper_catches_classifier_mutation(monkeypatch):
 
     def broken(a, b):
         verdict = real(a, b)
-        if a.digits.startswith("0") and b.digits.startswith("1"):
+        if a.startswith("0") and b.startswith("1"):
             return WIDE_RIGHT_ONE if verdict == UP_ONE else UP_ONE
         return verdict
 
@@ -453,7 +453,7 @@ def test_outputs_stable_across_hash_seeds(tmp_path):
     )
     outputs = []
     for seed in ("1", "271828"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]

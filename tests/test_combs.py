@@ -37,6 +37,8 @@ def test_split_relation_examples():
 
     assert kinds_of(nodes("0"), nodes("2")) == {NARROW_LEFT, WIDE_LEFT}
     assert kinds_of(nodes("0"), nodes("3")) == {WIDE_LEFT}
+    # Mixed depths: the split is at the meet of all three, the empty node.
+    assert kinds_of(nodes("01"), nodes("1", "10")) == {NARROW_BELOW}
 
 
 def test_split_relation_orientation():
@@ -61,6 +63,12 @@ def test_split_relation_errors():
         split_relation(set(), nodes("0"))
     with pytest.raises(ArgumentError):
         split_relation(nodes("0"), nodes("0"))
+    # A member that is not a Node is refused before anything else is asked,
+    # a digit string included.
+    for a_set, b_set, name in (({"0"}, nodes("1"), "str"), (nodes("0"), ["1"], "str"),
+                               (["0"], [], "str"), (nodes("0"), [(0, 1)], "tuple")):
+        with pytest.raises(ArgumentError, match=f"^expected Node, got {name}$"):
+            split_relation(a_set, b_set)
 
 
 # --- pair classification ---------------------------------------------------
@@ -111,6 +119,10 @@ def test_is_comb_examples():
     assert is_comb(s, CombClass("up", 1)) is None
     assert is_comb(nodes("00", "13", "20"), CombClass("wide-right", OMEGA)) is None
     assert has_up_pair(nodes("00", "13", "20"))
+    # Nodes given twice or out of order are read as their set.
+    a, b = decode("00"), decode("01")
+    for given in ((a, a, b), (b, a), [a, b, a, b]):
+        assert is_comb(given, CombClass("up", 1)) == is_comb({a, b}, CombClass("up", 1))
 
 
 def test_is_comb_errors():

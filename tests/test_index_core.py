@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,9 +74,9 @@ def test_meet_all():
 @given(st.text(alphabet="0123", max_size=10), st.text(alphabet="0123", max_size=10))
 def test_meet_is_longest_common_prefix(a, b):
     m = meet(Node(a), Node(b))
-    assert a.startswith(m.digits) and b.startswith(m.digits)
-    if len(m.digits) < min(len(a), len(b)):
-        assert a[len(m.digits)] != b[len(m.digits)]
+    assert a.startswith(m) and b.startswith(m)
+    if len(m) < min(len(a), len(b)):
+        assert a[len(m)] != b[len(m)]
 
 
 def test_enumerate_level_examples():
@@ -140,4 +141,28 @@ def test_node_ordering_and_prefix():
     assert decode("0") < decode("1") < decode("00")
     assert decode("01").is_prefix_of(decode("013"))
     assert not decode("1").is_prefix_of(decode("01"))
-    assert decode("2") != "2"
+
+
+def test_node_is_its_digit_text():
+    # A node is a str equal to its digits, so the text finds it as a key.
+    node = decode("2")
+    assert isinstance(node, str) and node == "2" and hash(node) == hash("2")
+    assert {"2": 1}[node] == 1 and {node: 1}["2"] == 1
+    assert node in {"2"} and "2" in {node} and node != "3"
+    # Nodes order by depth, then digits, which text order does not.
+    texts = ["10", "3", "01", "-", "0", "33"]
+    ordered = sorted(decode(t) for t in texts)
+    assert [encode(n) for n in ordered] == ["-", "0", "3", "01", "10", "33"]
+    assert sorted(map(str, ordered)) == ["", "0", "01", "10", "3", "33"]
+    for a, b in combinations(ordered, 2):
+        assert a < b and a <= b and b > a and b >= a
+        assert not (b < a or b <= a or a > b or a >= b)
+    assert all(a <= a and a >= a and not a < a and not a > a for a in ordered)
+    # encode and decode are inverse; the empty node is falsy and prints "-".
+    for text in texts:
+        assert type(encode(decode(text))) is str and encode(decode(text)) == text
+    assert decode("-") is EMPTY and not EMPTY and encode(EMPTY) == "-"
+    assert repr(EMPTY) == "Node('-')" and repr(node) == "Node('2')"
+    # The meet of mixed depths is the common prefix of their text.
+    for order in permutations([decode("1"), decode("10"), decode("01")]):
+        assert meet_all(order) == EMPTY and type(meet_all(order)) is Node

@@ -705,7 +705,7 @@ def test_check_graph_pattern_constant_family():
     violation = report.violations[0]
     assert violation.kind == INCONSISTENCY
     assert violation.indices == (0, 1)
-    assert violation.certificate["edge"] == [0, 1]
+    assert violation.certificate.edge == (0, 1)
 
 
 def test_graph_witness_oracle_and_materialized_agree():
@@ -1051,17 +1051,33 @@ def test_report_json_shape():
 
 
 def test_checker_reports_are_hashable_values():
-    # A report holds its violations in a tuple: equal checks give equal
-    # reports with equal hashes, and the checker keeps no list to append to.
+    # A report holds its violations in a tuple and each certificate is a
+    # value: equal checks give equal reports with equal hashes, and the
+    # checker keeps no list to append to.
     ci = weave_witness(1, 2, 1, OMEGA)
     node = decode("0")
     mutated = ci.mutated_without(node, ci.atom_names(ci.set_of(node))[0])
-    for system in (ci, mutated):
-        report, twin = (check_weave(system, 1, 2, 1, OMEGA) for _ in range(2))
+    constant = SetSystem(["a"], {p: {"a"} for p in grid_points(2)})
+    k2 = SetSystem(["a"], {0: {"a"}, 1: {"a"}})
+    apart = SetSystem(["a", "b"], {0: {"a"}, 1: {"b"}})
+    checks = [lambda: check_weave(ci, 1, 2, 1, OMEGA),
+              lambda: check_weave(mutated, 1, 2, 1, OMEGA),
+              lambda: check_grid(constant, 2, 2),
+              lambda: check_grid(grid_witness(3, 2), 3, 2, strong=True),
+              lambda: check_graph_pattern(k2, Graph(2, [(0, 1)])),
+              lambda: check_graph_pattern(apart, Graph(2, []))]
+    structures = []
+    for check in checks:
+        report, twin = check(), check()
         assert type(report.violations) is tuple
         assert report is not twin and report == twin and hash(report) == hash(twin)
-    assert not report.ok and report.violations
-    assert report.to_json()["violations"] == [v.to_json() for v in report.violations]
+        assert report.to_json()["violations"] == [v.to_json() for v in report.violations]
+        if check is not checks[0]:
+            assert not report.ok and report.violations
+            structures.append(report.to_json()["violations"][0]["certificate"])
+    assert structures[1:] == [{"structure": "antichain"}, {"structure": "chain"},
+                              {"structure": "edge", "edge": [0, 1]},
+                              {"structure": "independent"}]
 
 
 def test_encode_index_forms():

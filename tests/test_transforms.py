@@ -130,7 +130,7 @@ def test_pullback_preserves_weave_on_random_prefix_maps():
             mapping = {}
             for node in enumerate_level(d0):
                 suffix = "".join(rng.choice("0123") for _ in range(d - d0))
-                mapping[node] = Node(node.digits + suffix)
+                mapping[node] = Node(node + suffix)
             pulled = pullback(ci, mapping)
             assert check_weave(pulled, d0, 2, 1, OMEGA, strong=True).ok
 
