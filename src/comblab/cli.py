@@ -397,14 +397,43 @@ def _names(value, where: str) -> list:
     return value
 
 
+def _distinct_indices(indices: list) -> dict:
+    """Each of a template's indices keyed by itself.  Two indices that are
+    equal in Python (1, true and 1.0) or print the same through
+    `encode_index` ("1" and 1) would be one index, or two written alike, so
+    they are refused with their positions."""
+    at = {}
+    for pos, index in enumerate(indices):
+        for key in ((index,), patterns_mod.encode_index(index)):
+            earlier = at.setdefault(key, pos)
+            if earlier != pos:
+                raise ArgumentError(f"indices[{pos}]: index {index!r} is the same as "
+                                    f"indices[{earlier}], {indices[earlier]!r}")
+    return {index: index for index in indices}
+
+
+def _group(value, where: str, indices: dict) -> list:
+    """A template group whose members each match an index of the same JSON
+    type and value; a member that is no index at all is left to
+    `Template.make` to refuse."""
+    for member in _names(value, where):
+        index = indices.get(member, member)
+        if type(index) is not type(member):
+            raise ArgumentError(f"{where}: {member!r} is not an index, though it equals "
+                                f"the index {index!r}")
+    return value
+
+
 def _cmd_realizable(args) -> int:
     indices, consist, inconsist, k = json_fields(
         _read_json(args.path), "template",
         indices=list, must_consist=list, must_k_inconsist=list, k=int)
+    indices = _distinct_indices(_names(indices, "indices"))
     template = patterns_mod.Template.make(
-        _names(indices, "indices"),
-        [_names(group, f"must_consist[{pos}]") for pos, group in enumerate(consist)],
-        [_names(group, f"must_k_inconsist[{pos}]") for pos, group in enumerate(inconsist)],
+        indices,
+        [_group(group, f"must_consist[{pos}]", indices) for pos, group in enumerate(consist)],
+        [_group(group, f"must_k_inconsist[{pos}]", indices)
+         for pos, group in enumerate(inconsist)],
         k)
     system = patterns_mod.realizable(template)
     if system is None:

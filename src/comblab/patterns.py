@@ -446,8 +446,7 @@ def k_inconsistent(ci, indices: Iterable, k: int) -> bool:
     """Every k-element subfamily is inconsistent; vacuous below size k."""
     _require_k(k)
     items = sorted(set(indices), key=encode_index)
-    if len(items) < k:
-        return True
+    require_within(binom(len(items), k), f"{k}-inconsistency check would test", "subfamilies")
     for sub in combinations(items, k):
         if ci.consistent(sub):
             return False
@@ -988,26 +987,18 @@ class Template(NamedTuple):
 def realizable(template: Template) -> Optional[SetSystem]:
     """Decide template realizability and return a canonical witness.
 
-    A template is realizable iff no k-subset of a must-be-inconsistent family
-    lies inside a must-be-consistent one: such a k-subset would be forced
+    A template is realizable iff no must-be-inconsistent family shares k
+    indices with a must-be-consistent one: those k indices would be forced
     consistent by monotonicity.  When realizable, one atom per must-consist
     set suffices: give index i every atom of the consistent sets containing
     it.  The construction is re-validated before returning, so an unfulfilled
     constraint fails loudly instead of leaking a bad witness.
     """
-    for group in template.must_k_inconsist:
-        if len(group) < template.k:
-            continue
-        for sub in combinations(sorted(group, key=repr), template.k):
-            subset = frozenset(sub)
-            if any(subset <= cset for cset in template.must_consist):
-                return None
-    names = [f"c{i}" for i in range(len(template.must_consist))]
-    family = {
-        index: {names[i] for i, cset in enumerate(template.must_consist) if index in cset}
-        for index in template.indices
-    }
-    system = SetSystem(names, family)
+    if any(len(group & cset) >= template.k
+           for group in template.must_k_inconsist for cset in template.must_consist):
+        return None
+    system = _facet_system(template.indices,
+                           [(f"c{i}", cset) for i, cset in enumerate(template.must_consist)])
     for cset in template.must_consist:
         if not system.consistent(cset):
             raise ConstructionError(f"witness fails consistency of {sorted(cset, key=repr)}")
@@ -1019,6 +1010,18 @@ def realizable(template: Template) -> Optional[SetSystem]:
 
 
 # --- canonical witnesses --------------------------------------------------
+
+
+def _facet_system(indices: Iterable, atoms: Sequence[tuple]) -> SetSystem:
+    """The system over the `(name, family)` atoms, in the order given, whose
+    set at each index holds the atoms whose family holds it.  Each family is
+    walked once, setting one byte of its indices' rows."""
+    rows = {index: bytearray(len(atoms)) for index in indices}
+    for bit, (_, family) in enumerate(atoms):
+        for index in family:
+            rows[index][bit] = 1
+    return SetSystem([name for name, _ in atoms], {})._with_masks(
+        {index: _numeral(row) for index, row in rows.items()})
 
 
 def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
@@ -1119,10 +1122,8 @@ def grid_witness(s: int, k: int, strong: bool = False) -> SetSystem:
     else:
         maximal = _maximal(strict_chains(s, s), points,
                            lambda p, q: strictly_below(p, q) or strictly_below(q, p))
-    names = ["{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal]
-    family = {pt: {name for name, fam in zip(names, maximal) if pt in fam}
-              for pt in points}
-    return SetSystem(sorted(names), family)
+    names = ("{" + ";".join(f"{i},{j}" for i, j in fam) + "}" for fam in maximal)
+    return _facet_system(points, sorted(zip(names, maximal)))
 
 
 def graph_witness(graph, materialize: bool = False):
@@ -1145,10 +1146,8 @@ def graph_witness(graph, materialize: bool = False):
         return PredicateOracle(range(graph.n), predicate)
 
     mis = _maximal_independent_sets(graph.n, masks)
-    names = ["{" + ",".join(map(str, sorted(group))) + "}" for group in mis]
-    family = {v: {name for name, group in zip(names, mis) if v in group}
-              for v in range(graph.n)}
-    return SetSystem(sorted(names), family)
+    names = ("{" + ",".join(map(str, group)) + "}" for group in mis)
+    return _facet_system(range(graph.n), sorted(zip(names, mis)))
 
 
 def _maximal_independent_sets(n: int, masks) -> list[tuple]:

@@ -96,12 +96,13 @@ class IndexMap(_IndexMapFields):
             raise ArgumentError(f"node {encode(node)} outside the map's domain")
 
     def to_json(self) -> dict:
+        # json writes a node, a str subclass, as its text; `encode` copies it.
         def enc(target):
             if isinstance(target, Node):
-                return encode(target)
+                return target or encode(target)
             return list(target)
 
-        pairs = [[encode(node), enc(self.mapping[node])]
+        pairs = [[node or encode(node), enc(self.mapping[node])]
                  for node in sorted(self.mapping)]
         return {"depth": self.depth, "codomain": self.codomain, "map": pairs}
 

@@ -428,6 +428,30 @@ def reference_maximal_independent_sets(n, masks):
     return sorted(out)
 
 
+def reference_graph_witness(graph):
+    """graph_witness(materialize=True) built from the scan over every vertex
+    subset, each vertex tested against every maximal independent set."""
+    mis = reference_maximal_independent_sets(graph.n, graph.adjacency_masks())
+    names = ["{" + ",".join(map(str, sorted(group))) + "}" for group in mis]
+    family = {v: {name for name, group in zip(names, mis) if v in group}
+              for v in range(graph.n)}
+    return SetSystem(sorted(names), family)
+
+
+def reference_realizable(template):
+    """realizable by its definition: unrealizable iff some k-subset of a
+    must-k-inconsist group lies in a must-consist set; otherwise atom c{i}
+    for the i-th must-consist set, given to each index it holds."""
+    for group in template.must_k_inconsist:
+        for sub in combinations(sorted(group, key=repr), template.k):
+            if any(frozenset(sub) <= cset for cset in template.must_consist):
+                return None
+    names = [f"c{i}" for i in range(len(template.must_consist))]
+    family = {index: {names[i] for i, cset in enumerate(template.must_consist) if index in cset}
+              for index in template.indices}
+    return SetSystem(names, family)
+
+
 def materialized(value):
     """`value` with every iterator in it, at any depth, drawn into a list:
     the plain data that a lazy `SetSystem.to_json()` stands for."""

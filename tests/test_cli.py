@@ -558,6 +558,60 @@ def test_contract_violations_exit_2(workdir, command, message):
     assert message in err
 
 
+def _run_template(tmp_path, **fields):
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(
+        {"indices": [], "must_consist": [], "must_k_inconsist": [], "k": 2, **fields}))
+    return run_cli(["realizable", "--in", str(path)])
+
+
+@pytest.mark.parametrize("fields, message", [
+    # 1, true and 1.0 used to collapse into one index by Python equality, and
+    # "1" and 1 were written alike: this exited 0 with two entries indexed "1".
+    ({"indices": ["1", 1, True, 1.0], "must_consist": [["1"], [1]]},
+     "indices[1]: index 1 is the same as indices[0], '1'"),
+    ({"indices": [1, True]}, "indices[1]: index True is the same as indices[0], 1"),
+    ({"indices": [2, 1, 1.0]}, "indices[2]: index 1.0 is the same as indices[1], 1"),
+    ({"indices": ["a", "b", "a"]}, "indices[2]: index 'a' is the same as indices[0], 'a'"),
+    ({"indices": [None, "None"]}, "indices[1]: index 'None' is the same as indices[0], None"),
+    # A member equal to an index of another JSON type used to be read as it.
+    ({"indices": [1], "must_consist": [[True]]},
+     "must_consist[0]: True is not an index, though it equals the index 1"),
+    ({"indices": [1, 2], "must_k_inconsist": [[2, 1.0]]},
+     "must_k_inconsist[0]: 1.0 is not an index, though it equals the index 1"),
+    ({"indices": [1], "must_consist": [["1"]]}, "constraint sets must be subsets of the indices"),
+])
+def test_realizable_refuses_colliding_indices(tmp_path, fields, message):
+    code, out, err = _run_template(tmp_path, **fields)
+    assert (code, out) == (2, ""), err
+    assert message in err
+
+
+def test_realizable_keeps_indices_of_every_json_type(tmp_path):
+    code, out, _ = _run_template(tmp_path, indices=[1, "a", 2.5, None],
+                                 must_consist=[[1, "a"], [2.5, None]],
+                                 must_k_inconsist=[[1, "a", 2.5, None]], k=3)
+    assert code == 0
+    assert json.loads(out) == {"universe": ["c0", "c1"], "family": [
+        {"index": "1", "set": ["c0"]}, {"index": "2.5", "set": ["c1"]},
+        {"index": "None", "set": ["c1"]}, {"index": "a", "set": ["c0"]}]}
+
+
+def test_realizable_decides_large_templates_at_once(tmp_path):
+    # The verdict reads each group's overlap with each must-consist set: this
+    # scanned C(34, 17) subsets for more than 20 s.  A realizable template's
+    # re-check is held to the budget before it tests a subfamily.
+    for must_consist, expected, message in (
+            ([list(range(17))], 1, "not realizable"),
+            ([[0]], 3, "17-inconsistency check would test 2333606220 subfamilies")):
+        start = time.perf_counter()
+        code, _, err = _run_template(tmp_path, indices=list(range(34)),
+                                     must_consist=must_consist,
+                                     must_k_inconsist=[list(range(34))], k=17)
+        assert time.perf_counter() - start < 1.0, expected
+        assert code == expected and message in err, err
+
+
 @pytest.mark.parametrize("kind, position, index, good", [
     # The vertex decoder was int(), so an index true or 1.5 was read as
     # vertex 1 and the check passed; grid coordinates were read the same way.

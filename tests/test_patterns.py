@@ -27,8 +27,8 @@ from helpers import (SEED, direct_grid_ok, direct_weave_ok, downward_closed, mat
                      random_graph, random_set_system, random_subsystem_mutations,
                      reference_chains, reference_check_graph_pattern, reference_check_grid,
                      reference_check_weave, reference_grid_witness,
-                     reference_maximal_independent_sets, reference_weave_witness,
-                     small_graphs)
+                     reference_graph_witness, reference_maximal_independent_sets,
+                     reference_realizable, reference_weave_witness, small_graphs)
 
 
 def small_system():
@@ -108,6 +108,18 @@ def test_k_inconsistent_examples():
     assert not k_inconsistent(ci, ["a", "b", "c"], 2)
     with pytest.raises(ArgumentError):
         k_inconsistent(ci, ["a"], 1)
+
+
+def test_k_inconsistent_holds_its_scan_to_the_budget():
+    # C(34, 17) subfamilies are refused before the first is tested, though
+    # the first pair of this family is already consistent.
+    ci = SetSystem(["a"], {i: {"a"} for i in range(34)})
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="17-inconsistency check would test "
+                                            "2333606220 subfamilies, over the limit"):
+        k_inconsistent(ci, range(34), 17)
+    assert not k_inconsistent(ci, range(34), 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_k_inconsistent_monotone_in_k():
@@ -682,8 +694,9 @@ def test_chains_are_counted_before_they_are_made():
 def test_grid_witness_matches_reference():
     for s in range(1, 7):
         for strong in (False, True):
-            assert materialized(grid_witness(s, 2, strong=strong).to_json()) == \
-                materialized(reference_grid_witness(s, 2, strong=strong).to_json()), (s, strong)
+            got, want = grid_witness(s, 2, strong=strong), reference_grid_witness(s, 2, strong)
+            assert (got.universe, got.family) == (want.universe, want.family), (s, strong)
+            assert materialized(got.to_json()) == materialized(want.to_json()), (s, strong)
 
 
 # --- graph pattern checker --------------------------------------------------
@@ -786,6 +799,17 @@ def test_maximal_independent_sets_limit():
         _maximal_independent_sets(21, (0,) * 21)
     empty = Graph(20, [])
     assert _maximal_independent_sets(20, empty.adjacency_masks()) == [tuple(range(20))]
+
+
+def test_graph_witness_matches_reference():
+    # The same universe in the same order and the same masks as the vertex
+    # by vertex construction over the scanned maximal independent sets.
+    rng = random.Random(SEED + 13)
+    graphs = small_graphs(5) + [Graph(0, [])]
+    graphs += [random_graph(n, rng.random(), rng) for n in range(6, 13) for _ in range(4)]
+    for graph in graphs:
+        got, want = graph_witness(graph, materialize=True), reference_graph_witness(graph)
+        assert (got.universe, got.family) == (want.universe, want.family), graph
 
 
 def _counting(system):
@@ -979,6 +1003,26 @@ def test_realizable_matches_assignment_oracle_seeded():
               for _ in range(rng.randint(0, 4))]
         template = Template.make(indices, mc, mi, rng.randint(2, 4))
         assert (realizable(template) is not None) == assignment_oracle(template, atoms=4)
+
+
+def test_realizable_matches_reference():
+    # The verdict equals the k-subset scan, groups smaller than k included,
+    # and a witness has the reference's universe, in its order, and masks.
+    # With no must-consist set the universe is empty and every set is 0.
+    rng = random.Random(SEED + 14)
+    templates = [Template.make(range(3), [], [{0, 1}], 2)]
+    for _ in range(300):
+        indices = list(range(rng.randint(1, 8)))
+        groups = [[frozenset(rng.sample(indices, rng.randint(0, len(indices))))
+                   for _ in range(rng.randint(0, 12))] for _ in range(2)]
+        templates.append(Template.make(indices, *groups, rng.randint(2, 5)))
+    for template in templates:
+        got, want = realizable(template), reference_realizable(template)
+        assert (got is None) == (want is None), template
+        if got is not None:
+            assert (got.universe, got.family) == (want.universe, want.family), template
+    empty = realizable(templates[0])
+    assert empty.universe == () and empty.family == {0: 0, 1: 0, 2: 0}
 
 
 def test_assignment_oracle_bitparallel_matches_slow():

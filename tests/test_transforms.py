@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 
@@ -248,6 +249,14 @@ def test_index_map_json_roundtrip():
         back = IndexMap.from_json(payload)
         assert back.mapping == fmap.mapping
         assert back.codomain == fmap.codomain
+
+
+def test_index_map_json_writes_nodes_and_the_empty_node():
+    # Nodes are written as themselves; the depth-0 maps still print "-".
+    assert strongify_index(0).to_json()["map"] == [["-", "-"]]
+    assert grid_embed_index(0).to_json()["map"] == [["-", [0, 0]]]
+    pairs = strongify_index(1).to_json()["map"]
+    assert json.dumps(pairs) == '[["0", "00"], ["1", "01"], ["2", "22"], ["3", "23"]]'
 
 
 def test_index_map_validation():
