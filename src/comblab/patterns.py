@@ -963,25 +963,31 @@ def _graph_fold(ci, n: int, masks, cap: int):
 # --- templates ------------------------------------------------------------
 
 
-class Template(NamedTuple):
+class _TemplateFields(NamedTuple):
+    indices: frozenset
+    must_consist: tuple  # of frozensets
+    must_k_inconsist: tuple  # of frozensets
+    k: int
+
+
+class Template(_TemplateFields):
     """Abstract requirements: some families must be consistent, others must be
     k-inconsistent."""
 
-    indices: frozenset
-    must_consist: tuple
-    must_k_inconsist: tuple
-    k: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
+
+    def __new__(cls, indices: frozenset, must_consist: tuple, must_k_inconsist: tuple, k: int):
+        _require_k(k)
+        for group in must_consist + must_k_inconsist:
+            if not group <= indices:
+                raise ArgumentError("constraint sets must be subsets of the indices")
+        return super().__new__(cls, indices, must_consist, must_k_inconsist, k)
 
     @classmethod
     def make(cls, indices, must_consist, must_k_inconsist, k) -> "Template":
-        indices = frozenset(indices)
-        mc = tuple(frozenset(s) for s in must_consist)
-        mi = tuple(frozenset(s) for s in must_k_inconsist)
-        _require_k(k)
-        for group in mc + mi:
-            if not group <= indices:
-                raise ArgumentError("constraint sets must be subsets of the indices")
-        return cls(indices, mc, mi, k)
+        return cls(frozenset(indices), tuple(frozenset(s) for s in must_consist),
+                   tuple(frozenset(s) for s in must_k_inconsist), k)
 
 
 def realizable(template: Template) -> Optional[SetSystem]:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import cographs as cographs_mod
 from . import combs as combs_mod
 from . import genericity as genericity_mod
 from . import patterns as patterns_mod
 from . import transforms as transforms_mod
-from .combs import OMEGA, CombClass, UP_ONE, WIDE_RIGHT_ONE
+from .combs import LITERAL, OMEGA, CombClass, UP_ONE, WIDE_RIGHT_ONE
 from .errors import ArgumentError, ResourceError, require_within
 from .index_core import enumerate_level, level_size
 from .patterns import DEFAULT_SEED
@@ -51,8 +51,7 @@ def _pair_dichotomy(max_depth: int) -> CheckResult:
     return CheckResult("pair-dichotomy", True, f"all pairs at depths <= {max_depth}")
 
 
-def _wide_characterization(max_depth: int) -> CheckResult:
-    d = min(max_depth, 2)
+def _wide_characterization(d: int) -> CheckResult:
     level = enumerate_level(d)
     cls = CombClass("wide-right", OMEGA)
     # partners[j]: the earlier nodes that make an UpOne pair with node j.  A
@@ -78,25 +77,29 @@ def _wide_characterization(max_depth: int) -> CheckResult:
     return CheckResult("wide-characterization", True, f"all subsets at depth {d}")
 
 
-def _recognition_vs_brute(max_depth: int) -> CheckResult:
+# Every kind and bound, and both readings of the wide class.
+_RECOGNITION_CLASSES = tuple(
+    [CombClass(kind, n) for kind in ("up", "right", "wide-right") for n in (1, 2, OMEGA)]
+    + [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)])
+
+
+def _recognition_vs_brute(d: int, max_size: int) -> CheckResult:
     from .oracle import build_tree_comb_oracle
 
-    d = min(max_depth, 2)
     level = enumerate_level(d)
-    classes = [CombClass("up", n) for n in (1, 2, OMEGA)]
-    classes += [CombClass("right", n) for n in (1, 2, OMEGA)]
-    classes += [CombClass("wide-right", n) for n in (1, 2, OMEGA)]
     memo = {}
-    for size in range(1, 5):
+    for size in range(1, max_size + 1):
         for combo in combinations(level, size):
             nodes = frozenset(combo)
-            for cls in classes:
-                fast = combs_mod.is_comb(combo, cls) is not None
+            for cls in _RECOGNITION_CLASSES:
+                # The unordered set takes is_comb's sorting path.
+                fast = combs_mod.is_comb(nodes, cls) is not None
                 slow = build_tree_comb_oracle(nodes, cls, memo)
                 if fast != slow:
                     return CheckResult("recognition-vs-brute", False,
                                        f"{[repr(n) for n in combo]} under {cls!r}")
-    return CheckResult("recognition-vs-brute", True, f"subsets of size <= 4 at depth {d}")
+    return CheckResult("recognition-vs-brute", True,
+                       f"subsets of size <= {max_size} at depth {d}")
 
 
 def _strongify(max_depth: int) -> CheckResult:
@@ -147,23 +150,30 @@ def _grid_embedding(max_depth: int) -> CheckResult:
     return CheckResult("grid-embedding", True, f"all pairs at depths <= {top}")
 
 
-def _witnesses(max_depth: int, rng: random.Random) -> CheckResult:
-    for d in range(min(max_depth, 2) + 1):
-        for k, genuine in ((2, False), (2, True), (3, True)):
-            for n in (1, OMEGA):
-                ci = patterns_mod.weave_witness(d, k, 1, n, genuine_k=genuine)
-                report = patterns_mod.check_weave(ci, d, k, 1, n, strong=True)
-                if not report.ok:
+def _witnesses(max_depth: int, side: int, cotrees: Iterable) -> CheckResult:
+    for d in range(max_depth + 1):
+        for n in (1, 2, OMEGA):
+            plain = patterns_mod.weave_witness(d, 2, 1, n)  # its universe has no k
+            matrix = [(2, False, plain), (3, False, plain)]
+            matrix += [(k, True, patterns_mod.weave_witness(d, k, 1, n, genuine_k=True))
+                       for k in (2, 3)]
+            for k, genuine, ci in matrix:
+                for m in (1, 2, OMEGA):
+                    if not patterns_mod.check_weave(ci, d, k, m, n, strong=True).ok:
+                        return CheckResult("witnesses", False, f"weave witness d={d} k={k} "
+                                           f"m={m!r} n={n!r} genuine={genuine}")
+                if genuine and k > 2 and d >= 1 and \
+                        patterns_mod.check_weave(ci, d, k - 1, 1, n, strong=True).ok:
                     return CheckResult("witnesses", False,
-                                       f"weave witness d={d} k={k} n={n!r} genuine={genuine}")
-    for s in range(1, max_depth + 3):
+                                       f"genuine weave witness d={d} k={k} n={n!r} "
+                                       f"passes at k={k - 1}")
+    for s in range(1, side + 1):
         for strong in (False, True):
             ci = patterns_mod.grid_witness(s, 2, strong=strong)
             report = patterns_mod.check_grid(ci, s, 2, strong=strong)
             if not report.ok:
                 return CheckResult("witnesses", False, f"grid witness s={s} strong={strong}")
-    for sample in range(4):
-        tree = cographs_mod.random_cotree(6, rng.randrange(1 << 30))
+    for sample, tree in enumerate(cotrees):
         graph = cographs_mod.eval_cotree(tree)
         ci = patterns_mod.graph_witness(graph)
         report = patterns_mod.check_graph_pattern(ci, graph)
@@ -172,37 +182,38 @@ def _witnesses(max_depth: int, rng: random.Random) -> CheckResult:
     return CheckResult("witnesses", True, "weave, grid, and graph witnesses pass their checkers")
 
 
-def _realizability(rng: random.Random) -> CheckResult:
+def _realizability(rng: random.Random, trials: int, size: int) -> CheckResult:
     from .oracle import assignment_oracle
 
-    for trial in range(100):
-        index_count = rng.randint(1, 3)
+    for trial in range(trials):
+        index_count = rng.randint(1, size)
         indices = list(range(index_count))
         must_consist = [frozenset(rng.sample(indices, rng.randint(1, index_count)))
-                        for _ in range(rng.randint(0, 3))]
+                        for _ in range(rng.randint(0, size))]
         must_inconsist = [frozenset(rng.sample(indices, rng.randint(1, index_count)))
-                          for _ in range(rng.randint(0, 3))]
-        k = rng.randint(2, 3)
+                          for _ in range(rng.randint(0, size))]
+        k = rng.randint(2, size)
         template = patterns_mod.Template.make(indices, must_consist, must_inconsist, k)
         predicted = patterns_mod.realizable(template) is not None
-        actual = assignment_oracle(template, atoms=3)
+        actual = assignment_oracle(template, atoms=size)
         if predicted != actual:
             return CheckResult("realizability", False,
                                f"trial {trial}: criterion={predicted}, oracle={actual}")
     return CheckResult("realizability", True, "criterion matches the assignment oracle")
 
 
-def _cograph_stack(max_depth: int, rng: random.Random) -> CheckResult:
-    for n in range(1, 5):
-        for bits in range(1 << (n * (n - 1) // 2)):
-            edges = []
-            position = 0
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (bits >> position) & 1:
-                        edges.append((u, v))
-                    position += 1
-            graph = cographs_mod.Graph(n, edges)
+def _cograph_stack(max_vertices: int, comb_depth: int, cotrees: Iterable) -> CheckResult:
+    for n in range(1, max_vertices + 1):
+        # Every labelled graph on n vertices, in Gray order: step i flips the
+        # edge at the lowest set bit of i.
+        pairs = list(combinations(range(n), 2))
+        masks = [0] * n
+        for i in range(1 << len(pairs)):
+            if i:
+                u, v = pairs[(i & -i).bit_length() - 1]
+                masks[u] ^= 1 << v
+                masks[v] ^= 1 << u
+            graph = cographs_mod.Graph.from_masks(n, masks)
             # The scan itself: find_p4 answers from the decomposition under test.
             has_p4 = cographs_mod._first_p4(graph) is not None
             tree = cographs_mod.cotree_of(graph)
@@ -211,7 +222,7 @@ def _cograph_stack(max_depth: int, rng: random.Random) -> CheckResult:
                 return CheckResult("cograph-stack", False, f"{graph!r}: recognition mismatch")
             if got_tree and cographs_mod.eval_cotree(tree) != graph:
                 return CheckResult("cograph-stack", False, f"{graph!r}: cotree round-trip")
-    for d in range(min(max_depth, 2) + 1):
+    for d in range(comb_depth + 1):
         graph, tree = cographs_mod.comb_graph(d)
         if cographs_mod.eval_cotree(tree) != graph:
             return CheckResult("cograph-stack", False, f"comb graph tree mismatch at d={d}")
@@ -221,20 +232,20 @@ def _cograph_stack(max_depth: int, rng: random.Random) -> CheckResult:
         if len(graph.edges) != expected:
             return CheckResult("cograph-stack", False,
                                f"comb graph edge count at d={d}: {len(graph.edges)} != {expected}")
-    for sample in range(4):
-        tree = cographs_mod.random_cotree(8, rng.randrange(1 << 30))
-        depth, mapping = cographs_mod.embed_cograph(tree)
+    for sample, tree in enumerate(cotrees):
+        _, mapping = cographs_mod.embed_cograph(tree)
         graph = cographs_mod.eval_cotree(tree)
+        if len(set(mapping.values())) != len(mapping):
+            return CheckResult("cograph-stack", False, f"embedding sample {sample}: not injective")
         for u, v in combinations(sorted(mapping), 2):
             verdict = combs_mod.classify_pair(mapping[u], mapping[v])
-            if (verdict == UP_ONE) != graph.has_edge(u, v):
+            if verdict != (UP_ONE if graph.has_edge(u, v) else WIDE_RIGHT_ONE):
                 return CheckResult("cograph-stack", False,
                                    f"embedding sample {sample}: pair {u},{v}")
     return CheckResult("cograph-stack", True, "recognition, comb graph, and embedding agree")
 
 
-def _bridges(max_depth: int) -> CheckResult:
-    d = max(1, min(max_depth, 2))  # the two-vertex union embeds at depth 1
+def _bridges(d: int) -> CheckResult:
     graph, tree = cographs_mod.comb_graph(d)
     pattern = patterns_mod.graph_witness(graph)
     weave_ci = cographs_mod.graph_to_weave_oracle(pattern, d)
@@ -255,8 +266,7 @@ def _bridges(max_depth: int) -> CheckResult:
     return CheckResult("bridges", True, f"both graph bridges and the grid bridge pass at d={d}")
 
 
-def _triangle_demo() -> CheckResult:
-    length = 6
+def _triangle_demo(length: int) -> CheckResult:
     p_side, q_side = patterns_mod.triangle_free_demo(length)
     for i, j in combinations(range(length), 2):
         if p_side.consistent((i, j)):
@@ -298,6 +308,8 @@ def _genericity() -> CheckResult:
     satisfied = {i for step in chain for i in step.satisfied}
     if satisfied != set(range(5)):
         return CheckResult("genericity", False, f"requirements met: {sorted(satisfied)}")
+    if len(chain) - 1 > 5:
+        return CheckResult("genericity", False, f"{len(chain) - 1} steps, over the 5 allowed")
     lengths = [len(step.element) for step in chain]
     if lengths != sorted(set(lengths)):
         return CheckResult("genericity", False, f"chain lengths not strictly increasing: {lengths}")
@@ -316,8 +328,10 @@ def _genericity() -> CheckResult:
 def run_battery(max_depth: int = 2, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run every check at the given depth scale; deterministic for a seed.
 
-    The largest sweep, the grid embedding's pairs at depth max_depth + 1, is
-    held to the budget before any check runs.
+    The schedule below is the one table from max_depth to each check's
+    scale: its depth, subset size, square side, vertex count and sample
+    counts.  The largest sweep, the grid embedding's pairs at depth
+    max_depth + 1, is held to the budget before any check runs.
     """
     if max_depth < 0:
         raise ArgumentError(f"max_depth must be nonnegative, got {max_depth}")
@@ -325,17 +339,23 @@ def run_battery(max_depth: int = 2, seed: int = DEFAULT_SEED) -> list[CheckResul
     require_within(n * (n - 1) // 2, f"verify-paper at max depth {max_depth} would classify",
                    "grid-embedding pairs")
     rng = random.Random(seed)
+
+    def cotrees(leaves, count):  # drawn as the check reads them
+        return (cographs_mod.random_cotree(leaves, rng.randrange(1 << 30))
+                for _ in range(count))
+
     scheduled = [
         ("pair-dichotomy", lambda: _pair_dichotomy(max_depth)),
-        ("wide-characterization", lambda: _wide_characterization(max_depth)),
-        ("recognition-vs-brute", lambda: _recognition_vs_brute(max_depth)),
+        ("wide-characterization", lambda: _wide_characterization(min(max_depth, 2))),
+        ("recognition-vs-brute", lambda: _recognition_vs_brute(min(max_depth, 2), 4)),
         ("strongify-pairs", lambda: _strongify(max_depth)),
         ("grid-embedding", lambda: _grid_embedding(max_depth)),
-        ("witnesses", lambda: _witnesses(max_depth, rng)),
-        ("realizability", lambda: _realizability(rng)),
-        ("cograph-stack", lambda: _cograph_stack(max_depth, rng)),
-        ("bridges", lambda: _bridges(max_depth)),
-        ("triangle-demo", _triangle_demo),
+        ("witnesses", lambda: _witnesses(min(max_depth, 2), max_depth + 2, cotrees(6, 4))),
+        ("realizability", lambda: _realizability(rng, 100, 3)),
+        ("cograph-stack", lambda: _cograph_stack(4, min(max_depth, 2), cotrees(8, 4))),
+        # the two-vertex union of the weave-to-graph bridge embeds at depth 1
+        ("bridges", lambda: _bridges(max(1, min(max_depth, 2)))),
+        ("triangle-demo", lambda: _triangle_demo(6)),
         ("epsilon-scaling", _epsilon_scaling),
         ("genericity", _genericity),
     ]

@@ -411,7 +411,7 @@ def test_verify_paper_resource_error_exits_3(monkeypatch):
 
 
 def test_verify_paper_other_errors_fail_the_check(monkeypatch):
-    def broken():
+    def broken(length):
         raise RuntimeError("broken core")
 
     monkeypatch.setattr("comblab.verify._triangle_demo", broken)

@@ -259,17 +259,6 @@ def test_cotree_of_comb_graph_depth1():
     assert cotree_of(graph) == expected
 
 
-def test_cotree_of_matches_find_p4_exhaustive_small():
-    for n in range(1, 6):
-        for graph in all_graphs(n):
-            result = cotree_of(graph)
-            if isinstance(result, Cotree):
-                assert _first_p4(graph) is None
-                assert eval_cotree(result) == graph
-            else:
-                assert _first_p4(graph) is not None
-
-
 def test_cotree_of_random16():
     rng = random.Random(SEED + 2)
     for _ in range(100):

@@ -14,6 +14,7 @@ from comblab import errors
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import binary_right_comb_oracle, build_tree_comb_oracle
+from comblab.verify import _RECOGNITION_CLASSES
 
 from helpers import (SEED, reference_build_tree_comb_oracle, reference_comb_entries,
                      subset_filter_combs)
@@ -132,22 +133,6 @@ def test_is_comb_errors():
         is_comb(nodes("0", "00"), CombClass("up", 1))
 
 
-def test_is_comb_matches_build_oracle():
-    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
-               for n in (1, 2, OMEGA)]
-    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
-    memo = {}
-    for d in (1, 2):
-        level = enumerate_level(d)
-        for size in range(1, 5):
-            for combo in combinations(level, size):
-                combo = frozenset(combo)
-                for cls in classes:
-                    fast = is_comb(combo, cls) is not None
-                    slow = build_tree_comb_oracle(combo, cls, memo)
-                    assert fast == slow, (sorted(map(encode, combo)), cls)
-
-
 def test_literal_and_recursive_readings_differ():
     # A wide part that is not a narrow right-comb separates the two readings;
     # expected values frozen from the build oracle.
@@ -162,16 +147,13 @@ def test_literal_and_recursive_readings_differ():
 def test_build_tree_comb_oracle_matches_reference():
     # The closure and the bipartition search are two algorithms for the same
     # inductive definition: they must agree on every small set.
-    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
-               for n in (1, 2, OMEGA)]
-    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
     memo, reference_memo = {}, {}
     for d in (1, 2):
         level = enumerate_level(d)
         for size in range(1, 6):
             for combo in combinations(level, size):
                 combo = frozenset(combo)
-                for cls in classes:
+                for cls in _RECOGNITION_CLASSES:
                     assert build_tree_comb_oracle(combo, cls, memo) == \
                         reference_build_tree_comb_oracle(combo, cls, reference_memo), \
                         (sorted(map(encode, combo)), cls)
@@ -180,16 +162,13 @@ def test_build_tree_comb_oracle_matches_reference():
 def test_recognition_matches_build_tree_comb_oracle_depth3():
     # The classes of acceptance criterion 3, on every set of at most three
     # nodes at depth 3; the oracle's part-pair index makes this scale cheap.
-    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
-               for n in (1, 2, OMEGA)]
-    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
     level = enumerate_level(3)
     memo = {}
     compared = 0
     for size in range(1, 4):
         for combo in combinations(level, size):
             combo = frozenset(combo)
-            for cls in classes:
+            for cls in _RECOGNITION_CLASSES:
                 assert (is_comb(combo, cls) is not None) == \
                     build_tree_comb_oracle(combo, cls, memo), (sorted(map(encode, combo)), cls)
                 compared += 1
@@ -203,14 +182,6 @@ def test_build_tree_comb_oracle_errors():
     for cls in (CombClass("up", OMEGA), CombClass("wide-right", OMEGA)):
         with pytest.raises(ArgumentError):
             build_tree_comb_oracle(nodes("0", "10"), cls)
-
-
-def test_wide_characterization_depth2():
-    level = enumerate_level(2)
-    cls = CombClass("wide-right", OMEGA)
-    for size in range(1, len(level) + 1):
-        for combo in combinations(level, size):
-            assert (is_comb(combo, cls) is not None) == (not has_up_pair(combo))
 
 
 def test_wide_characterization_depth3_sampled():
@@ -356,11 +327,8 @@ def test_enumerate_combs_resource_limit(monkeypatch):
 def test_comb_table_matches_reference():
     # The columnar table must hold exactly the entries, in the same order and
     # with the same part links, that the entry-by-entry builder makes.
-    classes = [CombClass(kind, n) for kind in ("up", "right", "wide-right")
-               for n in (1, 2, OMEGA)]
-    classes += [CombClass("wide-right", n, LITERAL) for n in (1, 2, OMEGA)]
     for d in range(4):
-        for cls in classes:
+        for cls in _RECOGNITION_CLASSES:
             for max_size in sorted({1, 2, 3, 8, 4 ** d}):
                 table = comb_entries(d, cls, max_size)
                 expected = reference_comb_entries(d, cls, max_size)

@@ -109,6 +109,16 @@ def test_record_contract(name):
     (lambda: _leaf(0)._replace(nodes=((cographs.UNION, 0),)),
      "a union node needs at least two children"),
     (lambda: _identity_map()._replace(mapping={}), "index map is missing 0"),
+    # A template built directly, not through `Template.make`, is checked too.
+    (lambda: patterns.Template(frozenset({0}), (frozenset({1}),), (), 2),
+     "constraint sets must be subsets of the indices"),
+    (lambda: patterns.Template(frozenset({0}), (), (frozenset({1}),), 2),
+     "constraint sets must be subsets of the indices"),
+    (lambda: patterns.Template(frozenset({0}), (), (), 1), "k must be an integer >= 2, got 1"),
+    (lambda: patterns.Template.make({0}, [{0}], [], 2)._replace(must_k_inconsist=({1},)),
+     "constraint sets must be subsets of the indices"),
+    (lambda: patterns.Template.make({0}, [{0}], [], 2)._replace(k=1),
+     "k must be an integer >= 2, got 1"),
 ])
 def test_record_validation_messages(build, message):
     with pytest.raises(ArgumentError) as err:

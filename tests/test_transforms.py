@@ -4,9 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from comblab.combs import (CombClass, NARROW_BELOW, NARROW_LEFT, OMEGA,
-                           UP_ONE, WIDE_LEFT, classify_pair, is_comb,
-                           split_relation)
+from comblab.combs import (CombClass, NARROW_BELOW, OMEGA, UP_ONE, WIDE_LEFT,
+                           classify_pair, is_comb, split_relation)
 from comblab.errors import ArgumentError
 from comblab.index_core import Letter, Node, decode, encode, enumerate_level
 from comblab.patterns import (SetSystem, check_grid, check_weave, comparable,
@@ -49,19 +48,6 @@ def test_strongify_matches_formula_everywhere():
         fmap = strongify_index(d)
         for node in enumerate_level(d):
             assert fmap.apply(node) == strongify_formula(node)
-
-
-def test_strongify_pair_preservation_exhaustive():
-    for d in range(1, 4):
-        fmap = strongify_index(d)
-        for a, b in combinations(enumerate_level(d), 2):
-            kinds = {w.kind.kind for w in split_relation({a}, {b})}
-            image_kinds = {w.kind.kind
-                           for w in split_relation({fmap.apply(a)}, {fmap.apply(b)})}
-            if NARROW_BELOW in kinds:
-                assert NARROW_BELOW in image_kinds
-            if NARROW_LEFT in kinds:
-                assert WIDE_LEFT in image_kinds
 
 
 def test_strongify_image_pairs():

@@ -1,11 +1,12 @@
 """The battery's exhaustive sweeps keep their strength: one planted defect
 in a recognizer, a classifier or an oracle relation, on one subset or one
-pair, fails the sweep and is named in its detail."""
+pair, fails the sweep and is named in its detail.  And `run_battery` runs
+each check at the scale its schedule sets."""
 
 import pytest
 
 from comblab import combs, oracle, verify
-from comblab.combs import OMEGA, UP_ONE, WIDE_RIGHT_ONE, CombClass
+from comblab.combs import LITERAL, OMEGA, UP_ONE, WIDE_RIGHT_ONE, CombClass
 from comblab.index_core import enumerate_level
 
 WIDE_OMEGA = CombClass("wide-right", OMEGA)
@@ -71,11 +72,13 @@ def test_wide_characterization_catches_a_flipped_pair(monkeypatch, digits):
     (("21",), CombClass("up", 1)),
     (("01", "12", "30"), CombClass("right", 2)),
     (("00", "02", "20", "22"), WIDE_OMEGA),
+    # The readings differ here: a recursive wide comb, not a literal one.
+    (("00", "03", "20"), CombClass("wide-right", 2, LITERAL)),
 ])
 def test_recognition_vs_brute_catches_a_flipped_recognizer(monkeypatch, digits, cls):
     subset = _subset(*digits)
     _flip_is_comb(monkeypatch, subset, cls)
-    result = verify._recognition_vs_brute(2)
+    result = verify._recognition_vs_brute(2, 4)
     assert not result.ok
     assert result.detail == f"{_listed(subset)} under {cls!r}"
 
@@ -91,7 +94,26 @@ def test_recognition_vs_brute_catches_a_rejected_oracle_pair(monkeypatch):
         return False if (a_set, b_set) == (a_part, b_part) else real(a_set, b_set)
 
     monkeypatch.setattr(oracle, "widely_left", rejecting)
-    result = verify._recognition_vs_brute(2)
+    result = verify._recognition_vs_brute(2, 4)
     assert not result.ok
     subset = _subset("00", "02", "20", "22")
     assert result.detail == f"{_listed(subset)} under {CombClass('wide-right', 2)!r}"
+
+
+def test_battery_scale_is_pinned():
+    # The schedule's clamps: wide, recognition, witness weaves, comb graphs
+    # and bridges stay at depth 2 when max_depth is 3.
+    assert [(c.name, c.detail) for c in verify.run_battery(3)] == [
+        ("pair-dichotomy", "all pairs at depths <= 3"),
+        ("wide-characterization", "all subsets at depth 2"),
+        ("recognition-vs-brute", "subsets of size <= 4 at depth 2"),
+        ("strongify-pairs", "all pairs at depths <= 3"),
+        ("grid-embedding", "all pairs at depths <= 4"),
+        ("witnesses", "weave, grid, and graph witnesses pass their checkers"),
+        ("realizability", "criterion matches the assignment oracle"),
+        ("cograph-stack", "recognition, comb graph, and embedding agree"),
+        ("bridges", "both graph bridges and the grid bridge pass at d=2"),
+        ("triangle-demo", "length 6"),
+        ("epsilon-scaling", "pairs at s=3, tie preserved as documented"),
+        ("genericity", "demo chain and density failure behave"),
+    ]
