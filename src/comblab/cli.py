@@ -230,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="checkers, witnesses, and transforms for comb/weave/grid/cograph patterns")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, into=sub, **kwargs):
+        p = into.add_parser(name, **kwargs)
         p.add_argument("--out", default="-", help="output path (default stdout)")
         p.set_defaults(handler=handler)
         return p
@@ -281,21 +281,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="decide template realizability; emit a witness system")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("witness", _cmd_witness, help="build a canonical passing family")
-    p.add_argument("kind", choices=("weave", "grid", "graph"))
-    p.add_argument("--depth", type=int)
-    p.add_argument("--size", type=int)
+    # Each mode of `witness` and `bridge` reads only its own flags.
+    p = sub.add_parser("witness", help="build a canonical passing family")
+    modes = p.add_subparsers(dest="kind", required=True)
+    p = add("weave", _cmd_witness, modes)
+    p.add_argument("--depth", type=int, required=True)
     p.add_argument("-k", type=int, default=2)
     p.add_argument("-m", default="omega")
     p.add_argument("-n", default="omega")
     p.add_argument("--genuine-k", action="store_true")
+    p = add("grid", _cmd_witness, modes)
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("-k", type=int, default=2)
     p.add_argument("--strong", action="store_true")
-    p.add_argument("--graph")
+    add("graph", _cmd_witness, modes).add_argument("--graph", required=True)
 
     p = add("strongify", _cmd_strongify,
             help="depth-doubling index map, or pull a family along it")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--in", dest="path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--depth", type=int)
+    source.add_argument("--in", dest="path")
 
     p = add("pullback", _cmd_pullback, help="reindex a family along a prefix-respecting map")
     p.add_argument("--map", dest="map_path", required=True)
@@ -327,10 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("embed-cograph", _cmd_embed_cograph, help="embed a cotree's vertices into a level")
     p.add_argument("--in", dest="path", default="-")
 
-    p = add("bridge", _cmd_bridge, help="move between graph patterns and level families")
-    p.add_argument("direction", choices=("to-weave", "to-graph"))
-    p.add_argument("--depth", type=int)
-    p.add_argument("--cotree")
+    p = sub.add_parser("bridge", help="move between graph patterns and level families")
+    modes = p.add_subparsers(dest="direction", required=True)
+    p = add("to-weave", _cmd_bridge, modes)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--in", dest="path", default="-")
+    p = add("to-graph", _cmd_bridge, modes)
+    p.add_argument("--cotree", required=True)
     p.add_argument("--in", dest="path", default="-")
 
     p = add("triangle-free-demo", _cmd_triangle_free_demo,
@@ -338,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len", dest="length", type=int, required=True)
 
     p = add("generic-chain", _cmd_generic_chain, help="meet dense requirements through a poset")
-    p.add_argument("--in", dest="path")
-    p.add_argument("--demo", action="store_true",
-                   help="run the built-in binary-string length demo")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="path")
+    source.add_argument("--demo", action="store_true",
+                        help="run the built-in binary-string length demo")
     p.add_argument("--steps", type=int)
     p.add_argument("--horizon", type=int, default=genericity_mod.DEFAULT_HORIZON)
 
@@ -443,17 +452,11 @@ def _cmd_realizable(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.kind == "weave":
-        if args.depth is None:
-            raise ArgumentError("witness weave requires --depth")
         system = patterns_mod.weave_witness(args.depth, args.k, _bound(args.m),
                                             _bound(args.n), genuine_k=args.genuine_k)
     elif args.kind == "grid":
-        if args.size is None:
-            raise ArgumentError("witness grid requires --size")
         system = patterns_mod.grid_witness(args.size, args.k, strong=args.strong)
     else:
-        if args.graph is None:
-            raise ArgumentError("witness graph requires --graph")
         graph = cographs_mod.Graph.from_json(_read_json(args.graph))
         system = patterns_mod.graph_witness(graph, materialize=True)
     return _finish(system.to_json(), args.out, f"universe of {len(system.universe)} atom(s)")
@@ -461,8 +464,6 @@ def _cmd_witness(args) -> int:
 
 def _cmd_strongify(args) -> int:
     if args.path is None:
-        if args.depth is None:
-            raise ArgumentError("strongify requires --depth or --in")
         fmap = transforms_mod.strongify_index(args.depth)
         return _finish(fmap.to_json(), args.out, f"map of {len(fmap.mapping)} node(s)")
     ci = _load_system(args.path, "node")
@@ -548,13 +549,9 @@ def _cmd_embed_cograph(args) -> int:
 
 def _cmd_bridge(args) -> int:
     if args.direction == "to-weave":
-        if args.depth is None:
-            raise ArgumentError("bridge to-weave requires --depth")
         pattern = _load_system(args.path, "vertex")
         out = cographs_mod.graph_to_weave_oracle(pattern, args.depth)
         return _finish(out.to_json(), args.out, f"weave family on {len(out.indices)} node(s)")
-    if args.cotree is None:
-        raise ArgumentError("bridge to-graph requires --cotree")
     tree = cographs_mod.Cotree.from_json(_read_json(args.cotree))
     ci = _load_system(args.path, "node")
     out = cographs_mod.weave_to_graph_oracle(ci, tree)
@@ -587,8 +584,6 @@ def _cmd_generic_chain(args) -> int:
         start = ""
         steps = args.steps if args.steps is not None else 5
     else:
-        if args.path is None:
-            raise ArgumentError("generic-chain requires --in or --demo")
         payload = _read_json(args.path)
         elements, order, entries, start = json_fields(
             payload, "poset", elements=list, order=list, dense=list, start=object)

@@ -134,6 +134,31 @@ def wide_right(n, reading: str = RECURSIVE) -> CombClass:
     return CombClass("wide-right", n, reading)
 
 
+# The comb grammar: each class splits by one branch relation, whose rules are
+# keyed by the letter a lower part starts with: (the lower part's letters, the
+# upper part's letters, the split kind), every lower letter below every upper.
+_SPLIT_RULES = {
+    "up": {"0": ("0", "1", narrow_below(0)), "2": ("2", "3", narrow_below(1))},
+    "right": {"0": ("0", "2", narrow_left(0)), "1": ("1", "3", narrow_left(1))},
+    "wide-right": dict.fromkeys("01", ("01", "23", wide_left())),
+}
+
+
+def _part_class(cls: CombClass) -> CombClass:
+    if cls.kind == "wide-right" and cls.reading == LITERAL:
+        return CombClass("right", cls.n)
+    return cls
+
+
+# The (lower, upper) first letters of the parts of each class's top splits.
+_BLOCK_PAIRS = {kind: [(key, letter) for key, (_, upper, _) in rules.items() for letter in upper]
+                for kind, rules in _SPLIT_RULES.items()}
+# The rules of each class and of its parts, by reading, then kind.
+_CLASS_RULES = {reading: {c.kind: (_SPLIT_RULES[c.kind], _SPLIT_RULES[_part_class(c).kind])
+                          for c in (up(1), right(1), wide_right(1), wide_right(1, LITERAL))
+                          if c.reading == reading} for reading in (RECURSIVE, LITERAL)}
+
+
 class CombCertificate(NamedTuple):
     """Binary proof tree: leaves are singletons, internal vertices carry the
     split witness and the size of the lower/left part."""
@@ -160,6 +185,12 @@ class CombCertificate(NamedTuple):
         }
 
 
+def _require_nodes(nodes: Iterable) -> None:
+    for node in nodes:
+        if not isinstance(node, Node):
+            raise ArgumentError(f"expected Node, got {type(node).__name__}")
+
+
 def split_relation(a_set: Iterable[Node], b_set: Iterable[Node]) -> tuple[SplitWitness, ...]:
     """All branch relations that hold between A and B, as witnesses.
 
@@ -169,9 +200,7 @@ def split_relation(a_set: Iterable[Node], b_set: Iterable[Node]) -> tuple[SplitW
     """
     a_nodes, b_nodes = list(a_set), list(b_set)
     nodes = a_nodes + b_nodes
-    for node in nodes:
-        if not isinstance(node, Node):
-            raise ArgumentError(f"expected Node, got {type(node).__name__}")
+    _require_nodes(nodes)
     if not a_nodes or not b_nodes:
         raise ArgumentError("split_relation requires nonempty sets")
     if not set(a_nodes).isdisjoint(b_nodes):
@@ -183,15 +212,12 @@ def split_relation(a_set: Iterable[Node], b_set: Iterable[Node]) -> tuple[SplitW
     a_letters = {s[p] for s in a_nodes}
     b_letters = {s[p] for s in b_nodes}
     tau = Node._raw(prefix)
+    # A rule stands under each of its lower letters: any of A's letters finds it.
     found = []
-    for i, (lo, hi) in enumerate((("0", "1"), ("2", "3"))):
-        if a_letters == {lo} and b_letters == {hi}:
-            found.append(SplitWitness(tau, narrow_below(i)))
-    for j, (lo, hi) in enumerate((("0", "2"), ("1", "3"))):
-        if a_letters == {lo} and b_letters == {hi}:
-            found.append(SplitWitness(tau, narrow_left(j)))
-    if a_letters <= {"0", "1"} and b_letters <= {"2", "3"}:
-        found.append(SplitWitness(tau, wide_left()))
+    for rules in _SPLIT_RULES.values():
+        rule = rules.get(min(a_letters))
+        if rule and a_letters.issubset(rule[0]) and b_letters.issubset(rule[1]):
+            found.append(SplitWitness(tau, rule[2]))
     return tuple(found)
 
 
@@ -201,6 +227,8 @@ def classify_pair(a: Node, b: Node) -> str:
     UpOne when the letters at the meet position share their first coordinate,
     WideRightOne otherwise; exactly one verdict applies.
     """
+    if not isinstance(a, Node) or not isinstance(b, Node):
+        _require_nodes((a, b))
     if len(a) != len(b):
         raise ArgumentError("classify_pair requires nodes of equal depth")
     if a == b:
@@ -209,15 +237,6 @@ def classify_pair(a: Node, b: Node) -> str:
     while a[i] == b[i]:
         i += 1
     return UP_ONE if (a[i] < "2") == (b[i] < "2") else WIDE_RIGHT_ONE
-
-
-# The narrow split kinds per class, by the letters at the split position of
-# the first and last node (the two parts' letters, in order).
-_NARROW_SPLITS = {
-    "up": {"01": narrow_below(0), "23": narrow_below(1)},
-    "right": {"02": narrow_left(0), "13": narrow_left(1)},
-}
-_WIDE_LEFT = wide_left()
 
 
 def is_comb(nodes: Iterable[Node], cls: CombClass) -> Optional[CombCertificate]:
@@ -230,52 +249,49 @@ def is_comb(nodes: Iterable[Node], cls: CombClass) -> Optional[CombCertificate]:
         nodes = sorted(set(nodes), key=str)
     if not nodes:
         raise ArgumentError("is_comb requires a nonempty set")
-    if len(set(map(len, nodes))) != 1:
+    if [*map(len, nodes)].count(len(nodes[0])) != len(nodes):
         raise ArgumentError("is_comb requires nodes of equal depth")
-    return _recognize(nodes, cls)
+    rules, part_rules = _CLASS_RULES[cls.reading][cls.kind]
+    return _recognize(nodes, rules, part_rules, cls.n)
 
 
-def _recognize(nodes: Sequence[Node], cls: CombClass) -> Optional[CombCertificate]:
-    # The nodes are sorted and share their first p letters, so their letters
-    # at p ascend: each part is a slice, cut where the B-part's letters begin.
+def _recognize(nodes: Sequence, rules: dict, part_rules: dict, n) -> Optional[CombCertificate]:
+    # The words are sorted and share their first p letters, so their letters
+    # at p ascend: each part is a slice, cut where the upper letters begin.
     if len(nodes) == 1:
         return CombCertificate(frozenset(nodes))
     lo, hi = nodes[0], nodes[-1]
     p = 0
-    while lo[p] == hi[p]:
-        p += 1
-    if cls.kind == "wide-right":
-        if lo[p] >= "2" or hi[p] < "2":
-            return None
-        cut = bisect_left(nodes, "2", key=itemgetter(p))
-        kind = _WIDE_LEFT
-        sub_cls = _part_class(cls)
-    else:
-        kind = _NARROW_SPLITS[cls.kind].get(lo[p] + hi[p])
-        if kind is None:
-            return None
-        cut = bisect_left(nodes, hi[p], key=itemgetter(p))
-        if nodes[cut - 1][p] != lo[p]:  # a third letter between the two
-            return None
-        sub_cls = cls
-    if not size_within(cut, cls.n):
+    try:
+        while lo[p] == hi[p]:
+            p += 1
+    except IndexError:  # the first word ends at the meet
         return None
-    cert_a = _recognize(nodes[:cut], sub_cls)
-    if cert_a is None:
+    rule = rules.get(lo[p])
+    if rule is None or hi[p] not in rule[1]:
         return None
-    cert_b = _recognize(nodes[cut:], sub_cls)
+    lower, upper, kind = rule
+    cut = bisect_left(nodes, upper[0], key=itemgetter(p))
+    # A letter between the two parts, or a lower part over the bound.
+    if nodes[cut - 1][p] not in lower or n is not OMEGA and cut > n:
+        return None
+    cert_a = _recognize(nodes[:cut], part_rules, part_rules, n)
+    cert_b = cert_a and _recognize(nodes[cut:], part_rules, part_rules, n)
     if cert_b is None:
         return None
     return CombCertificate(cert_a.nodes | cert_b.nodes, SplitWitness(Node._raw(lo[:p]), kind),
                            cut, cert_a, cert_b)
 
 
+_BINARY_RULES = {"0": ("0", "1", narrow_left(0))}  # binary words: the 0-side is lower
+
+
 def is_binary_right_comb(strings: Iterable[str], n) -> bool:
     """Right-comb recognition for finite sets of binary strings.
 
-    The same meet-splitting recursion as :func:`is_comb`, over the binary
-    alphabet with mixed lengths allowed: at the greatest common initial
-    segment the 0-side is the bounded part.
+    The recursion of :func:`is_comb` under the one binary rule, with mixed
+    lengths allowed: at the greatest common initial segment the 0-side is
+    the bounded part, and no set with a word ending there is a comb.
     """
     _check_bound(n)
     items = set()
@@ -285,24 +301,7 @@ def is_binary_right_comb(strings: Iterable[str], n) -> bool:
         items.add(s)
     if not items:
         raise ArgumentError("is_binary_right_comb requires a nonempty set")
-    return _binary_recognize(sorted(items), n)
-
-
-def _binary_recognize(strings: list[str], n) -> bool:
-    if len(strings) == 1:
-        return True
-    lo, hi = strings[0], strings[-1]
-    limit = min(len(lo), len(hi))
-    p = 0
-    while p < limit and lo[p] == hi[p]:
-        p += 1
-    if any(len(s) <= p for s in strings):
-        return False
-    a_part = [s for s in strings if s[p] == "0"]
-    b_part = [s for s in strings if s[p] == "1"]
-    if not size_within(len(a_part), n):
-        return False
-    return _binary_recognize(a_part, n) and _binary_recognize(b_part, n)
+    return _recognize(sorted(items), _BINARY_RULES, _BINARY_RULES, n) is not None
 
 
 # --- enumeration ---------------------------------------------------------
@@ -352,14 +351,6 @@ def mask_nodes(mask: int, level) -> list:
     return [level[i] for i in mask_indices(mask)]
 
 
-# Block pairings for top splits, by digit of the first letter.
-_CROSS_BLOCKS = {
-    "up": (("0", "1"), ("2", "3")),
-    "right": (("0", "2"), ("1", "3")),
-    "wide-right": (("0", "2"), ("0", "3"), ("1", "2"), ("1", "3")),
-}
-
-
 def comb_entries(d: int, cls: CombClass, max_size: int) -> CombTable:
     """All combs of the class at depth d with size <= max_size, with structure.
 
@@ -378,12 +369,6 @@ def comb_entries(d: int, cls: CombClass, max_size: int) -> CombTable:
     if cls.kind == "wide-right" and cls.reading == LITERAL:
         table = _dedupe_entries(table)
     return table
-
-
-def _part_class(cls: CombClass) -> CombClass:
-    if cls.kind == "wide-right" and cls.reading == LITERAL:
-        return CombClass("right", cls.n)
-    return cls
 
 
 def _build_entries(d: int, cls: CombClass, max_size: int, cache: dict) -> CombTable:
@@ -425,7 +410,7 @@ def _build_entries(d: int, cls: CombClass, max_size: int, cache: dict) -> CombTa
     part_blocks = blocks if part_cls is cls else prepended(part)
     part_sizes = part.sizes
     fitting = {}  # budget -> the part positions of size <= budget, ascending
-    for a_digit, b_digit in _CROSS_BLOCKS[cls.kind]:
+    for a_digit, b_digit in _BLOCK_PAIRS[cls.kind]:
         a_off, a_masks = part_blocks[a_digit]
         b_off, b_masks = part_blocks[b_digit]
         for ia, size_a in enumerate(part_sizes):
@@ -483,7 +468,7 @@ def _count_vector(d: int, cls: CombClass, max_size: int, cap: int) -> tuple:
     if sum(out.values()) > cap:  # past the cap on the block combs alone
         cut = True
     else:
-        pairings = len(_CROSS_BLOCKS[cls.kind])
+        pairings = len(_BLOCK_PAIRS[cls.kind])
         for sa, ca in part:
             if not size_within(sa, cls.n):
                 continue

@@ -629,7 +629,7 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
         return Violation(kind, tuple(sorted(nodes)), is_comb(nodes, cls), atom)
 
     up_cls = CombClass("up", m)
-    up_table = comb_entries(d, up_cls, max(k, 1))
+    up_table = comb_entries(d, up_cls, k)
     up_verdicts = _family_consistency(ci, up_table, level, target=k)
     consistent_k = [pos for pos, verdict in enumerate(up_verdicts)
                     if verdict and up_table.sizes[pos] == k]

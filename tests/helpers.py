@@ -7,11 +7,11 @@ from itertools import combinations
 from typing import Optional
 
 from comblab import errors
-from comblab.combs import (_CROSS_BLOCKS, LITERAL, OMEGA, CombClass,
+from comblab.combs import (LITERAL, OMEGA, CombClass,
                            RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
                            size_within, wide_right)
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.index_core import encode, enumerate_level
+from comblab.index_core import LETTERS, encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _FoldedAtoms,
                               SetSystem, Structure, Violation, comparable, grid_points,
@@ -56,6 +56,17 @@ def subset_filter_combs(d, cls, max_size):
     return out
 
 
+# The letters (first, second) a class's branch relation admits at a top
+# split, lower part's then upper part's: narrowly below keeps the first
+# coordinate and raises the second, narrowly left keeps the second and raises
+# the first, widely left raises the first.
+_ADMITS = {
+    "up": lambda a, b: a.first == b.first and a.second < b.second,
+    "right": lambda a, b: a.second == b.second and a.first < b.first,
+    "wide-right": lambda a, b: a.first < b.first,
+}
+
+
 @dataclass
 class CombEntry:
     mask: int  # node-index bitmask within enumerate_level(d)
@@ -98,7 +109,9 @@ def reference_comb_entries(d, cls, max_size):
 
         block_offsets = prepended(sub)
         part_offsets = block_offsets if part_cls is cls else prepended(part_list)
-        for a_digit, b_digit in _CROSS_BLOCKS[cls.kind]:
+        pairings = [(a.digit, b.digit) for a in LETTERS for b in LETTERS
+                    if _ADMITS[cls.kind](a, b)]
+        for a_digit, b_digit in pairings:
             a_off, b_off = part_offsets[a_digit], part_offsets[b_digit]
             for ia, part_a in enumerate(part_list):
                 if not size_within(part_a.size, cls.n):

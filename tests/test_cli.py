@@ -273,7 +273,7 @@ def test_fold_entry_joins_string_sets_only():
      '{"universe":["a"],"family":[{"index":"-","set":["a"],"set":[]}]}',
      "duplicate key 'set' in a JSON object"),
     # NaN and the infinities were read, and written back out, as non-JSON.
-    (["strongify", "--depth", "0", "--in", "{f}"],
+    (["strongify", "--in", "{f}"],
      '{"universe":[NaN,Infinity],"family":[{"index":"-","set":[NaN]}]}',
      "NaN is not a JSON number"),
     (["strongify", "--in", "{f}"], '{"universe":[-Infinity],"family":[]}',
@@ -556,6 +556,33 @@ def test_contract_violations_exit_2(workdir, command, message):
     code, out, err = run_cli([arg.format(root=workdir) for arg in command])
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("command, refusal", [
+    (["witness", "grid", "--size", "2", "--depth", "5", "--genuine-k", "-n", "3"],
+     "unrecognized arguments: --depth 5 --genuine-k -n 3"),
+    (["witness", "weave", "--depth", "1", "--strong", "--size", "9"],
+     "unrecognized arguments: --strong --size 9"),
+    (["witness", "graph", "--graph", "{root}/k2.json", "-k", "3"], "unrecognized arguments: -k 3"),
+    (["witness", "weave"], "the following arguments are required: --depth"),
+    (["generic-chain", "--demo", "--in", "{root}/poset.json"],
+     "argument --in: not allowed with argument --demo"),
+    (["generic-chain"], "one of the arguments --in --demo is required"),
+    (["strongify", "--depth", "1", "--in", "{root}/weave2.json"],
+     "argument --in: not allowed with argument --depth"),
+    (["strongify"], "one of the arguments --depth --in is required"),
+    (["bridge", "to-weave", "--depth", "1", "--cotree", "{root}/cotree.json",
+      "--in", "{root}/combpattern.json"], "unrecognized arguments: --cotree"),
+    (["bridge", "to-graph", "--depth", "1", "--cotree", "{root}/cotree.json",
+      "--in", "{root}/weave2.json"], "unrecognized arguments: --depth 1"),
+    (["bridge", "to-graph", "--in", "{root}/weave2.json"],
+     "the following arguments are required: --cotree"),
+])
+def test_flags_a_mode_does_not_read_are_refused(workdir, command, refusal):
+    # Each of these used to run, its extra flags read by no one.
+    code, out, err = run_cli([arg.format(root=workdir) for arg in command])
+    assert (code, out) == (2, "")
+    assert refusal in err
 
 
 def _run_template(tmp_path, **fields):

@@ -6,14 +6,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comblab.combs import (CombClass, LITERAL, NARROW_BELOW, NARROW_LEFT,
-                           OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
+from comblab.combs import (_BINARY_RULES, _SPLIT_RULES, CombClass, LITERAL, NARROW_BELOW,
+                           NARROW_LEFT, OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
                            classify_pair, comb_entries, enumerate_combs, has_up_pair,
                            is_binary_right_comb, is_comb, split_relation)
 from comblab import errors
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
-from comblab.oracle import binary_right_comb_oracle, build_tree_comb_oracle
+from comblab.oracle import (binary_right_comb_oracle, build_tree_comb_oracle, narrowly_below,
+                            narrowly_left, widely_left)
 from comblab.verify import _RECOGNITION_CLASSES
 
 from helpers import (SEED, reference_build_tree_comb_oracle, reference_comb_entries,
@@ -72,6 +73,33 @@ def test_split_relation_errors():
             split_relation(a_set, b_set)
 
 
+def test_split_relation_matches_the_oracle_relations():
+    # Every pair of disjoint, nonempty sets of at most two nodes of depths 1
+    # and 2, mixed depths included.
+    universe = enumerate_level(1) + enumerate_level(2)
+    sets = [frozenset(combo) for size in (1, 2) for combo in combinations(universe, size)]
+    relations = ((NARROW_BELOW, narrowly_below), (NARROW_LEFT, narrowly_left),
+                 (WIDE_LEFT, widely_left))
+    for a_set in sets:
+        for b_set in sets:
+            if a_set.isdisjoint(b_set):
+                expected = {kind for kind, holds in relations if holds(a_set, b_set)}
+                assert kinds_of(a_set, b_set) == expected, (a_set, b_set)
+
+
+def test_split_rules_order_their_letters():
+    # Recognition cuts a sorted set where the upper letters begin and picks
+    # the rule by the first node's letter, and split_relation picks it by any
+    # of A's letters, which this keeps sound.
+    for rules in (*_SPLIT_RULES.values(), _BINARY_RULES):
+        for key, rule in rules.items():
+            lower, upper, _ = rule
+            assert set(lower).isdisjoint(upper)
+            assert max(lower) < min(upper)
+            assert key in lower
+            assert all(rules[letter] == rule for letter in lower)
+
+
 # --- pair classification ---------------------------------------------------
 
 
@@ -94,6 +122,11 @@ def test_classify_pair_errors():
         classify_pair(decode("0"), decode("00"))
     with pytest.raises(ArgumentError):
         classify_pair(decode("0"), decode("0"))
+    # An argument that is not a Node is refused, a digit string included.
+    for a, b, name in (("0x", "1y", "str"), (decode("0"), "1", "str"),
+                       ((0, 1), decode("1"), "tuple")):
+        with pytest.raises(ArgumentError, match=f"^expected Node, got {name}$"):
+            classify_pair(a, b)
 
 
 def test_dichotomy_small_depths():
@@ -231,7 +264,7 @@ def test_binary_right_comb_matches_oracle():
         universe = universe + [s + b for s in universe for b in "01" if len(s) < 3]
     universe = sorted(set(s for s in universe if s))
     memo = {}
-    for size in range(1, 4):
+    for size in range(1, 5):
         for combo in combinations(universe, size):
             s = frozenset(combo)
             for n in (1, 2, OMEGA):
