@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, combinations
 
 from . import cographs as cographs_mod
 from . import combs as combs_mod
@@ -561,17 +561,18 @@ def _cmd_bridge(args) -> int:
 def _cmd_triangle_free_demo(args) -> int:
     length = args.length
     p_side, q_side = patterns_mod.triangle_free_demo(length)
-    pair_checks = [[i, j, p_side.consistent((i, j))]
-                   for i in range(length) for j in range(i + 1, length)]
+    # The pairs and edges, up to the budget's count of each, are written as
+    # they are drawn; only the pairs' verdicts are held.
+    pair_verdicts = [p_side.consistent(pair) for pair in combinations(range(length), 2)]
     payload = {
         "len": length,
-        "edges": [[list(a), list(b)] for a, b in patterns_mod.demo_edges(length)],
+        "edges": ([list(a), list(b)] for a, b in patterns_mod.demo_edges(length)),
         "p_singletons_consistent": all(p_side.consistent((i,)) for i in range(length)),
-        "p_pairs_consistent": pair_checks,
+        "p_pairs_consistent": ([i, j, verdict] for (i, j), verdict
+                               in zip(combinations(range(length), 2), pair_verdicts)),
         "q_full_family_consistent": q_side.consistent(range(length)),
     }
-    ok = payload["p_singletons_consistent"] and \
-        not any(row[2] for row in pair_checks) and \
+    ok = payload["p_singletons_consistent"] and not any(pair_verdicts) and \
         payload["q_full_family_consistent"]
     return _finish(payload, args.out, "demo holds" if ok else "demo violated",
                    EXIT_OK if ok else EXIT_FAILED)

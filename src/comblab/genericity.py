@@ -109,6 +109,8 @@ def generic_chain(poset: RequirementPoset, dense: list[DensePredicate], start,
     if steps < len(dense):
         raise ArgumentError(
             f"steps ({steps}) must be at least the number of requirements ({len(dense)})")
+    if horizon < 1:
+        raise ArgumentError(f"horizon must be at least 1, got {horizon}")
     chain = [ChainStep(start, ())]
     pending = list(range(len(dense)))
     moves = 0

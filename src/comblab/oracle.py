@@ -249,34 +249,3 @@ def assignment_oracle(template, atoms: int) -> bool:
             if not feasible:
                 return False
     return feasible != 0
-
-
-def assignment_oracle_slow(template, atoms: int) -> bool:
-    """Plain nested-loop version of :func:`assignment_oracle` (cross-check)."""
-    indices = sorted(template.indices, key=repr)
-    count = len(indices)
-    for assignment in range(1 << (atoms * count)):
-        sets = {index: (assignment >> (atoms * i)) & ((1 << atoms) - 1)
-                for i, index in enumerate(indices)}
-
-        def family_consistent(family):
-            acc = (1 << atoms) - 1
-            for index in family:
-                acc &= sets[index]
-            return bool(acc) or not family
-
-        if not all(family_consistent(c) for c in template.must_consist):
-            continue
-        bad = False
-        for group in template.must_k_inconsist:
-            if len(group) < template.k:
-                continue
-            for sub in combinations(sorted(group, key=repr), template.k):
-                if family_consistent(sub):
-                    bad = True
-                    break
-            if bad:
-                break
-        if not bad:
-            return True
-    return False

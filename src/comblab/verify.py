@@ -202,6 +202,20 @@ def _realizability(rng: random.Random, trials: int, size: int) -> CheckResult:
     return CheckResult("realizability", True, "criterion matches the assignment oracle")
 
 
+def _is_induced_p4(graph, path) -> bool:
+    """Whether a-b-c-d are four distinct vertices of the graph with edges
+    ab, bc and cd and no edge ac, bd or ad."""
+    a, b, c, d = path
+    if min(path) < 0:
+        return False
+    b_bit, c_bit, d_bit = 1 << b, 1 << c, 1 << d
+    vertices = 1 << a | b_bit | c_bit | d_bit
+    masks = graph.adjacency_masks()
+    return vertices.bit_count() == 4 and vertices >> graph.n == 0 and \
+        masks[a] & (b_bit | c_bit | d_bit) == b_bit and masks[b] & (c_bit | d_bit) == c_bit and \
+        masks[c] & d_bit != 0
+
+
 def _cograph_stack(max_vertices: int, comb_depth: int, cotrees: Iterable) -> CheckResult:
     for n in range(1, max_vertices + 1):
         # Every labelled graph on n vertices, in Gray order: step i flips the
@@ -214,13 +228,16 @@ def _cograph_stack(max_vertices: int, comb_depth: int, cotrees: Iterable) -> Che
                 masks[u] ^= 1 << v
                 masks[v] ^= 1 << u
             graph = cographs_mod.Graph.from_masks(n, masks)
-            # The scan itself: find_p4 answers from the decomposition under test.
-            has_p4 = cographs_mod._first_p4(graph) is not None
             tree = cographs_mod.cotree_of(graph)
-            got_tree = isinstance(tree, cographs_mod.Cotree)
-            if got_tree == has_p4:
+            if not isinstance(tree, cographs_mod.Cotree):
+                if not _is_induced_p4(graph, tree):
+                    return CheckResult("cograph-stack", False,
+                                       f"{graph!r}: {tree!r} is not an induced four-path")
+            # The scan itself, since find_p4 answers from the decomposition
+            # under test: a cograph has no induced four-path.
+            elif cographs_mod._first_p4(graph) is not None:
                 return CheckResult("cograph-stack", False, f"{graph!r}: recognition mismatch")
-            if got_tree and cographs_mod.eval_cotree(tree) != graph:
+            elif cographs_mod.eval_cotree(tree) != graph:
                 return CheckResult("cograph-stack", False, f"{graph!r}: cotree round-trip")
     for d in range(comb_depth + 1):
         graph, tree = cographs_mod.comb_graph(d)

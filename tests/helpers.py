@@ -3,7 +3,7 @@ paths are checked against."""
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional
 
 from comblab import errors
@@ -13,9 +13,10 @@ from comblab.combs import (LITERAL, OMEGA, CombClass,
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import LETTERS, encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
-from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _FoldedAtoms,
-                              SetSystem, Structure, Violation, comparable, grid_points,
-                              is_antichain, k_inconsistent, product_leq, strictly_below)
+from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _DIGIT_TO_BYTE,
+                              _FoldedAtoms, SetSystem, Structure, Violation, comparable,
+                              demo_edges, grid_points, is_antichain, k_inconsistent, product_leq,
+                              strictly_below)
 
 SEED = 0xC0FFEE
 
@@ -463,6 +464,56 @@ def reference_realizable(template):
     family = {index: {names[i] for i, cset in enumerate(template.must_consist) if index in cset}
               for index in template.indices}
     return SetSystem(names, family)
+
+
+def reference_atom_names(system, mask):
+    """`SetSystem.atom_names` by one `compress` over the whole universe."""
+    names = compress(system.universe, bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BYTE))
+    return list(names) if system._in_order else sorted(names)
+
+
+def assignment_oracle_slow(template, atoms: int) -> bool:
+    """Plain nested-loop version of :func:`assignment_oracle` (cross-check)."""
+    indices = sorted(template.indices, key=repr)
+    count = len(indices)
+    for assignment in range(1 << (atoms * count)):
+        sets = {index: (assignment >> (atoms * i)) & ((1 << atoms) - 1)
+                for i, index in enumerate(indices)}
+
+        def family_consistent(family):
+            acc = (1 << atoms) - 1
+            for index in family:
+                acc &= sets[index]
+            return bool(acc) or not family
+
+        if not all(family_consistent(c) for c in template.must_consist):
+            continue
+        bad = False
+        for group in template.must_k_inconsist:
+            if len(group) < template.k:
+                continue
+            for sub in combinations(sorted(group, key=repr), template.k):
+                if family_consistent(sub):
+                    bad = True
+                    break
+            if bad:
+                break
+        if not bad:
+            return True
+    return False
+
+
+def reference_triangle_p_predicate(length):
+    """The p side's predicate of `triangle_free_demo` by its definition: a
+    family is consistent when no edge of the demo graph, from the whole edge
+    list, has both ends among the family's endpoints."""
+    edges = list(demo_edges(length))
+
+    def p_predicate(family):
+        endpoints = {(side, t) for t in family for side in ("u", "v")}
+        return not any(a in endpoints and b in endpoints for a, b in edges)
+
+    return p_predicate
 
 
 def materialized(value):

@@ -338,7 +338,8 @@ def test_refusals_exit_3_before_building(monkeypatch):
     # budget, and refuses (exit 3, nothing on stdout) before building it.
     for argv, count in ((["grid-embed", "--depth", "11"], "level 11 would have 4194304 nodes"),
                         (["comb-graph", "--depth", "6"], "8386560 pairs"),
-                        (["verify-paper", "--max-depth", "5"], "8386560 grid-embedding pairs")):
+                        (["verify-paper", "--max-depth", "5"], "8386560 grid-embedding pairs"),
+                        (["triangle-free-demo", "--len", "100000"], "4999950000 pairs")):
         start = time.perf_counter()
         code, out, err = run_cli(argv)
         assert time.perf_counter() - start < 1.0, argv
@@ -549,6 +550,8 @@ def test_json_readers_reject_bad_shapes_with_location(workdir, tmp_path, command
     (["embed-cograph", "--in", "{root}/duplicate_leaf.json"], "duplicate leaf vertex 0"),
     (["witness", "grid", "--size", "0"], "grid side must be positive, got 0"),
     (["witness", "grid", "--size", "-2"], "grid side must be positive, got -2"),
+    (["generic-chain", "--demo", "--horizon", "-5"], "horizon must be at least 1, got -5"),
+    (["generic-chain", "--demo", "--horizon", "0"], "horizon must be at least 1, got 0"),
 ])
 def test_contract_violations_exit_2(workdir, command, message):
     (workdir / "duplicate_leaf.json").write_text(json.dumps(
@@ -952,6 +955,21 @@ def weave3(tmp_path_factory):
     path = tmp_path_factory.mktemp("weave3") / "weave3.json"
     code, peak_kb = peak_of(["witness", "weave", "--depth", "3", "--out", str(path)])
     return path, code, peak_kb
+
+
+def test_triangle_demo_is_held_to_its_pair_count(monkeypatch, tmp_path):
+    # Each pair was checked against every edge, so --len 160 took 4.3 s and
+    # --len 100000 ran on unrefused.  The first refused length is refused
+    # before anything is built, at about the peak of a command refused at once.
+    path = str(tmp_path / "demo.json")
+    noop_code, noop_kb = peak_of(["triangle-free-demo", "--len", "1", "--out", path])
+    code, peak_kb = peak_of(["triangle-free-demo", "--len", "2001", "--out", path])
+    assert (noop_code, code) == (2, 3) and peak_kb < noop_kb + 2048, (peak_kb, noop_kb)
+    monkeypatch.setattr("comblab.errors.BUDGET", 6)  # C(4, 2)
+    assert run_cli(["triangle-free-demo", "--len", "4"])[0] == 0
+    code, out, err = run_cli(["triangle-free-demo", "--len", "5"])
+    assert (code, out) == (3, "")
+    assert "triangle-free demo of length 5 has 10 pairs, over the limit 6" in err
 
 
 def test_weave_witness_depth_3_peak_memory(weave3):

@@ -9,7 +9,8 @@ from comblab.combs import CombClass, OMEGA, comb_entries
 from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, eval_cotree, leaf,
                               union)
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.genericity import RequirementPoset
+from comblab.genericity import (RequirementPoset, binary_string_poset, generic_chain,
+                                length_requirements)
 from comblab.index_core import Letter, decode, enumerate_level
 from comblab.patterns import (SetSystem, _above, _require_chain_count, check_graph_pattern,
                               check_grid, check_weave, grid_points, product_leq,
@@ -293,6 +294,15 @@ def test_decode_requires_a_string():
 def test_poset_elements_must_be_distinct():
     with pytest.raises(ArgumentError, match="distinct"):
         RequirementPoset.from_table(["a", "b", "a"], [("a", "b")])
+
+
+def test_generic_chain_horizon_below_one_rejected():
+    # A horizon below 1 used to be read as "not dense": the chain failed
+    # with a density error at the start.
+    poset = binary_string_poset()
+    for horizon in (0, -5):
+        with pytest.raises(ArgumentError, match=f"horizon must be at least 1, got {horizon}"):
+            generic_chain(poset, length_requirements(5), "", steps=5, horizon=horizon)
 
 
 def test_caps_below_one_rejected():

@@ -1,7 +1,7 @@
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress
 from types import SimpleNamespace
 
 import pytest
@@ -11,7 +11,7 @@ from comblab.combs import OMEGA, CombTable, mask_indices
 from comblab.cographs import Graph, comb_graph, graph_to_weave_oracle
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
-from comblab.oracle import assignment_oracle, assignment_oracle_slow
+from comblab.oracle import assignment_oracle
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               SetSystem, Template, antichains_of_size, chains,
                               check_graph_pattern, check_grid, check_weave, consistent,
@@ -23,12 +23,14 @@ from comblab.patterns import (_REVERSED_BITS, _above, _maximal_independent_sets,
                               strictly_below)
 from comblab.transforms import strongify_weave
 
-from helpers import (SEED, direct_grid_ok, direct_weave_ok, downward_closed, materialized,
-                     random_graph, random_set_system, random_subsystem_mutations,
-                     reference_chains, reference_check_graph_pattern, reference_check_grid,
+from helpers import (SEED, assignment_oracle_slow, direct_grid_ok, direct_weave_ok,
+                     downward_closed, materialized, random_graph, random_set_system,
+                     random_subsystem_mutations, reference_atom_names, reference_chains,
+                     reference_check_graph_pattern, reference_check_grid,
                      reference_check_weave, reference_grid_witness,
                      reference_graph_witness, reference_maximal_independent_sets,
-                     reference_realizable, reference_weave_witness, small_graphs)
+                     reference_realizable, reference_triangle_p_predicate,
+                     reference_weave_witness, small_graphs)
 
 
 def small_system():
@@ -93,6 +95,89 @@ def test_atom_names_sorted_on_a_universe_out_of_order():
     in_order = SetSystem(names, {0: names[::-1]})
     assert materialized(in_order.to_json(repr)) == {"universe": names, "family": [
         {"index": "0", "set": names}]}
+
+
+def _walk_masks(size, rng):
+    """Masks that put the stretches `atom_names` walks at the edges of its
+    8-byte gaps: gaps of 63-130 absent atoms at the start, in the middle and
+    at the end, on a byte boundary and off one, in a full universe and
+    between two lone members; no gap at all; and bits beyond the universe."""
+    full = (1 << size) - 1
+    masks = [0, full, 1, 1 << max(size - 1, 0), full | 1 << size + 3,
+             1 << size + 70, full | 1 << size + 200 | 1 << size + 64]
+    for step in (60, 65):
+        masks += [sum(1 << i for i in range(0, size, step)),
+                  sum(1 << i for i in range(step - 1, size, step))]
+    for density in (0.01, 0.09, 0.5):
+        masks.append(sum(1 << i for i in range(size) if rng.random() < density))
+    for gap in (63, 64, 65, 130):
+        hole = (1 << gap) - 1
+        for low in {0, 5, 64, 69, size // 2, size - gap, size - gap - 3}:
+            if 0 <= low <= size - gap:
+                masks.append(full & ~(hole << low))
+                masks.append(1 << low + gap | (1 << low - 1 if low else 0))
+    return masks
+
+
+def _check_stretches(mask, stretches):
+    """The stretches `atom_names` walked, as (start, stop) pairs, are the
+    ones its walk defines: each runs from a member up to the first block of
+    64 absent atoms on a byte boundary (a `_GAP`), or to the last member;
+    they follow one another; every member lies in one; and no stretch holds
+    such a block."""
+    block = (1 << 64) - 1
+    covered = last = 0
+    for start, stop in stretches:
+        assert mask >> start & 1 and start >= last, (start, stop)
+        assert stop == mask.bit_length() or stop % 8 == 0 and not mask >> stop & block
+        assert all(mask >> low & block for low in range(start + 7 & ~7, stop, 8))
+        covered |= (1 << stop) - (1 << start)
+        last = stop
+    assert mask & covered == mask
+
+
+def _walk(system, mask, monkeypatch):
+    """`system.atom_names(mask)`, and the (start, stop) stretches of the
+    universe it handed to `compress`."""
+    stretches, members = [], bin(mask).count("1")
+
+    def recording(atoms, selector):
+        # A tuple iterator's position, which stops at the universe's end.
+        start = atoms.__reduce__()[2]
+        stretches.append((start, start + len(selector)))
+        # Each stretch holds a member: more would be a walk that never ends.
+        assert len(stretches) <= members
+        return compress(atoms, selector)
+
+    monkeypatch.setattr(patterns, "compress", recording)
+    try:
+        return system.atom_names(mask), stretches
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097])
+def test_atom_names_skips_gaps_as_the_whole_universe_walk(size, monkeypatch):
+    rng = random.Random(SEED + size)
+    names = [f"a{i:04d}" for i in range(size)]
+    shuffled = rng.sample(names, size)
+    for universe in (names, shuffled):
+        system = SetSystem(universe, {})
+        for mask in _walk_masks(size, rng):
+            named, stretches = _walk(system, mask, monkeypatch)
+            assert named == reference_atom_names(system, mask), (size, mask)
+            if not mask >> size:
+                _check_stretches(mask, stretches)
+
+
+@pytest.mark.parametrize("n", [1, 2, OMEGA])
+def test_atom_names_on_the_depth_2_weave_witnesses(n, monkeypatch):
+    for k, genuine_k in ((2, False), (3, False), (3, True)):
+        ci = weave_witness(2, k, OMEGA, n, genuine_k=genuine_k)
+        for mask in ci.family.values():
+            named, stretches = _walk(ci, mask, monkeypatch)
+            assert named == reference_atom_names(ci, mask)
+            _check_stretches(mask, stretches)
 
 
 def test_consistent_unknown_index():
@@ -1069,8 +1154,18 @@ def test_triangle_free_demo_len5():
     assert q_side.consistent(range(5))
 
 
+def test_triangle_free_demo_matches_the_edge_list_predicate():
+    # The p side used to scan the whole edge list on every call.
+    for length in range(2, 11):
+        p_side, _ = triangle_free_demo(length)
+        reference = reference_triangle_p_predicate(length)
+        for size in range(4):
+            for family in combinations(range(length), size):
+                assert p_side._predicate(frozenset(family)) == reference(frozenset(family))
+
+
 def test_demo_edges_shape():
-    edges = demo_edges(3)
+    edges = list(demo_edges(3))
     assert (("v", 0), ("u", 1)) in edges
     assert (("v", 1), ("u", 2)) in edges
     assert len(edges) == 3

@@ -5,7 +5,7 @@ each check at the scale its schedule sets."""
 
 import pytest
 
-from comblab import combs, oracle, verify
+from comblab import cographs, combs, oracle, verify
 from comblab.combs import LITERAL, OMEGA, UP_ONE, WIDE_RIGHT_ONE, CombClass
 from comblab.index_core import enumerate_level
 
@@ -98,6 +98,39 @@ def test_recognition_vs_brute_catches_a_rejected_oracle_pair(monkeypatch):
     assert not result.ok
     subset = _subset("00", "02", "20", "22")
     assert result.detail == f"{_listed(subset)} under {CombClass('wide-right', 2)!r}"
+
+
+def _plant_cotree_of(monkeypatch, plant):
+    """Make `cotree_of` answer `plant(graph, its real answer)`."""
+    real = cographs.cotree_of
+    monkeypatch.setattr(cographs, "cotree_of", lambda graph: plant(graph, real(graph)))
+
+
+def test_cograph_stack_catches_a_path_that_is_not_induced(monkeypatch):
+    # With b and c swapped, a-c is a non-edge of the certified path.
+    def swapped(graph, answer):
+        if isinstance(answer, cographs.Cotree):
+            return answer
+        return cographs.P4Certificate(answer.a, answer.c, answer.b, answer.d)
+
+    _plant_cotree_of(monkeypatch, swapped)
+    result = verify._cograph_stack(4, 0, [])
+    assert not result.ok
+    assert result.detail == ("Graph(n=4, edges=[(0, 1), (0, 3), (1, 2)]): "
+                             "P4Certificate(a=2, b=0, c=1, d=3) is not an induced four-path")
+
+
+def test_cograph_stack_catches_a_tree_for_a_non_cograph(monkeypatch):
+    # The edgeless graph's tree, given for every graph with a four-path.
+    def edgeless(graph, answer):
+        if isinstance(answer, cographs.Cotree):
+            return answer
+        return cographs.cotree_of(cographs.Graph(graph.n, []))
+
+    _plant_cotree_of(monkeypatch, edgeless)
+    result = verify._cograph_stack(4, 0, [])
+    assert not result.ok
+    assert result.detail.endswith(": recognition mismatch")
 
 
 def test_battery_scale_is_pinned():
