@@ -5,15 +5,14 @@ machine-checking the structural lemmas at desk scale."""
 from .combs import (CombClass, CombCertificate, OMEGA, SplitKind, SplitWitness,
                     classify_pair, enumerate_combs, is_binary_right_comb,
                     is_comb, split_relation)
-from .cographs import (Cotree, Graph, P4Certificate, comb_graph, combine,
-                       cotree_of, embed_cograph, eval_cotree, find_p4,
+from .cographs import (Cotree, Graph, P4Certificate, comb_graph, cotree_of,
+                       embed_cograph, eval_cotree, find_p4,
                        graph_to_weave_oracle, random_cotree,
                        weave_to_graph_oracle)
 from .errors import ArgumentError, ComblabError, ParseError, ResourceError
 from .genericity import (ChainStep, DensePredicate, DensityError,
                          RequirementPoset, generic_chain)
-from .index_core import (Letter, Node, decode, encode, enumerate_level, extend,
-                         meet)
+from .index_core import Node, decode, encode, enumerate_level
 from .patterns import (PredicateOracle, Report, SetSystem, Template, Violation,
                        check_graph_pattern, check_grid, check_weave,
                        consistent, graph_witness, grid_witness, k_inconsistent,

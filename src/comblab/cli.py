@@ -210,13 +210,6 @@ def _load_system(path: str, kind: str) -> SetSystem:
     return SetSystem.from_json(_read_json(path, SetSystem.fold_entry), _INDEX_DECODERS[kind])
 
 
-def _comb_class(args) -> CombClass:
-    reading = LITERAL if getattr(args, "literal", False) else RECURSIVE
-    if args.kind == "wide-right":
-        return CombClass("wide-right", _bound(args.n), reading)
-    return CombClass(args.kind, _bound(args.n))
-
-
 def _report_exit(report, out_path: str) -> int:
     return _finish(report.to_json(), out_path,
                    "ok" if report.ok else
@@ -361,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enum_combs(args) -> int:
-    cls = _comb_class(args)
+    cls = CombClass(args.kind, _bound(args.n), LITERAL if args.literal else RECURSIVE)
     combs = list(combs_mod.enumerate_combs(args.depth, cls, args.max_size))
     # Each node's text is made once: `encode` makes a new string per call.
     texts = {node: encode(node) for node in enumerate_level(args.depth)}

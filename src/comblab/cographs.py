@@ -17,7 +17,7 @@ from . import patterns as patterns_mod
 from .combs import UP_ONE, mask_indices
 from .errors import (ArgumentError, ParseError, is_int_pair, json_fields,
                      require_within)
-from .index_core import Letter, Node, enumerate_level, level_size
+from .index_core import Node, enumerate_level, level_size
 
 UNION = "union"
 JOIN = "join"
@@ -59,16 +59,9 @@ class Graph:
     @property
     def edges(self) -> frozenset:
         if self._edges is None:
-            out = []
-            for u in range(self.n):
-                mask = self._masks[u] >> (u + 1)
-                v = u + 1
-                while mask:
-                    if mask & 1:
-                        out.append((u, v))
-                    mask >>= 1
-                    v += 1
-            self._edges = frozenset(out)
+            # Each edge once, from its lower end: u's neighbours above u.
+            self._edges = frozenset((u, v) for u, mask in enumerate(self._masks)
+                                    for v in mask_indices(mask >> (u + 1) << (u + 1)))
         return self._edges
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -244,18 +237,6 @@ def join(*children: Cotree) -> Cotree:
     return Cotree(tuple(e for child in children for e in child.nodes) + ((JOIN, len(children)),))
 
 
-def combine(op: str, g0: Graph, g1: Graph) -> Graph:
-    """Disjoint union or join; the second graph's vertices shift by g0.n."""
-    if op not in (UNION, JOIN):
-        raise ArgumentError(f"unknown combine op {op!r}")
-    n = g0.n + g1.n
-    edges = list(g0.edges)
-    edges.extend((u + g0.n, v + g0.n) for u, v in g1.edges)
-    if op == JOIN:
-        edges.extend((u, v + g0.n) for u in range(g0.n) for v in range(g1.n))
-    return Graph(n, edges)
-
-
 def _distinct_leaves(tree: Cotree) -> list[int]:
     """The tree's leaf vertices; a vertex on two leaves is an ArgumentError."""
     labels = tree.leaves()
@@ -428,6 +409,11 @@ def comb_graph(d: int) -> tuple[Graph, Cotree]:
     return graph, build("")
 
 
+_PAD = "0"  # letter (0,0)
+_UNION_MARK = "2"  # letter (1,0)
+_JOIN_MARK = "1"  # letter (0,1)
+
+
 def embed_cograph(tree: Cotree) -> tuple[int, dict]:
     """Injective map of the cotree's vertices into a level such that edges are
     exactly the UpOne pairs.
@@ -441,7 +427,6 @@ def embed_cograph(tree: Cotree) -> tuple[int, dict]:
     to the longest: the root's depth.  Leaf vertices must be distinct.
     """
     _distinct_leaves(tree)
-    pad = Letter(0, 0).digit
     # Backwards, the post-order meets each vertex before its children, the
     # last child first; each entry takes its letters from the top of `above`.
     above = [""]
@@ -451,11 +436,11 @@ def embed_cograph(tree: Cotree) -> tuple[int, dict]:
         if op == LEAF:
             placed.append((value, letters))
             continue
-        second = (Letter(1, 0) if op == UNION else Letter(0, 1)).digit
-        above.append(letters + pad * (value - 1))
-        above.extend(letters + pad * (value - 1 - j) + second for j in range(1, value))
+        second = _UNION_MARK if op == UNION else _JOIN_MARK
+        above.append(letters + _PAD * (value - 1))
+        above.extend(letters + _PAD * (value - 1 - j) + second for j in range(1, value))
     depth = max(len(letters) for _, letters in placed)
-    return depth, {v: Node(letters.ljust(depth, pad)) for v, letters in reversed(placed)}
+    return depth, {v: Node(letters.ljust(depth, _PAD)) for v, letters in reversed(placed)}
 
 
 def graph_to_weave_oracle(pattern_ci, d: int):
@@ -492,8 +477,7 @@ def weave_to_graph_oracle(ci, tree: Cotree):
     if not report.ok:
         first = report.violations[0].to_json() if report.violations else None
         raise ArgumentError(f"input fails the strong weave conditions: {first}")
-    pad = Letter(0, 0).digit
-    mapping = {v: Node(node + pad * (d - embed_depth))
+    mapping = {v: Node(node + _PAD * (d - embed_depth))
                for v, node in vmap.items()}
     return ci.reindexed(mapping)
 

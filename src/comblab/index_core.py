@@ -1,41 +1,21 @@
 """Finite index sequences over the four-letter alphabet {0,1}x{0,1}.
 
-A Node is a finite word of letters (i,j) with i,j bits.  In the compact text
-encoding each letter is the digit 2*i+j, and the empty node prints as "-".
-All values here are immutable and safe to share across threads.
+A Node is a finite word of letters (i,j) with i,j bits.  A letter is the
+digit 2*i+j and a node is its string of those digits; no other spelling of
+either exists.  The empty node prints as "-".  All values here are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import errors
 from .errors import ArgumentError, ParseError, require_within
 
 _DIGITS = "0123"
-
-
-class Letter(NamedTuple):
-    first: int
-    second: int
-
-    @property
-    def digit(self) -> str:
-        return _DIGITS[2 * self.first + self.second]
-
-    @classmethod
-    def from_digit(cls, ch: str) -> "Letter":
-        if ch not in _DIGITS:
-            raise ParseError(f"invalid letter digit {ch!r}")
-        c = int(ch)
-        return _LETTERS[c]
-
-
-#: The four letters, indexed by their digit value.
-_LETTERS = tuple(Letter(i, j) for i in (0, 1) for j in (0, 1))
-LETTERS = _LETTERS
 
 
 class Node(str):
@@ -58,26 +38,7 @@ class Node(str):
     # Internal fast path: digits already validated.
     _raw = classmethod(str.__new__)
 
-    @classmethod
-    def from_letters(cls, letters: Iterable[Letter]) -> "Node":
-        return cls._raw("".join(let.digit for let in letters))
-
     depth = property(len)
-
-    def letter_at(self, i: int) -> Letter:
-        if not 0 <= i < len(self):
-            raise ArgumentError(f"position {i} out of range for node of depth {len(self)}")
-        return _LETTERS[int(self[i])]
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(_LETTERS[int(ch)] for ch in self)
-
-    def extend(self, letter: Letter) -> "Node":
-        return Node._raw(self + letter.digit)
-
-    def is_prefix_of(self, other: "Node") -> bool:
-        return other.startswith(self)
 
     def _key(self) -> tuple:
         # As a plain str the digits compare as text, not through these methods.
@@ -100,21 +61,6 @@ class Node(str):
 
 
 EMPTY = Node("")
-
-
-def extend(node: Node, letter: Letter) -> Node:
-    """Append one letter; the result has depth |node|+1."""
-    return node.extend(letter)
-
-
-def meet(a: Node, b: Node) -> Node:
-    """Longest common prefix of two nodes."""
-    return meet_all((a, b))
-
-
-def meet_all(nodes: Iterable[Node]) -> Node:
-    """Longest common prefix of a nonempty collection of nodes."""
-    return Node._raw(common_prefix(nodes))
 
 
 def common_prefix(words: Iterable[str]) -> str:
@@ -173,17 +119,3 @@ def decode(text: str) -> Node:
         raise ParseError("empty text; the empty node is written '-'", position=0)
     return Node(text)
 
-
-def node_to_pairs(node: Node) -> list[list[int]]:
-    """JSON form of a node: an array of [i, j] bit pairs."""
-    return [[let.first, let.second] for let in node.letters]
-
-
-def node_from_pairs(pairs: Iterable[Iterable[int]]) -> Node:
-    letters = []
-    for pos, pair in enumerate(pairs):
-        pair = list(pair)
-        if len(pair) != 2 or any(bit not in (0, 1) for bit in pair):
-            raise ParseError(f"letter must be a pair of bits, got {pair!r}", position=pos)
-        letters.append(Letter(pair[0], pair[1]))
-    return Node.from_letters(letters)

@@ -656,6 +656,7 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
         return Violation(kind, tuple(sorted(nodes)), is_comb(nodes, cls), atom)
 
     up_cls = CombClass("up", m)
+    cons_cls = CombClass("wide-right" if strong else "right", n, reading)
     up_table = comb_entries(d, up_cls, k)
     up_verdicts = _family_consistency(ci, up_table, level, target=k)
     consistent_k = [pos for pos, verdict in enumerate(up_verdicts)
@@ -663,10 +664,6 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     for pos in _report_order(up_table, consistent_k):
         sink.add(lambda: violation(INCONSISTENCY, up_table.masks[pos], up_cls))
 
-    if strong:
-        cons_cls = CombClass("wide-right", n, reading)
-    else:
-        cons_cls = CombClass("right", n)
     cons_table = comb_entries(d, cons_cls, cap)
     # With an unbounded part size, every up-, right-, or recursive-wide comb
     # below min(cap, 2^d) extends inside its class, so the size-min(cap, 2^d)

@@ -1,5 +1,8 @@
 """Constructive maps between configurations.
 
+A letter (i,j) is the digit 2i+j and a node its digit string, so each map
+below is written on digits.
+
 - strongify: interleave a marker letter so narrow-left splits become wide,
   turning plain weave witnesses into strong ones by pullback.
 - truncation pullback: reindex along any prefix-respecting map.
@@ -16,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .errors import ArgumentError, ParseError, is_int_pair, json_fields
-from .index_core import Letter, Node, decode, encode, enumerate_level
+from .index_core import Node, decode, encode, enumerate_level
 from .patterns import level_depth
 
 GridPoint = tuple  # (x, y) under the product order
@@ -132,18 +135,17 @@ class IndexMap(_IndexMapFields):
         return cls(depth, codomain, mapping)
 
 
+# A letter (i,j) becomes (i,0)(i,j): as digits 2i+j, "0"->"00", "1"->"01",
+# "2"->"22" and "3"->"23".
+_STRONGIFY = str.maketrans({"0": "00", "1": "01", "2": "22", "3": "23"})
+
+
 def strongify_index(d: int) -> IndexMap:
     """The depth-doubling map: position 2t records the first coordinate of
     letter t (paired with 0), position 2t+1 records letter t itself.  Only
     level d is enumerated; the images at depth 2d are made one per node."""
-    mapping = {}
-    for node in enumerate_level(d):
-        letters = []
-        for letter in node.letters:
-            letters.append(Letter(letter.first, 0))
-            letters.append(letter)
-        mapping[node] = Node.from_letters(letters)
-    return IndexMap(d, "level", mapping)
+    return IndexMap(d, "level", {node: Node._raw(node.translate(_STRONGIFY))
+                                 for node in enumerate_level(d)})
 
 
 def strongify_weave(ci):
@@ -182,7 +184,7 @@ def pullback(ci, mapping: Union[IndexMap, dict]):
         if node not in table:
             raise ArgumentError(f"pullback map is missing {encode(node)}")
     for node, target in table.items():
-        if not isinstance(target, Node) or not node.is_prefix_of(target):
+        if not isinstance(target, Node) or not target.startswith(node):
             raise ArgumentError(
                 f"prefix condition violated at {encode(node)}: image {encode(target) if isinstance(target, Node) else target!r}")
         if target not in ci.indices:

@@ -11,7 +11,7 @@ from comblab.combs import (LITERAL, OMEGA, CombClass,
                            RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
                            size_within, wide_right)
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.index_core import LETTERS, encode, enumerate_level
+from comblab.index_core import encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _DIGIT_TO_BYTE,
                               _FoldedAtoms, SetSystem, Structure, Violation, comparable,
@@ -57,15 +57,20 @@ def subset_filter_combs(d, cls, max_size):
     return out
 
 
-# The letters (first, second) a class's branch relation admits at a top
-# split, lower part's then upper part's: narrowly below keeps the first
-# coordinate and raises the second, narrowly left keeps the second and raises
-# the first, widely left raises the first.
+# The letters (i, j) a class's branch relation admits at a top split, lower
+# part's then upper part's: narrowly below keeps the first coordinate and
+# raises the second, narrowly left keeps the second and raises the first,
+# widely left raises the first.
 _ADMITS = {
-    "up": lambda a, b: a.first == b.first and a.second < b.second,
-    "right": lambda a, b: a.second == b.second and a.first < b.first,
-    "wide-right": lambda a, b: a.first < b.first,
+    "up": lambda a, b: a[0] == b[0] and a[1] < b[1],
+    "right": lambda a, b: a[1] == b[1] and a[0] < b[0],
+    "wide-right": lambda a, b: a[0] < b[0],
 }
+
+
+def letter(digit):
+    """The coordinates (i, j) of the letter written as the digit 2i+j."""
+    return divmod(int(digit), 2)
 
 
 @dataclass
@@ -110,8 +115,8 @@ def reference_comb_entries(d, cls, max_size):
 
         block_offsets = prepended(sub)
         part_offsets = block_offsets if part_cls is cls else prepended(part_list)
-        pairings = [(a.digit, b.digit) for a in LETTERS for b in LETTERS
-                    if _ADMITS[cls.kind](a, b)]
+        pairings = [(a, b) for a in "0123" for b in "0123"
+                    if _ADMITS[cls.kind](letter(a), letter(b))]
         for a_digit, b_digit in pairings:
             a_off, b_off = part_offsets[a_digit], part_offsets[b_digit]
             for ia, part_a in enumerate(part_list):

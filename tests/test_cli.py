@@ -552,6 +552,11 @@ def test_json_readers_reject_bad_shapes_with_location(workdir, tmp_path, command
     (["witness", "grid", "--size", "-2"], "grid side must be positive, got -2"),
     (["generic-chain", "--demo", "--horizon", "-5"], "horizon must be at least 1, got -5"),
     (["generic-chain", "--demo", "--horizon", "0"], "horizon must be at least 1, got 0"),
+    # The literal reading applies to wide-right combs only; these ignored it.
+    (["enum-combs", "--depth", "1", "--kind", "up", "--max-size", "2", "--literal"],
+     "the reading switch only applies to wide-right combs"),
+    (["check-weave", "--depth", "1", "-k", "2", "--literal", "--in", "{root}/weave1.json"],
+     "the reading switch only applies to wide-right combs"),
 ])
 def test_contract_violations_exit_2(workdir, command, message):
     (workdir / "duplicate_leaf.json").write_text(json.dumps(

@@ -8,7 +8,7 @@ import pytest
 from comblab import cographs as cographs_mod
 from comblab.combs import OMEGA, UP_ONE, classify_pair
 from comblab.cographs import (JOIN, LEAF, UNION, Cotree, Graph, P4Certificate, comb_graph,
-                              combine, cotree_of, embed_cograph, eval_cotree,
+                              cotree_of, embed_cograph, eval_cotree,
                               find_p4, graph_to_weave_oracle, join, leaf,
                               random_cotree, union, weave_to_graph_oracle)
 from comblab.cographs import _first_p4
@@ -30,11 +30,16 @@ def all_graphs(n):
 # --- algebra ----------------------------------------------------------------
 
 
+def _shifted(tree, by):
+    """The cotree with every leaf vertex raised by `by`."""
+    return Cotree(tuple((op, v + by) if op == LEAF else (op, v) for op, v in tree.nodes))
+
+
 def test_combine_examples():
-    k1 = Graph(1)
-    k2 = combine("join", k1, k1)
-    assert k2.edges == frozenset({(0, 1)})
-    two_k2 = combine("union", k2, k2)
+    # Combining two graphs is a union or a join at the root of their cotrees.
+    k2 = join(leaf(0), leaf(1))
+    assert eval_cotree(k2).edges == frozenset({(0, 1)})
+    two_k2 = eval_cotree(union(k2, _shifted(k2, 2)))
     assert two_k2.n == 4
     assert two_k2.edges == frozenset({(0, 1), (2, 3)})
 
@@ -42,12 +47,12 @@ def test_combine_examples():
 def test_combine_edge_count_oracle():
     rng = random.Random(SEED)
     for _ in range(100):
-        g0 = random_graph(rng.randint(1, 6), 0.5, rng)
-        g1 = random_graph(rng.randint(1, 6), 0.5, rng)
-        joined = combine("join", g0, g1)
-        assert len(joined.edges) == len(g0.edges) + len(g1.edges) + g0.n * g1.n
-        united = combine("union", g0, g1)
-        assert len(united.edges) == len(g0.edges) + len(g1.edges)
+        n0, n1 = rng.randint(1, 6), rng.randint(1, 6)
+        t0 = random_cotree(n0, rng.randrange(1 << 30))
+        t1 = random_cotree(n1, rng.randrange(1 << 30))
+        e0, e1 = len(eval_cotree(t0).edges), len(eval_cotree(t1).edges)
+        assert len(eval_cotree(join(t0, _shifted(t1, n0))).edges) == e0 + e1 + n0 * n1
+        assert len(eval_cotree(union(t0, _shifted(t1, n0))).edges) == e0 + e1
 
 
 def test_eval_cotree_examples():

@@ -11,7 +11,7 @@ from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, eval_cot
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.genericity import (RequirementPoset, binary_string_poset, generic_chain,
                                 length_requirements)
-from comblab.index_core import Letter, decode, enumerate_level
+from comblab.index_core import decode, enumerate_level
 from comblab.patterns import (SetSystem, _above, _require_chain_count, check_graph_pattern,
                               check_grid, check_weave, grid_points, product_leq,
                               graph_witness, grid_witness, triangle_free_demo,
@@ -20,11 +20,6 @@ from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave, pullb
                                 strongify_index)
 from comblab.verify import run_battery
 from helpers import MALFORMED_SET_SYSTEMS, materialized
-
-
-def test_letter_from_digit_rejects_garbage():
-    with pytest.raises(ParseError):
-        Letter.from_digit("x")
 
 
 def test_comb_class_validation():

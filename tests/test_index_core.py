@@ -1,4 +1,3 @@
-import random
 import time
 from itertools import combinations, permutations
 
@@ -7,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from comblab import errors
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.index_core import (EMPTY, Letter, Node, decode, encode,
-                                enumerate_level, extend, level_size, meet, meet_all,
-                                node_from_pairs, node_to_pairs)
+from comblab.index_core import (EMPTY, Node, common_prefix, decode, encode,
+                                enumerate_level, level_size)
 
 
 def all_nodes_up_to(d):
@@ -19,61 +17,41 @@ def all_nodes_up_to(d):
     return out
 
 
-def test_letter_values():
-    assert Letter(0, 1).digit == "1"
-    assert Letter.from_digit("3") == Letter(1, 1)
-    assert len({Letter(i, j) for i in (0, 1) for j in (0, 1)}) == 4
-
-
-def test_extend_examples():
-    assert extend(EMPTY, Letter(0, 1)) == decode("1")
-    assert extend(decode("2"), Letter(1, 1)) == decode("23")
-
-
-def test_extend_length_arithmetic():
-    rng = random.Random(0xC0FFEE)
-    for _ in range(100):
-        depth = rng.randint(0, 8)
-        node = Node("".join(rng.choice("0123") for _ in range(depth)))
-        letter = Letter(rng.randint(0, 1), rng.randint(0, 1))
-        assert len(extend(node, letter)) == len(node) + 1
-
-
 def test_meet_examples():
-    assert meet(decode("01"), decode("02")) == decode("0")
+    assert common_prefix([decode("01"), decode("02")]) == "0"
     sigma = decode("312")
-    assert meet(sigma, sigma) == sigma
-    assert meet(decode("12"), decode("30")) == EMPTY
+    assert common_prefix([sigma, sigma]) == sigma
+    assert common_prefix([decode("12"), decode("30")]) == ""
 
 
 def test_meet_invariants_exhaustive():
     nodes = all_nodes_up_to(3)
     for a in nodes:
         for b in nodes:
-            m = meet(a, b)
-            assert m == meet(b, a)
-            assert m.is_prefix_of(a) and m.is_prefix_of(b)
+            m = common_prefix([a, b])
+            assert m == common_prefix([b, a])
+            assert a.startswith(m) and b.startswith(m)
     # distinct equal-depth nodes differ at the meet position
     for d in range(1, 4):
         for a in enumerate_level(d):
             for b in enumerate_level(d):
                 if a == b:
                     continue
-                m = meet(a, b)
+                m = common_prefix([a, b])
                 assert len(m) < d
-                assert a.letter_at(len(m)) != b.letter_at(len(m))
+                assert a[len(m)] != b[len(m)]
 
 
 def test_meet_all():
     nodes = [decode(s) for s in ("011", "010", "013")]
-    assert meet_all(nodes) == decode("01")
-    with pytest.raises(ArgumentError):
-        meet_all([])
+    assert common_prefix(nodes) == "01"
+    with pytest.raises(ArgumentError, match="meet of an empty collection"):
+        common_prefix([])
 
 
 @given(st.text(alphabet="0123", max_size=10), st.text(alphabet="0123", max_size=10))
 def test_meet_is_longest_common_prefix(a, b):
-    m = meet(Node(a), Node(b))
+    m = common_prefix([Node(a), Node(b)])
     assert a.startswith(m) and b.startswith(m)
     if len(m) < min(len(a), len(b)):
         assert a[len(m)] != b[len(m)]
@@ -115,7 +93,7 @@ def test_enumerate_level_bound(monkeypatch):
 
 def test_codec_examples():
     assert decode("-") == EMPTY
-    assert decode("3").letters == (Letter(1, 1),)
+    assert decode("3") == "3" and type(decode("3")) is Node
     with pytest.raises(ParseError) as err:
         decode("01x2")
     assert err.value.position == 2
@@ -128,19 +106,10 @@ def test_codec_roundtrip_exhaustive():
         assert decode(encode(node)) == node
 
 
-def test_node_json_pairs():
-    node = decode("0123")
-    pairs = node_to_pairs(node)
-    assert pairs == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert node_from_pairs(pairs) == node
-    with pytest.raises(ParseError):
-        node_from_pairs([[0, 2]])
-
-
 def test_node_ordering_and_prefix():
     assert decode("0") < decode("1") < decode("00")
-    assert decode("01").is_prefix_of(decode("013"))
-    assert not decode("1").is_prefix_of(decode("01"))
+    assert decode("013").startswith(decode("01"))
+    assert not decode("01").startswith(decode("1"))
 
 
 def test_node_is_its_digit_text():
@@ -165,4 +134,4 @@ def test_node_is_its_digit_text():
     assert repr(EMPTY) == "Node('-')" and repr(node) == "Node('2')"
     # The meet of mixed depths is the common prefix of their text.
     for order in permutations([decode("1"), decode("10"), decode("01")]):
-        assert meet_all(order) == EMPTY and type(meet_all(order)) is Node
+        assert common_prefix(order) == "" and type(common_prefix(order)) is str

@@ -7,7 +7,7 @@ import pytest
 from comblab.combs import (CombClass, NARROW_BELOW, OMEGA, UP_ONE, WIDE_LEFT,
                            classify_pair, is_comb, split_relation)
 from comblab.errors import ArgumentError
-from comblab.index_core import Letter, Node, decode, encode, enumerate_level
+from comblab.index_core import Node, decode, encode, enumerate_level
 from comblab.patterns import (SetSystem, check_grid, check_weave, comparable,
                               grid_points, grid_witness, is_antichain,
                               is_strict_chain, strictly_below, weave_witness)
@@ -15,16 +15,13 @@ from comblab.transforms import (EpsCoord, IndexMap, epsilon_scale,
                                 grid_embed_index, grid_to_weave, pullback,
                                 scale_point, strongify_index, strongify_weave)
 
-from helpers import SEED, subset_filter_combs
+from helpers import SEED, letter, subset_filter_combs
 
 
 def strongify_formula(node):
-    """Independent evaluation of the displayed doubling formula."""
-    letters = []
-    for letter in node.letters:
-        letters.append(Letter(letter.first, 0))
-        letters.append(letter)
-    return Node.from_letters(letters)
+    """Independent evaluation of the displayed doubling formula: letter
+    (i,j) becomes (i,0)(i,j), each spelled from its coordinates."""
+    return Node("".join(f"{2 * i}{2 * i + j}" for i, j in map(letter, node)))
 
 
 # --- strongify --------------------------------------------------------------
@@ -95,8 +92,9 @@ def test_pullback_identity():
 
 def test_pullback_one_level_down():
     ci = weave_witness(2, 2, 1, 1)
-    pad = Letter(0, 0)
-    mapping = {node: node.extend(pad) for node in enumerate_level(1)}
+    pad = "0"  # letter (0,0)
+    assert letter(pad) == (0, 0)
+    mapping = {node: Node(node + pad) for node in enumerate_level(1)}
     pulled = pullback(ci, mapping)
     assert check_weave(pulled, 1, 2, 1, 1, strong=True).ok
 
