@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from . import cographs as cographs_mod
 from . import combs as combs_mod
@@ -87,24 +87,27 @@ _SLICE_SIZE = 1 << 12
 
 
 def _pieces(value, depth: int = 4):
-    """The text of `_ENCODE(value)` in pieces, an iterator standing for the
-    list of its items: a dict, or a list of dicts, is opened `depth` levels
-    deep (a dict's keys in sorted order), an iterator is written one item at
-    a time as it is drawn, any other list is encoded `_SLICE_SIZE` items at
-    a time, and each value below that is encoded whole, so no piece holds
-    the whole text."""
-    if depth and isinstance(value, list) and value and isinstance(value[0], dict):
-        value = iter(value)
-    if isinstance(value, Iterator):
+    """The text of `_ENCODE(value)` in pieces: a dict is opened `depth`
+    levels deep (its keys in sorted order), and so is a list; an iterator,
+    standing for the list of its items, is opened at any depth and drawn
+    only as it is written.  A list or iterator draws a dict item alone and
+    opens it a level deeper, and other items `_SLICE_SIZE` at a time, each
+    batch encoded at once; each value below that is encoded whole, so no
+    piece holds the whole text."""
+    if isinstance(value, Iterator) or depth and value and isinstance(value, list):
+        items = iter(value)
         opening = "["
-        for item in value:
-            yield opening
-            yield from _pieces(item, depth - 1)
+        for first in items:
+            if isinstance(first, dict):
+                yield opening
+                yield from _pieces(first, depth - 1)
+            else:
+                yield opening + _items_text([first, *islice(items, _SLICE_SIZE - 1)])
             opening = ","
         yield "[]" if opening == "[" else "]"
-    elif not depth or not value or not isinstance(value, (dict, list)):
+    elif not depth or not value or not isinstance(value, dict):
         yield _ENCODE(value)
-    elif isinstance(value, dict):
+    else:
         opening = "{"
         for key in sorted(value):
             # json's own spelling of the key (`1` becomes `"1"`), cut out of
@@ -113,12 +116,6 @@ def _pieces(value, depth: int = 4):
             yield from _pieces(value[key], depth - 1)
             opening = ","
         yield "}"
-    else:
-        opening = "["
-        for start in range(0, len(value), _SLICE_SIZE):
-            yield opening + _items_text(value[start:start + _SLICE_SIZE])
-            opening = ","
-        yield "]"
 
 
 # Printable ASCII that json writes as it is: all but `"` and `\`.
@@ -355,11 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enum_combs(args) -> int:
     cls = CombClass(args.kind, _bound(args.n), LITERAL if args.literal else RECURSIVE)
-    combs = list(combs_mod.enumerate_combs(args.depth, cls, args.max_size))
+    table = combs_mod.comb_entries(args.depth, cls, args.max_size)
     # Each node's text is made once: `encode` makes a new string per call.
-    texts = {node: encode(node) for node in enumerate_level(args.depth)}
-    payload = [sorted(map(texts.__getitem__, comb)) for comb in combs]
-    return _finish(payload, args.out, f"{len(payload)} comb(s)")
+    # A row is made when the writer reaches it, in level order, which is
+    # text order.
+    texts = [encode(node) for node in enumerate_level(args.depth)]
+    rows = (combs_mod.mask_nodes(table.masks[pos], texts)
+            for pos in combs_mod.comb_order(table, range(len(table))))
+    return _finish(rows, args.out, f"{len(table)} comb(s)")
 
 
 def _cmd_classify_pair(args) -> int:

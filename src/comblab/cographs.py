@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from . import combs as combs_mod
 from . import patterns as patterns_mod
-from .combs import UP_ONE, mask_indices
+from .combs import mask_indices
 from .errors import (ArgumentError, ParseError, is_int_pair, json_fields,
                      require_within)
 from .index_core import Node, enumerate_level, level_size
@@ -386,17 +386,10 @@ def comb_graph(d: int) -> tuple[Graph, Cotree]:
 
     Vertices follow the level enumeration; the tree branches on the first
     letter, joining over the second coordinate inside each half and uniting
-    the two halves.
+    the two halves; the graph is the one the tree denotes.
     """
     n = level_size(d)
-    require_within(n * (n - 1) // 2, f"comb graph at depth {d} would classify", "pairs")
-    level = enumerate_level(d)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if combs_mod.classify_pair(level[i], level[j]) == UP_ONE:
-                edges.append((i, j))
-    graph = Graph(n, edges)
+    require_within(n * (n - 1) // 2, f"comb graph at depth {d} would have", "vertex pairs")
 
     def build(prefix: str) -> Cotree:
         if len(prefix) == d:
@@ -406,7 +399,8 @@ def comb_graph(d: int) -> tuple[Graph, Cotree]:
             join(build(prefix + "2"), build(prefix + "3")),
         )
 
-    return graph, build("")
+    tree = build("")
+    return eval_cotree(tree), tree
 
 
 _PAD = "0"  # letter (0,0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -482,6 +483,35 @@ def _count_vector(d: int, cls: CombClass, max_size: int, cap: int) -> tuple:
     return tuple((size, min(out[size], cap)) for size in sorted(out)), cut
 
 
+# _REVERSED_BITS[value] is `value` with its eight bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+
+
+def name_keys(masks: Iterable[int], width: int) -> Iterator[bytes]:
+    """Each mask's name-order key: `width` bytes with level position i at bit
+    7 - i % 8 of byte i // 8.  A comb's name lists its nodes in level order
+    and sorts after its own extensions, so keys sorted descending give the
+    combs in name order, and equal keys are equal masks."""
+    return map(bytes.translate, map(int.to_bytes, masks, repeat(width), repeat("little")),
+               repeat(_REVERSED_BITS))
+
+
+def comb_order(table: CombTable, positions: Sequence[int]) -> list[int]:
+    """The given table positions by size, then by ascending level positions.
+
+    Of two combs of one size, the one holding the lowest level position
+    where they differ comes first.  That position is the highest where their
+    masks differ once the bits are reversed over a common width, so within a
+    size the order is that of the reversed masks, descending: the order of
+    the weave witness's name-order keys, compared as bytes in C.
+    """
+    masks = list(map(table.masks.__getitem__, positions))
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    by_key = [pos for _, pos in sorted(zip(name_keys(masks, width), positions),
+                                       key=itemgetter(0), reverse=True)]
+    return sorted(by_key, key=table.sizes.__getitem__)
+
+
 def enumerate_combs(d: int, cls: CombClass, max_size: int) -> Iterator[frozenset]:
     """Yield every comb of the class at depth d with size <= max_size.
 
@@ -490,16 +520,5 @@ def enumerate_combs(d: int, cls: CombClass, max_size: int) -> Iterator[frozenset
     """
     table = comb_entries(d, cls, max_size)
     level = enumerate_level(d)
-    keyed = sorted(zip(table.sizes, map(mask_indices, table.masks)))
-    for _, indices in keyed:
-        yield frozenset(level[i] for i in indices)
-
-
-def has_up_pair(nodes: Iterable[Node]) -> bool:
-    """Whether some 2-subset classifies UpOne (the wide-comb obstruction)."""
-    node_list = list(nodes)
-    for i, a in enumerate(node_list):
-        for b in node_list[i + 1:]:
-            if classify_pair(a, b) == UP_ONE:
-                return True
-    return False
+    for pos in comb_order(table, range(len(table))):
+        yield frozenset(mask_nodes(table.masks[pos], level))

@@ -20,8 +20,8 @@ from operator import and_, eq, is_, itemgetter, lt, or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import combs as combs_mod
-from .combs import (CombClass, RECURSIVE, comb_entries, is_comb, mask_indices,
-                    wide_right)
+from .combs import (CombClass, RECURSIVE, comb_entries, comb_order, is_comb,
+                    mask_indices, name_keys, wide_right)
 from .errors import (ArgumentError, ComblabError, ParseError, ResourceError,
                      require_within)
 from .index_core import Node, encode, enumerate_level, level_size
@@ -380,8 +380,6 @@ _BYTE_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BYTE = bytes.maketrans(b"01", b"\x00\x01")
 # _BIT_TO_DIGIT[j] maps a byte to b"1" when its bit j is set, else to b"0".
 _BIT_TO_DIGIT = tuple(bytes(b"01"[value >> j & 1] for value in range(256)) for j in range(8))
-# _REVERSED_BITS[value] is `value` with its eight bits in reverse order.
-_REVERSED_BITS = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
 
 
 class PredicateOracle:
@@ -661,7 +659,7 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     up_verdicts = _family_consistency(ci, up_table, level, target=k)
     consistent_k = [pos for pos, verdict in enumerate(up_verdicts)
                     if verdict and up_table.sizes[pos] == k]
-    for pos in _report_order(up_table, consistent_k):
+    for pos in comb_order(up_table, consistent_k):
         sink.add(lambda: violation(INCONSISTENCY, up_table.masks[pos], up_cls))
 
     cons_table = comb_entries(d, cons_cls, cap)
@@ -677,26 +675,9 @@ def check_weave(ci, d: int, k: int, m, n, *, strong: bool = False,
     cons_verdicts = _family_consistency(ci, cons_table, level, target=target)
     inconsistent = list(compress(range(len(cons_verdicts)),
                                  map(is_, cons_verdicts, repeat(False))))
-    for pos in _report_order(cons_table, inconsistent):
+    for pos in comb_order(cons_table, inconsistent):
         sink.add(lambda: violation(CONSISTENCY, cons_table.masks[pos], cons_cls))
     return sink.report(cap, truncated=cap < 2 ** d)
-
-
-def _report_order(table, positions: list[int]) -> list[int]:
-    """The given table positions by size, then by ascending level positions.
-
-    Of two combs of one size, the one holding the lowest level position
-    where they differ comes first.  That position is the highest where their
-    masks differ once the bits are reversed over a common width, so within a
-    size the order is that of the reversed masks, descending: the order of
-    the weave witness's name-order keys, compared as bytes in C.
-    """
-    masks = list(map(table.masks.__getitem__, positions))
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    keys = map(bytes.translate, map(int.to_bytes, masks, repeat(width), repeat("little")),
-               repeat(_REVERSED_BITS))
-    by_key = [pos for _, pos in sorted(zip(keys, positions), key=itemgetter(0), reverse=True)]
-    return sorted(by_key, key=table.sizes.__getitem__)
 
 
 # --- grids ----------------------------------------------------------------
@@ -1065,10 +1046,9 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
     k-inconsistency but defeats (k-1)-inconsistency on up-combs.
 
     The witness is built from the comb masks of `comb_entries` alone.  Each
-    mask becomes its name-order key: `width` bytes with node i at bit
-    7 - i % 8 of byte i // 8.  A name lists its nodes in level order and
-    sorts after its own extensions, so the keys sorted descending give the
-    atoms in name order, with equal keys side by side and kept once.  Atom
+    mask becomes its name-order key (`combs.name_keys`): `width` bytes with
+    node i at bit 7 - i % 8 of byte i // 8.  The keys sorted descending give
+    the atoms in name order, with equal keys side by side and kept once.  Atom
     names are read from the keys, and each node's set is the column of that
     node's bit across them.
     """
@@ -1090,9 +1070,7 @@ def weave_witness(d: int, k: int, m, n, genuine_k: bool = False) -> SetSystem:
     del masks
     for start in range(0, len(keys), _NAME_BATCH):
         part = slice(start, start + _NAME_BATCH)
-        keys[part] = map(bytes.translate,
-                         map(int.to_bytes, keys[part], repeat(width), repeat("little")),
-                         repeat(_REVERSED_BITS))
+        keys[part] = name_keys(keys[part], width)
     keys.sort(reverse=True)
     # Joined _NAME_BATCH at a time: `b"".join` holds an 80-byte buffer per item.
     raw = bytearray()

@@ -240,9 +240,14 @@ def _cograph_stack(max_vertices: int, comb_depth: int, cotrees: Iterable) -> Che
             elif cographs_mod.eval_cotree(tree) != graph:
                 return CheckResult("cograph-stack", False, f"{graph!r}: cotree round-trip")
     for d in range(comb_depth + 1):
-        graph, tree = cographs_mod.comb_graph(d)
-        if cographs_mod.eval_cotree(tree) != graph:
-            return CheckResult("cograph-stack", False, f"comb graph tree mismatch at d={d}")
+        # comb_graph is the graph its cotree denotes, so it is checked
+        # against the definition: the edges are the UpOne pairs.
+        graph, _ = cographs_mod.comb_graph(d)
+        level = enumerate_level(d)
+        if graph.n != len(level) or any(
+                graph.has_edge(u, v) != (combs_mod.classify_pair(level[u], level[v]) == UP_ONE)
+                for u, v in combinations(range(graph.n), 2)):
+            return CheckResult("cograph-stack", False, f"comb graph edges at d={d}")
         expected = 0
         for t in range(d):
             expected = 4 * expected + 2 * 16 ** t

@@ -7,9 +7,9 @@ from itertools import combinations, compress
 from typing import Optional
 
 from comblab import errors
-from comblab.combs import (LITERAL, OMEGA, CombClass,
-                           RECURSIVE, comb_entries, is_comb, mask_indices, mask_nodes,
-                           size_within, wide_right)
+from comblab.combs import (LITERAL, OMEGA, UP_ONE, CombClass,
+                           RECURSIVE, classify_pair, comb_entries, is_comb, mask_indices,
+                           mask_nodes, size_within, wide_right)
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
@@ -155,6 +155,18 @@ def reference_comb_entries(d, cls, max_size):
     return out
 
 
+def has_up_pair(nodes) -> bool:
+    """Whether some 2-subset classifies UpOne: the obstruction whose absence
+    characterizes the wide-right-omega combs."""
+    return any(classify_pair(a, b) == UP_ONE for a, b in combinations(nodes, 2))
+
+
+def reference_comb_order(table, positions):
+    """The positions by size, then by ascending level positions: the order
+    `sorted(zip(table.sizes, map(mask_indices, table.masks)))` gives."""
+    return sorted(positions, key=lambda i: (table.sizes[i], mask_indices(table.masks[i])))
+
+
 def reference_build_tree_comb_oracle(nodes, cls, memo=None):
     """Comb membership by searching every inductive build: try all
     bipartitions A, B in both orientations, all part builds, and the branch
@@ -261,15 +273,11 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
                     keep[table.a[pos]] = keep[table.b[pos]] = True
         return keep
 
-    def report_order(table):
-        return sorted(range(len(table)),
-                      key=lambda i: (table.sizes[i], mask_indices(table.masks[i])))
-
     violations = []
     up_cls = CombClass("up", m)
     up_table = comb_entries(d, up_cls, max(k, 1))
     up_inters = intersections(up_table)
-    for pos in report_order(up_table):
+    for pos in reference_comb_order(up_table, range(len(up_table))):
         if up_table.sizes[pos] == k and up_inters[pos]:
             nodes = frozenset(mask_nodes(up_table.masks[pos], level))
             violations.append(Violation(INCONSISTENCY, tuple(sorted(nodes)),
@@ -283,7 +291,7 @@ def reference_check_weave(ci, d, k, m, n, strong=False, reading=RECURSIVE,
         checked = folded(cons_table, lambda size: size == target)
     else:
         checked = [True] * len(cons_table)
-    for pos in report_order(cons_table):
+    for pos in reference_comb_order(cons_table, range(len(cons_table))):
         if checked[pos] and not cons_inters[pos]:
             nodes = frozenset(mask_nodes(cons_table.masks[pos], level))
             violations.append(Violation(CONSISTENCY, tuple(sorted(nodes)),

@@ -337,7 +337,7 @@ def test_refusals_exit_3_before_building(monkeypatch):
     # Each guard counts what its command would build, against the one
     # budget, and refuses (exit 3, nothing on stdout) before building it.
     for argv, count in ((["grid-embed", "--depth", "11"], "level 11 would have 4194304 nodes"),
-                        (["comb-graph", "--depth", "6"], "8386560 pairs"),
+                        (["comb-graph", "--depth", "6"], "8386560 vertex pairs"),
                         (["verify-paper", "--max-depth", "5"], "8386560 grid-embedding pairs"),
                         (["triangle-free-demo", "--len", "100000"], "4999950000 pairs")):
         start = time.perf_counter()
@@ -802,6 +802,33 @@ def test_pieces_encode_lists_as_json_dumps(items):
         assert "".join(cli._pieces(value)) + "\n" == _dumps(value)
 
 
+def test_pieces_draw_dicts_alone_and_other_items_in_batches():
+    # A dict item is drawn only when the one before it is written, so a
+    # set system's family names one set at a time; other items are drawn
+    # and encoded a batch at a time, not through a generator each.
+    drawn = []
+
+    def counted(items):
+        for item in items:
+            drawn.append(item)
+            yield item
+
+    entries = [{"index": str(i), "set": [str(i)]} for i in range(5)]
+    text = ""
+    for piece in cli._pieces(counted(entries)):
+        text += piece
+        assert len(drawn) <= text.count('"index"') + 1, text
+    assert text + "\n" == _dumps(entries)
+    drawn.clear()
+    rows = [[i, str(i)] for i in range(2 * _SLICE + 1)]
+    text, seen = "", []
+    for piece in cli._pieces(counted(rows)):
+        text += piece
+        seen.append(len(drawn))
+    assert seen == [_SLICE, 2 * _SLICE, 2 * _SLICE + 1, 2 * _SLICE + 1]
+    assert text + "\n" == _dumps(rows)
+
+
 def test_plain_names_are_joined_without_the_encoder(monkeypatch):
     # A slice of names needing no escape is written between quotes: a fast
     # path that always fell back to the encoder would still write json's text.
@@ -975,6 +1002,17 @@ def test_triangle_demo_is_held_to_its_pair_count(monkeypatch, tmp_path):
     code, out, err = run_cli(["triangle-free-demo", "--len", "5"])
     assert (code, out) == (3, "")
     assert "triangle-free demo of length 5 has 10 pairs, over the limit 6" in err
+
+
+def test_enum_combs_writes_each_comb_as_it_is_reached(tmp_path):
+    # Every comb was made as a frozenset, and then as a sorted list of
+    # texts, before the first was written: depth 3's wide-right combs up to
+    # size 8 peaked at 317 MB.  Each row is now made when the writer
+    # reaches its table position.
+    code, peak_kb = peak_of(["enum-combs", "--depth", "3", "--kind", "wide-right",
+                             "--max-size", "8", "--out", str(tmp_path / "combs.json")])
+    assert code == 0
+    assert peak_kb < 160 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
 def test_weave_witness_depth_3_peak_memory(weave3):

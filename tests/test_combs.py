@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from comblab.combs import (_BINARY_RULES, _SPLIT_RULES, CombClass, LITERAL, NARROW_BELOW,
                            NARROW_LEFT, OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
-                           classify_pair, comb_entries, enumerate_combs, has_up_pair,
-                           is_binary_right_comb, is_comb, split_relation)
+                           classify_pair, comb_entries, enumerate_combs,
+                           is_binary_right_comb, is_comb, mask_nodes, split_relation)
 from comblab import errors
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
@@ -17,8 +17,8 @@ from comblab.oracle import (binary_right_comb_oracle, build_tree_comb_oracle, na
                             narrowly_left, widely_left)
 from comblab.verify import _RECOGNITION_CLASSES
 
-from helpers import (SEED, reference_build_tree_comb_oracle, reference_comb_entries,
-                     subset_filter_combs)
+from helpers import (SEED, has_up_pair, reference_build_tree_comb_oracle,
+                     reference_comb_entries, reference_comb_order, subset_filter_combs)
 
 
 def nodes(*texts):
@@ -335,6 +335,18 @@ def test_enumerate_combs_deterministic_order():
     assert runs[0] == runs[1]
     sizes = [len(c) for c in runs[0]]
     assert sizes == sorted(sizes)
+
+
+def test_enumerate_combs_keeps_the_size_then_positions_order():
+    # enumerate_combs sorts by the name-order keys of `comb_order`; the order
+    # must be the one the ascending level positions give, for every class.
+    for d in (0, 1, 2):
+        level = enumerate_level(d)
+        for cls in _RECOGNITION_CLASSES:
+            table = comb_entries(d, cls, 8)
+            want = [frozenset(mask_nodes(table.masks[pos], level))
+                    for pos in reference_comb_order(table, range(len(table)))]
+            assert list(enumerate_combs(d, cls, 8)) == want, (d, cls)
 
 
 def test_enumerate_combs_resource_limit(monkeypatch):

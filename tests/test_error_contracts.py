@@ -142,15 +142,16 @@ def test_depth_bounds(monkeypatch):
 
 
 def test_comb_graph_bound(monkeypatch):
-    # The comb graph classifies its C(4^d, 2) pairs: 120 at depth 2.
+    # The comb graph is held to its C(4^d, 2) vertex pairs: 120 at depth 2.
     monkeypatch.setattr(errors, "BUDGET", 120)
     assert len(comb_graph(2)[0].edges) == 40
     monkeypatch.setattr(errors, "BUDGET", 119)
     _refused_quickly(lambda: comb_graph(2),
-                     "comb graph at depth 2 would classify 120 pairs, over the limit 119")
+                     "comb graph at depth 2 would have 120 vertex pairs, over the limit 119")
     monkeypatch.undo()
     _refused_quickly(lambda: comb_graph(6),
-                     "comb graph at depth 6 would classify 8386560 pairs, over the limit 2000000")
+                     "comb graph at depth 6 would have 8386560 vertex pairs, "
+                     "over the limit 2000000")
     graph, tree = comb_graph(5)  # 523,776 pairs
     assert (graph.n, len(graph.edges)) == (1024, 174592)
     assert eval_cotree(tree) == graph

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from comblab import errors, patterns
-from comblab.combs import OMEGA, CombTable, mask_indices
+from comblab.combs import OMEGA, CombTable, comb_order, name_keys
 from comblab.cographs import Graph, comb_graph, graph_to_weave_oracle
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
@@ -18,16 +18,15 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               demo_edges, encode_index, graph_witness, grid_points,
                               grid_witness, is_antichain, k_inconsistent, realizable,
                               strict_chains, triangle_free_demo, weave_witness)
-from comblab.patterns import (_REVERSED_BITS, _above, _maximal_independent_sets,
-                              _report_order, _require_chain_count, default_cap, product_leq,
-                              strictly_below)
+from comblab.patterns import (_above, _maximal_independent_sets, _require_chain_count,
+                              default_cap, product_leq, strictly_below)
 from comblab.transforms import strongify_weave
 
 from helpers import (SEED, assignment_oracle_slow, direct_grid_ok, direct_weave_ok,
                      downward_closed, materialized, random_graph, random_set_system,
                      random_subsystem_mutations, reference_atom_names, reference_chains,
                      reference_check_graph_pattern, reference_check_grid,
-                     reference_check_weave, reference_grid_witness,
+                     reference_check_weave, reference_comb_order, reference_grid_witness,
                      reference_graph_witness, reference_maximal_independent_sets,
                      reference_realizable, reference_triangle_p_predicate,
                      reference_weave_witness, small_graphs)
@@ -342,9 +341,10 @@ def test_check_weave_report_matches_reference(monkeypatch):
 
 
 def test_report_order_matches_the_position_key():
-    # Violations used to be sorted by size and then by `mask_indices`, the
-    # ascending level positions; the reversed masks, descending, must give
-    # the same order, ties included, on masks of one size and of several.
+    # Violations and enumerated combs used to be sorted by size and then by
+    # `mask_indices`, the ascending level positions; the reversed masks,
+    # descending, must give the same order, ties included, on masks of one
+    # size and of several.
     rng = random.Random(SEED)
     for width in (1, 3, 8, 9, 64, 200):
         masks = []
@@ -354,8 +354,8 @@ def test_report_order_matches_the_position_key():
         table = CombTable(masks, [mask.bit_count() for mask in masks], [], [])
         for _ in range(5):
             positions = sorted(rng.sample(range(len(masks)), rng.randrange(len(masks) + 1)))
-            want = sorted(positions, key=lambda i: (table.sizes[i], mask_indices(masks[i])))
-            assert _report_order(table, positions) == want, width
+            want = reference_comb_order(table, positions)
+            assert comb_order(table, positions) == want, width
 
 
 def test_check_weave_literal_catches_non_extendable_pair():
@@ -473,7 +473,7 @@ def test_name_order_key_sorts_like_the_names():
         width = (len(level) + 7) // 8
 
         def key(mask):
-            return mask.to_bytes(width, "little").translate(_REVERSED_BITS)
+            return next(name_keys([mask], width))
 
         def name(mask):
             return "{" + ",".join(encode(node) for i, node in enumerate(level)

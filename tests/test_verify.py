@@ -133,6 +133,25 @@ def test_cograph_stack_catches_a_tree_for_a_non_cograph(monkeypatch):
     assert result.detail.endswith(": recognition mismatch")
 
 
+def test_cograph_stack_checks_the_comb_graph_against_its_definition(monkeypatch):
+    # The comb graph is read from its cotree, so a wrong tree gives a graph
+    # that agrees with it: the check must still find the pairs it gets wrong.
+    # Here depth 1's tree joins 0 to 2 and 1 to 3: as many edges as the UpOne
+    # pairs {0, 1} and {2, 3}, but not those.
+    real = cographs.comb_graph
+
+    def planted(d):
+        if d != 1:
+            return real(d)
+        a, b, c, e = map(cographs.leaf, range(4))
+        tree = cographs.union(cographs.join(a, c), cographs.join(b, e))
+        return cographs.eval_cotree(tree), tree
+
+    monkeypatch.setattr(cographs, "comb_graph", planted)
+    result = verify._cograph_stack(1, 1, [])
+    assert (result.ok, result.detail) == (False, "comb graph edges at d=1")
+
+
 def test_battery_scale_is_pinned():
     # The schedule's clamps: wide, recognition, witness weaves, comb graphs
     # and bridges stay at depth 2 when max_depth is 3.
