@@ -17,7 +17,7 @@ from .patterns import (PredicateOracle, Report, SetSystem, Template, Violation,
                        check_graph_pattern, check_grid, check_weave,
                        consistent, graph_witness, grid_witness, k_inconsistent,
                        realizable, triangle_free_demo, weave_witness)
-from .transforms import (EpsCoord, IndexMap, epsilon_scale, grid_embed_index,
+from .transforms import (IndexMap, epsilon_scale, grid_embed_index,
                          grid_to_weave, pullback, strongify_index,
                          strongify_weave)
 

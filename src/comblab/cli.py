@@ -483,8 +483,9 @@ def _cmd_grid_to_weave(args) -> int:
 
 
 def _encode_eps_index(index) -> str:
-    """An `eps-scale` index, a pair of symbolic coordinates, as JSON text."""
-    return json.dumps([index[0].to_json(), index[1].to_json()], separators=(",", ":"))
+    """An `eps-scale` index, a pair of symbolic coordinates a - b*eps given
+    by their keys (a, -b), as the JSON text [[a, b], [a, b]]."""
+    return json.dumps([[a, -key] for a, key in index], separators=(",", ":"))
 
 
 def _cmd_eps_scale(args) -> int:

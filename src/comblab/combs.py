@@ -505,11 +505,12 @@ def comb_order(table: CombTable, positions: Sequence[int]) -> list[int]:
     size the order is that of the reversed masks, descending: the order of
     the weave witness's name-order keys, compared as bytes in C.
     """
-    masks = list(map(table.masks.__getitem__, positions))
-    width = (max(masks, default=0).bit_length() + 7) // 8
-    by_key = [pos for _, pos in sorted(zip(name_keys(masks, width), positions),
-                                       key=itemgetter(0), reverse=True)]
-    return sorted(by_key, key=table.sizes.__getitem__)
+    mask_at = table.masks.__getitem__
+    width = (max(map(mask_at, positions), default=0).bit_length() + 7) // 8
+    keys = list(name_keys(map(mask_at, positions), width))
+    by_key = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+    del keys  # freed before the size sort, which holds two lists of positions
+    return sorted(map(positions.__getitem__, by_key), key=table.sizes.__getitem__)
 
 
 def enumerate_combs(d: int, cls: CombClass, max_size: int) -> Iterator[frozenset]:

@@ -46,20 +46,12 @@ class RequirementPoset:
             if a not in index or b not in index:
                 raise ArgumentError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
             reach[index[a]] |= 1 << index[b]
-        # transitive closure
-        changed = True
-        while changed:
-            changed = False
+        # transitive closure, by Warshall: after step k, i reaches j through
+        # intermediates among the first k + 1 elements
+        for k in range(n):
             for i in range(n):
-                acc = reach[i]
-                probe = acc
-                while probe:
-                    bit = probe & -probe
-                    probe ^= bit
-                    acc |= reach[bit.bit_length() - 1]
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
+                if reach[i] >> k & 1:
+                    reach[i] |= reach[k]
         for i in range(n):
             for j in range(n):
                 if i != j and (reach[i] >> j) & 1 and (reach[j] >> i) & 1:

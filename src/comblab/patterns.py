@@ -134,9 +134,15 @@ class SetSystem:
         return names if self._in_order else sorted(names)
 
     def reindexed(self, mapping: dict) -> "SetSystem":
-        """New system with family b'_new = b_old over the same universe."""
-        return self._with_masks({new_index: self.set_of(old_index)
-                                 for new_index, old_index in mapping.items()})
+        """New system with family b'_new = b_old over the same universe;
+        every old index must be in the family."""
+        family = self.family
+        try:
+            masks = {new_index: family[old_index] for new_index, old_index in mapping.items()}
+        except KeyError as missing:
+            raise ArgumentError(
+                f"image index {encode_index(missing.args[0])} is not in the family") from None
+        return self._with_masks(masks)
 
     def mutated_without(self, index, atom_name: str) -> "SetSystem":
         """Copy with one atom removed from one set (for perturbation tests)."""
@@ -415,11 +421,10 @@ class PredicateOracle:
 
     def reindexed(self, mapping: dict) -> "PredicateOracle":
         """New oracle with b'_new = b_old along new -> old."""
-        image = {}
-        for new_index, old_index in mapping.items():
+        image = dict(mapping)
+        for old_index in image.values():
             if old_index not in self.indices:
-                raise ArgumentError(f"target index {old_index!r} is not in the family")
-            image[new_index] = old_index
+                raise ArgumentError(f"image index {encode_index(old_index)} is not in the family")
 
         def predicate(family):
             return self.verdict(frozenset(image[i] for i in family))

@@ -9,65 +9,21 @@ below is written on digits.
 - grid embedding: a closed-form map into the square under which up-pairs land
   incomparable and wide-right pairs land strictly comparable, so grid families
   pull back to strong weave families.
-- epsilon scaling: symbolic a - b*eps coordinates, compared by the product
-  order helpers of `patterns`; ties in a coordinate survive scaling, which is
+- epsilon scaling: a coordinate i becomes the symbolic (1-eps)i, written as
+  its order key (i, -i), so the product order helpers of `patterns` compare
+  scaled points as tuples; ties in a coordinate survive scaling, which is
   recorded as a known limitation rather than repaired.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import ArgumentError, ParseError, is_int_pair, json_fields
 from .index_core import Node, decode, encode, enumerate_level
 from .patterns import level_depth
 
 GridPoint = tuple  # (x, y) under the product order
-
-
-class EpsCoord:
-    """The value a - b*eps for an infinitesimal eps > 0.
-
-    Ordered lexicographically with the epsilon part reversed: more epsilon
-    subtracted means smaller.  With `<`, `<=` and equality defined, the
-    product order helpers of `patterns` compare scaled points directly.
-    Not a tuple: a tuple's own `>` and `>=` would disagree with the key, and
-    `patterns.encode_index` would read the value as a grid point.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"EpsCoord(a={self.a!r}, b={self.b!r})"
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def key(self) -> tuple:
-        return (self.a, -self.b)
-
-    def __lt__(self, other: "EpsCoord") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "EpsCoord") -> bool:
-        return self.key() <= other.key()
-
-    def to_json(self) -> list:
-        return [self.a, self.b]
 
 
 class _IndexMapFields(NamedTuple):
@@ -77,7 +33,8 @@ class _IndexMapFields(NamedTuple):
 
 
 class IndexMap(_IndexMapFields):
-    """A total injective reindexing of one level into nodes or grid points."""
+    """A total injective reindexing of one level into nodes or grid points;
+    every source is a node of that level."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` validates too
@@ -87,6 +44,9 @@ class IndexMap(_IndexMapFields):
         missing = [node for node in level if node not in mapping]
         if missing:
             raise ArgumentError(f"index map is missing {encode(missing[0])}")
+        if len(mapping) != len(level):
+            raise ArgumentError(f"index map has {len(mapping) - len(level)} "
+                                f"source(s) outside level {depth}")
         targets = list(mapping.values())
         if len(set(targets)) != len(targets):
             raise ArgumentError("index map must be injective")
@@ -159,37 +119,20 @@ def strongify_weave(ci):
     if depth2 % 2:
         raise ArgumentError(f"expected an even depth, got {depth2}")
     d = depth2 // 2
-    fmap = strongify_index(d)
-    missing = [t for t in fmap.mapping.values() if t not in ci.indices]
-    if missing:
-        raise ArgumentError(f"family is missing image index {encode(missing[0])}")
-    return ci.reindexed(fmap.mapping)
+    return ci.reindexed(strongify_index(d).mapping)
 
 
-def pullback(ci, mapping: Union[IndexMap, dict]):
+def pullback(ci, fmap: IndexMap):
     """Reindex along a prefix-respecting map into a deeper family.
 
     Every source node must be an initial segment of its image; this is what
     keeps comb structure intact under the pullback.
     """
-    table = mapping.mapping if isinstance(mapping, IndexMap) else dict(mapping)
-    if not table:
-        raise ArgumentError("pullback requires a nonempty map")
-    depths = {node.depth for node in table}
-    if len(depths) != 1:
-        raise ArgumentError("pullback domain must be a single level")
-    (d0,) = depths
-    level = enumerate_level(d0)
-    for node in level:
-        if node not in table:
-            raise ArgumentError(f"pullback map is missing {encode(node)}")
-    for node, target in table.items():
+    for node, target in fmap.mapping.items():
         if not isinstance(target, Node) or not target.startswith(node):
             raise ArgumentError(
                 f"prefix condition violated at {encode(node)}: image {encode(target) if isinstance(target, Node) else target!r}")
-        if target not in ci.indices:
-            raise ArgumentError(f"image index {encode(target)} is not in the family")
-    return ci.reindexed(table)
+    return ci.reindexed(fmap.mapping)
 
 
 # Offsets of the four first-letter blocks inside a box of side 4W: chosen so
@@ -239,14 +182,14 @@ def grid_to_weave(ci, d: int):
     if len(ci.indices) != side * side or \
             ci.indices != {(i, j) for i in range(side) for j in range(side)}:
         raise ArgumentError(f"family must be indexed by the full {side}x{side} square")
-    fmap = grid_embed_index(d)
-    return ci.reindexed(fmap.mapping)
+    return ci.reindexed(grid_embed_index(d).mapping)
 
 
 def scale_point(point: GridPoint) -> tuple:
-    """(i, j) as the symbolic pair ((1-eps)i, (1-eps)j)."""
+    """(i, j) as the symbolic pair ((1-eps)i, (1-eps)j).  A coordinate
+    a - b*eps is its order key (a, -b): more eps subtracted is smaller."""
     i, j = point
-    return (EpsCoord(i, i), EpsCoord(j, j))
+    return ((i, -i), (j, -j))
 
 
 def epsilon_scale(ci):

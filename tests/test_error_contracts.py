@@ -1,5 +1,6 @@
 """Contract errors named by the operation specs, exercised in one place."""
 
+import json
 import time
 
 import pytest
@@ -11,14 +12,15 @@ from comblab.cographs import (Cotree, Graph, comb_graph, embed_cograph, eval_cot
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.genericity import (RequirementPoset, binary_string_poset, generic_chain,
                                 length_requirements)
-from comblab.index_core import decode, enumerate_level
-from comblab.patterns import (SetSystem, _above, _require_chain_count, check_graph_pattern,
+from comblab.index_core import Node, decode, enumerate_level
+from comblab.patterns import (PredicateOracle, SetSystem, _above, _require_chain_count, check_graph_pattern,
                               check_grid, check_weave, grid_points, product_leq,
                               graph_witness, grid_witness, triangle_free_demo,
                               weave_witness)
 from comblab.transforms import (IndexMap, grid_embed_index, grid_to_weave, pullback,
-                                strongify_index)
+                                strongify_index, strongify_weave)
 from comblab.verify import run_battery
+from cli_fixtures import run_cli
 from helpers import MALFORMED_SET_SYSTEMS, materialized
 
 
@@ -97,6 +99,71 @@ def test_index_map_apply_outside_domain():
         fmap.apply(decode("00"))
 
 
+def _write_json(path, payload) -> str:
+    """Write a payload whose family may be an iterator; return the path."""
+    if "family" in payload:
+        payload = dict(payload, family=list(payload["family"]))
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _appends_1() -> IndexMap:
+    """The prefix map of level 1 that appends the digit 1: "0" -> "01"."""
+    return IndexMap(1, "level", {node: Node(node + "1") for node in enumerate_level(1)})
+
+
+def _raised(call):
+    def message(ci, tmp_path):
+        with pytest.raises(ArgumentError) as err:
+            call(ci)
+        return str(err.value)
+    return message
+
+
+def _exits_2(*command):
+    def message(ci, tmp_path):
+        argv = [arg.format(family=_write_json(tmp_path / "family.json", ci.to_json()),
+                           map=_write_json(tmp_path / "map.json", _appends_1().to_json()))
+                for arg in command]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        return err.removeprefix("error: ").removesuffix("\n")
+    return message
+
+
+@pytest.mark.parametrize("message", [
+    _raised(lambda ci: ci.reindexed({"new": Node("01")})),
+    _raised(lambda ci: PredicateOracle(ci.indices, bool).reindexed({"new": Node("01")})),
+    _raised(strongify_weave),
+    _raised(lambda ci: pullback(ci, _appends_1())),
+    _exits_2("strongify", "--in", "{family}"),
+    _exits_2("pullback", "--map", "{map}", "--in", "{family}"),
+], ids=["SetSystem.reindexed", "PredicateOracle.reindexed", "strongify_weave", "pullback",
+        "cli-strongify", "cli-pullback"])
+def test_a_missing_image_has_one_message(tmp_path, message):
+    # Every reindexing step checks its images in `reindexed`, so each names
+    # the first image the family lacks the same way: strongify's "0" -> "01"
+    # and the map "0" -> "01" both miss the family's removed node 01.
+    ci = weave_witness(2, 2, 1, 1)
+    ci = ci.reindexed({node: node for node in ci.indices if node != "01"})
+    assert message(ci, tmp_path) == "image index 01 is not in the family"
+
+
+def test_index_map_refuses_a_source_outside_its_level(tmp_path):
+    # A source of another level used to pass `IndexMap` and was refused by
+    # `pullback` alone; now the map itself refuses it.
+    deeper = {**{node: Node(node + "1") for node in enumerate_level(1)}, Node("00"): Node("001")}
+    refusal = "index map has 1 source(s) outside level 1"
+    with pytest.raises(ArgumentError) as err:
+        IndexMap(1, "level", deeper)
+    assert str(err.value) == refusal
+    family = _write_json(tmp_path / "family.json", weave_witness(2, 2, 1, 1).to_json())
+    payload = {"depth": 1, "codomain": "level", "map": [[s, t] for s, t in deeper.items()]}
+    code, out, stderr = run_cli(["pullback", "--map", _write_json(tmp_path / "map.json", payload),
+                                 "--in", family])
+    assert (code, out, stderr) == (2, "", f"error: {refusal}\n")
+
+
 def _refused_quickly(call, message: str) -> None:
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=f"^{message}$"):
@@ -117,7 +184,7 @@ def test_depth_bounds(monkeypatch):
                   lambda: strongify_index(2),
                   lambda: grid_embed_index(2),
                   lambda: IndexMap(2, "grid", grid_map),
-                  lambda: pullback(family, identity))
+                  lambda: pullback(family, IndexMap(2, "level", identity)))
     at_depth_1 = (lambda: check_weave(small, 1, 2, 1, OMEGA, strong=True),
                   lambda: weave_witness(1, 2, 1, OMEGA))
     monkeypatch.setattr(errors, "BUDGET", 16)

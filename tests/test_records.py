@@ -1,11 +1,10 @@
-"""The library's records are NamedTuples (or, for `EpsCoord`, a slotted
-class): immutable, equal and hashed by value, and cheap to import, since
-nothing at import time generates code for them."""
+"""The library's records are NamedTuples: immutable, equal and hashed by
+value, and cheap to import, since nothing at import time generates code for
+them."""
 
 import os
 import subprocess
 import sys
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -45,7 +44,6 @@ RECORDS = {
                "nodes"),
     "DensePredicate": (lambda: genericity.DensePredicate("all", _always), "test"),
     "ChainStep": (lambda: genericity.ChainStep("01", (0, 2)), "satisfied"),
-    "EpsCoord": (lambda: transforms.EpsCoord(1, 2), "b"),
     "IndexMap": (_identity_map, "mapping"),
     "CheckResult": (lambda: verify.CheckResult("pair-dichotomy", True, "all pairs"), "detail"),
 }
@@ -124,14 +122,6 @@ def test_record_validation_messages(build, message):
     with pytest.raises(ArgumentError) as err:
         build()
     assert str(err.value) == message
-
-
-def test_eps_coord_order_agrees_with_its_key():
-    coords = [transforms.EpsCoord(a, b) for a, b in product(range(3), repeat=2)]
-    for p, q in product(coords, repeat=2):
-        assert (p < q, p <= q, p > q, p >= q) == \
-            (p.key() < q.key(), p.key() <= q.key(), p.key() > q.key(), p.key() >= q.key())
-    assert patterns.encode_index(transforms.EpsCoord(1, 2)) == "EpsCoord(a=1, b=2)"
 
 
 def test_deep_cotree_compares_hashes_and_prints():

@@ -11,9 +11,9 @@ from comblab.index_core import Node, decode, encode, enumerate_level
 from comblab.patterns import (SetSystem, check_grid, check_weave, comparable,
                               grid_points, grid_witness, is_antichain,
                               is_strict_chain, strictly_below, weave_witness)
-from comblab.transforms import (EpsCoord, IndexMap, epsilon_scale,
-                                grid_embed_index, grid_to_weave, pullback,
-                                scale_point, strongify_index, strongify_weave)
+from comblab.transforms import (IndexMap, epsilon_scale, grid_embed_index,
+                                grid_to_weave, pullback, scale_point,
+                                strongify_index, strongify_weave)
 
 from helpers import SEED, letter, subset_filter_combs
 
@@ -85,7 +85,7 @@ def test_strongify_weave_validation():
 
 def test_pullback_identity():
     ci = weave_witness(1, 2, 1, 1)
-    same = pullback(ci, {node: node for node in enumerate_level(1)})
+    same = pullback(ci, IndexMap(1, "level", {node: node for node in enumerate_level(1)}))
     for node in enumerate_level(1):
         assert same.set_of(node) == ci.set_of(node)
 
@@ -95,15 +95,15 @@ def test_pullback_one_level_down():
     pad = "0"  # letter (0,0)
     assert letter(pad) == (0, 0)
     mapping = {node: Node(node + pad) for node in enumerate_level(1)}
-    pulled = pullback(ci, mapping)
+    pulled = pullback(ci, IndexMap(1, "level", mapping))
     assert check_weave(pulled, 1, 2, 1, 1, strong=True).ok
 
 
 def test_pullback_prefix_violation():
     ci = weave_witness(2, 2, 1, 1)
-    bad = {node: decode("00") for node in enumerate_level(1)}
+    bad = {node: Node("0" + node) for node in enumerate_level(1)}  # "1" -> "01"
     with pytest.raises(ArgumentError) as err:
-        pullback(ci, bad)
+        pullback(ci, IndexMap(1, "level", bad))
     assert "prefix" in str(err.value)
 
 
@@ -116,7 +116,7 @@ def test_pullback_preserves_weave_on_random_prefix_maps():
             for node in enumerate_level(d0):
                 suffix = "".join(rng.choice("0123") for _ in range(d - d0))
                 mapping[node] = Node(node + suffix)
-            pulled = pullback(ci, mapping)
+            pulled = pullback(ci, IndexMap(d0, "level", mapping))
             assert check_weave(pulled, d0, 2, 1, OMEGA, strong=True).ok
 
 
@@ -185,12 +185,6 @@ def test_grid_to_weave_validation():
 
 
 # --- epsilon scaling --------------------------------------------------------
-
-
-def test_eps_coord_order():
-    assert EpsCoord(0, 0) < EpsCoord(1, 1)
-    assert EpsCoord(1, 2) < EpsCoord(1, 1)  # more epsilon subtracted is smaller
-    assert EpsCoord(1, 1) <= EpsCoord(1, 1)
 
 
 def test_epsilon_scale_examples():
