@@ -257,17 +257,15 @@ def is_comb(nodes: Iterable[Node], cls: CombClass) -> Optional[CombCertificate]:
 
 
 def _recognize(nodes: Sequence, rules: dict, part_rules: dict, n) -> Optional[CombCertificate]:
-    # The words are sorted and share their first p letters, so their letters
-    # at p ascend: each part is a slice, cut where the upper letters begin.
+    # The nodes are sorted, distinct and of one depth, so they share their
+    # first p letters and their letters at p ascend: each part is a slice,
+    # cut where the upper letters begin.
     if len(nodes) == 1:
         return CombCertificate(frozenset(nodes))
     lo, hi = nodes[0], nodes[-1]
     p = 0
-    try:
-        while lo[p] == hi[p]:
-            p += 1
-    except IndexError:  # the first word ends at the meet
-        return None
+    while lo[p] == hi[p]:
+        p += 1
     rule = rules.get(lo[p])
     if rule is None or hi[p] not in rule[1]:
         return None
@@ -284,25 +282,25 @@ def _recognize(nodes: Sequence, rules: dict, part_rules: dict, n) -> Optional[Co
                            cut, cert_a, cert_b)
 
 
-_BINARY_RULES = {"0": ("0", "1", narrow_left(0))}  # binary words: the 0-side is lower
-
-
 def is_binary_right_comb(strings: Iterable[str], n) -> bool:
     """Right-comb recognition for finite sets of binary strings.
 
-    The recursion of :func:`is_comb` under the one binary rule, with mixed
-    lengths allowed: at the greatest common initial segment the 0-side is
-    the bounded part, and no set with a word ending there is a comb.
+    Each word is read as a node of one level: bit b as the letter (b, 0),
+    padded with the letter (0, 1) to the longest word's length.  The level's
+    right combs are then exactly the binary ones: a word that ends at the
+    meet is shorter than another, so it reads the padding letter there,
+    which no right split admits beside a bit's letter.
     """
     _check_bound(n)
     items = set()
     for s in strings:
-        if any(ch not in "01" for ch in s):
+        if not isinstance(s, str) or s.strip("01"):
             raise ArgumentError(f"binary string expected, got {s!r}")
         items.add(s)
     if not items:
         raise ArgumentError("is_binary_right_comb requires a nonempty set")
-    return _recognize(sorted(items), _BINARY_RULES, _BINARY_RULES, n) is not None
+    width = max(map(len, items))
+    return is_comb([s.replace("1", "2").ljust(width, "1") for s in items], right(n)) is not None
 
 
 # --- enumeration ---------------------------------------------------------

@@ -153,41 +153,6 @@ def _closure(cls: CombClass, depth: int, size: int, memo: dict) -> list[set]:
     return levels
 
 
-def binary_right_comb_oracle(strings: frozenset, n, memo: dict = None) -> bool:
-    """Binary right-comb membership by searching every inductive build."""
-    if memo is None:
-        memo = {}
-    key = (strings, n if isinstance(n, int) else "omega")
-    if key in memo:
-        return memo[key]
-    if len(strings) == 1:
-        memo[key] = True
-        return True
-    items = sorted(strings)
-    rest = items[1:]
-    result = False
-    for take in range(1 << len(rest)):
-        a_set = frozenset([items[0]] + [s for i, s in enumerate(rest) if (take >> i) & 1])
-        b_set = strings - a_set
-        if not b_set:
-            continue
-        for first, second in ((a_set, b_set), (b_set, a_set)):
-            if not size_within(len(first), n):
-                continue
-            sigma = common_prefix(sorted(first | second))
-            p = len(sigma)
-            if all(len(s) > p and s[p] == "0" for s in first) and \
-                    all(len(s) > p and s[p] == "1" for s in second) and \
-                    binary_right_comb_oracle(first, n, memo) and \
-                    binary_right_comb_oracle(second, n, memo):
-                result = True
-                break
-        if result:
-            break
-    memo[key] = result
-    return result
-
-
 def assignment_oracle(template, atoms: int) -> bool:
     """Exhaustive feasibility over all assignments of `atoms` atoms to the
     template's indices, evaluated bit-parallel over the assignment space.

@@ -700,22 +700,6 @@ def comparable(p: tuple, q: tuple) -> bool:
     return product_leq(p, q) or product_leq(q, p)
 
 
-def is_antichain(points: Iterable[tuple]) -> bool:
-    pts = sorted(set(points))
-    return all(not comparable(pts[i], pts[j])
-               for i in range(len(pts)) for j in range(i + 1, len(pts)))
-
-
-def is_chain(points: Iterable[tuple]) -> bool:
-    pts = sorted(set(points))
-    return all(product_leq(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-
-
-def is_strict_chain(points: Iterable[tuple]) -> bool:
-    pts = sorted(set(points))
-    return all(strictly_below(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-
-
 def grid_points(s: int) -> list[tuple]:
     return [(i, j) for i in range(s) for j in range(s)]
 

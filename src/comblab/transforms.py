@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import ArgumentError, ParseError, is_int_pair, json_fields
 from .index_core import Node, decode, encode, enumerate_level
-from .patterns import level_depth
+from .patterns import encode_index, level_depth
 
 GridPoint = tuple  # (x, y) under the product order
 
@@ -131,7 +131,7 @@ def pullback(ci, fmap: IndexMap):
     for node, target in fmap.mapping.items():
         if not isinstance(target, Node) or not target.startswith(node):
             raise ArgumentError(
-                f"prefix condition violated at {encode(node)}: image {encode(target) if isinstance(target, Node) else target!r}")
+                f"prefix condition violated at {encode(node)}: image {encode_index(target)}")
     return ci.reindexed(fmap.mapping)
 
 

@@ -1,7 +1,7 @@
 """Shared test oracles: slow, definition-direct computations that the fast
 paths are checked against."""
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Optional
@@ -11,11 +11,11 @@ from comblab.combs import (LITERAL, OMEGA, UP_ONE, CombClass,
                            RECURSIVE, classify_pair, comb_entries, is_comb, mask_indices,
                            mask_nodes, size_within, wide_right)
 from comblab.errors import ArgumentError, ParseError, ResourceError
-from comblab.index_core import encode, enumerate_level
+from comblab.index_core import common_prefix, encode, enumerate_level
 from comblab.oracle import narrowly_below, narrowly_left, widely_left
 from comblab.patterns import (CONSISTENCY, INCONSISTENCY, Report, _DIGIT_TO_BYTE,
                               _FoldedAtoms, SetSystem, Structure, Violation, comparable,
-                              demo_edges, grid_points, is_antichain, k_inconsistent, product_leq,
+                              demo_edges, grid_points, k_inconsistent, product_leq,
                               strictly_below)
 
 SEED = 0xC0FFEE
@@ -212,6 +212,41 @@ def reference_build_tree_comb_oracle(nodes, cls, memo=None):
     return result
 
 
+def binary_right_comb_oracle(strings: frozenset, n, memo: dict = None) -> bool:
+    """Binary right-comb membership by searching every inductive build."""
+    if memo is None:
+        memo = {}
+    key = (strings, n if isinstance(n, int) else "omega")
+    if key in memo:
+        return memo[key]
+    if len(strings) == 1:
+        memo[key] = True
+        return True
+    items = sorted(strings)
+    rest = items[1:]
+    result = False
+    for take in range(1 << len(rest)):
+        a_set = frozenset([items[0]] + [s for i, s in enumerate(rest) if (take >> i) & 1])
+        b_set = strings - a_set
+        if not b_set:
+            continue
+        for first, second in ((a_set, b_set), (b_set, a_set)):
+            if not size_within(len(first), n):
+                continue
+            sigma = common_prefix(sorted(first | second))
+            p = len(sigma)
+            if all(len(s) > p and s[p] == "0" for s in first) and \
+                    all(len(s) > p and s[p] == "1" for s in second) and \
+                    binary_right_comb_oracle(first, n, memo) and \
+                    binary_right_comb_oracle(second, n, memo):
+                result = True
+                break
+        if result:
+            break
+    memo[key] = result
+    return result
+
+
 def direct_weave_ok(ci, d, k, m, n, strong=False, reading=RECURSIVE):
     """Uncapped weave verdict: every subset of the level is classified by the
     recognizer and the definition is applied directly."""
@@ -227,11 +262,25 @@ def direct_weave_ok(ci, d, k, m, n, strong=False, reading=RECURSIVE):
     return True
 
 
+def is_antichain(points: Iterable[tuple]) -> bool:
+    pts = sorted(set(points))
+    return all(not comparable(pts[i], pts[j])
+               for i in range(len(pts)) for j in range(i + 1, len(pts)))
+
+
+def is_chain(points: Iterable[tuple]) -> bool:
+    pts = sorted(set(points))
+    return all(product_leq(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+
+
+def is_strict_chain(points: Iterable[tuple]) -> bool:
+    pts = sorted(set(points))
+    return all(strictly_below(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+
+
 def direct_grid_ok(ci, s, k, strong=False):
     """Uncapped grid verdict: every subset of the square classified by the
     pairwise order predicates, definition applied directly."""
-    from comblab.patterns import grid_points, is_antichain, is_chain, is_strict_chain
-
     points = grid_points(s)
     for size in range(1, len(points) + 1):
         for combo in combinations(points, size):

@@ -1,23 +1,22 @@
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from comblab.combs import (_BINARY_RULES, _SPLIT_RULES, CombClass, LITERAL, NARROW_BELOW,
+from comblab.combs import (_SPLIT_RULES, CombClass, LITERAL, NARROW_BELOW,
                            NARROW_LEFT, OMEGA, UP_ONE, WIDE_LEFT, WIDE_RIGHT_ONE,
                            classify_pair, comb_entries, enumerate_combs,
                            is_binary_right_comb, is_comb, mask_nodes, split_relation)
 from comblab import errors
 from comblab.errors import ArgumentError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
-from comblab.oracle import (binary_right_comb_oracle, build_tree_comb_oracle, narrowly_below,
-                            narrowly_left, widely_left)
+from comblab.oracle import build_tree_comb_oracle, narrowly_below, narrowly_left, widely_left
 from comblab.verify import _RECOGNITION_CLASSES
 
-from helpers import (SEED, has_up_pair, reference_build_tree_comb_oracle,
+from helpers import (SEED, binary_right_comb_oracle, has_up_pair, reference_build_tree_comb_oracle,
                      reference_comb_entries, reference_comb_order, subset_filter_combs)
 
 
@@ -91,7 +90,7 @@ def test_split_rules_order_their_letters():
     # Recognition cuts a sorted set where the upper letters begin and picks
     # the rule by the first node's letter, and split_relation picks it by any
     # of A's letters, which this keeps sound.
-    for rules in (*_SPLIT_RULES.values(), _BINARY_RULES):
+    for rules in _SPLIT_RULES.values():
         for key, rule in rules.items():
             lower, upper, _ = rule
             assert set(lower).isdisjoint(upper)
@@ -259,23 +258,29 @@ def test_binary_right_comb_examples():
 
 
 def test_binary_right_comb_matches_oracle():
-    universe = [""]
-    for _ in range(3):
-        universe = universe + [s + b for s in universe for b in "01" if len(s) < 3]
-    universe = sorted(set(s for s in universe if s))
+    # Every set of at most 4 nonempty words of length at most 4.
+    universe = ["".join(bits) for length in range(1, 5) for bits in product("01", repeat=length)]
     memo = {}
+    checks = 0
     for size in range(1, 5):
         for combo in combinations(universe, size):
             s = frozenset(combo)
-            for n in (1, 2, OMEGA):
-                assert is_binary_right_comb(s, n) == binary_right_comb_oracle(s, n, memo)
+            for n in (1, 2, 3, OMEGA):
+                assert is_binary_right_comb(s, n) == binary_right_comb_oracle(s, n, memo), (s, n)
+                checks += 1
+    assert checks == 127_720
 
 
 def test_binary_right_comb_errors():
-    with pytest.raises(ArgumentError):
-        is_binary_right_comb(set(), 1)
-    with pytest.raises(ArgumentError):
-        is_binary_right_comb({"012"}, 1)
+    # A word that is not a string is refused before it is hashed.
+    for strings, message in [(set(), "requires a nonempty set"),
+                             ({"012"}, "binary string expected, got '012'"),
+                             ({5}, "binary string expected, got 5$"),
+                             ({"0", 1}, "binary string expected, got 1$"),
+                             ({b"01"}, "binary string expected, got b'01'"),
+                             ([["0", "1"]], r"binary string expected, got \['0', '1'\]")]:
+        with pytest.raises(ArgumentError, match=message):
+            is_binary_right_comb(strings, 1)
 
 
 # --- enumeration -----------------------------------------------------------

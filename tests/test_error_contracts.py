@@ -164,6 +164,21 @@ def test_index_map_refuses_a_source_outside_its_level(tmp_path):
     assert (code, out, stderr) == (2, "", f"error: {refusal}\n")
 
 
+def test_a_prefix_refusal_writes_its_image_as_an_index(tmp_path):
+    # A grid image is written as every other message writes an index, "0,1",
+    # not as the tuple's repr "(0, 1)".
+    refusal = "prefix condition violated at 0: image 0,1"
+    family = weave_witness(1, 2, 1, 1)
+    with pytest.raises(ArgumentError) as err:
+        pullback(family, grid_embed_index(1))
+    assert str(err.value) == refusal
+    grid_map = str(tmp_path / "map.json")
+    assert run_cli(["grid-embed", "--depth", "1", "--out", grid_map])[0] == 0
+    code, out, stderr = run_cli(["pullback", "--map", grid_map, "--in",
+                                 _write_json(tmp_path / "family.json", family.to_json())])
+    assert (code, out, stderr) == (2, "", f"error: {refusal}\n")
+
+
 def _refused_quickly(call, message: str) -> None:
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=f"^{message}$"):

@@ -16,14 +16,14 @@ from comblab.patterns import (CONSISTENCY, INCONSISTENCY, PredicateOracle,
                               SetSystem, Template, antichains_of_size, chains,
                               check_graph_pattern, check_grid, check_weave, consistent,
                               demo_edges, encode_index, graph_witness, grid_points,
-                              grid_witness, is_antichain, k_inconsistent, realizable,
+                              grid_witness, k_inconsistent, realizable,
                               strict_chains, triangle_free_demo, weave_witness)
 from comblab.patterns import (_above, _maximal_independent_sets, _require_chain_count,
                               default_cap, product_leq, strictly_below)
 from comblab.transforms import strongify_weave
 
 from helpers import (SEED, assignment_oracle_slow, direct_grid_ok, direct_weave_ok,
-                     downward_closed, materialized, random_graph, random_set_system,
+                     downward_closed, is_antichain, materialized, random_graph, random_set_system,
                      random_subsystem_mutations, reference_atom_names, reference_chains,
                      reference_check_graph_pattern, reference_check_grid,
                      reference_check_weave, reference_comb_order, reference_grid_witness,

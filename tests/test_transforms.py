@@ -9,13 +9,12 @@ from comblab.combs import (CombClass, NARROW_BELOW, OMEGA, UP_ONE, WIDE_LEFT,
 from comblab.errors import ArgumentError
 from comblab.index_core import Node, decode, encode, enumerate_level
 from comblab.patterns import (SetSystem, check_grid, check_weave, comparable,
-                              grid_points, grid_witness, is_antichain,
-                              is_strict_chain, strictly_below, weave_witness)
+                              grid_points, grid_witness, strictly_below, weave_witness)
 from comblab.transforms import (IndexMap, epsilon_scale, grid_embed_index,
                                 grid_to_weave, pullback, scale_point,
                                 strongify_index, strongify_weave)
 
-from helpers import SEED, letter, subset_filter_combs
+from helpers import SEED, is_antichain, is_strict_chain, letter, subset_filter_combs
 
 
 def strongify_formula(node):
