@@ -9,9 +9,11 @@ failure naming the requirement and the element where the search got stuck.
 
 from __future__ import annotations
 
+from collections import deque
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import ArgumentError, ComblabError
+from .errors import ArgumentError, ComblabError, require_within
 
 DEFAULT_HORIZON = 10_000
 
@@ -27,53 +29,51 @@ class DensityError(ComblabError):
 
 
 class RequirementPoset:
-    """Extension structure: programmatic (an extension enumerator) or an
-    explicit finite table of order pairs."""
+    """Extension structure: an extension enumerator and its order test, or
+    the order a finite table of pairs generates, which stores no closure."""
 
-    def __init__(self, extensions: Callable[[object], list], leq: Callable = None):
+    def __init__(self, extensions: Callable[[object], list], leq: Callable):
         self._extensions = extensions
-        self._leq = leq
+        self.leq = leq
 
     @classmethod
     def from_table(cls, elements: Iterable, order_pairs: Iterable) -> "RequirementPoset":
-        elements = list(elements)
+        elements, order_pairs = list(elements), list(order_pairs)
+        require_within(len(elements) + len(order_pairs), "poset table has", "elements and pairs")
         index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        if len(index) != n:
+        if len(index) != len(elements):
             raise ArgumentError("poset elements must be distinct")
-        reach = [1 << i for i in range(n)]  # reflexive
+        successors = [[] for _ in elements]
         for a, b in order_pairs:
             if a not in index or b not in index:
                 raise ArgumentError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
-            reach[index[a]] |= 1 << index[b]
-        # transitive closure, by Warshall: after step k, i reaches j through
-        # intermediates among the first k + 1 elements
-        for k in range(n):
-            for i in range(n):
-                if reach[i] >> k & 1:
-                    reach[i] |= reach[k]
-        for i in range(n):
-            for j in range(n):
-                if i != j and (reach[i] >> j) & 1 and (reach[j] >> i) & 1:
-                    raise ArgumentError(
-                        f"order has a cycle through {elements[i]!r} and {elements[j]!r}")
+            if index[a] != index[b]:
+                successors[index[a]].append(index[b])
+        try:
+            TopologicalSorter(dict(enumerate(successors))).prepare()
+        except CycleError as err:  # named by two consecutive elements of the cycle
+            first, second = (elements[i] for i in err.args[1][:2])
+            raise ArgumentError(f"order has a cycle through {first!r} and {second!r}") from None
+
+        def above(i: int) -> set:  # the indices strictly above i, walked up the pairs
+            seen, stack = set(), [i]
+            while stack:
+                for j in successors[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            return seen
 
         def extensions(element):
-            i = index[element]
-            return [elements[j] for j in range(n) if j != i and (reach[i] >> j) & 1]
+            return [elements[j] for j in sorted(above(index[element]))]
 
         def leq(a, b):
-            return bool((reach[index[a]] >> index[b]) & 1)
+            return index[a] == index[b] or index[b] in above(index[a])
 
         return cls(extensions, leq)
 
     def extensions(self, element) -> list:
         return list(self._extensions(element))
-
-    def leq(self, a, b) -> bool:
-        if self._leq is None:
-            raise ArgumentError("this poset has no order test")
-        return self._leq(a, b)
 
 
 class DensePredicate(NamedTuple):
@@ -116,7 +116,7 @@ def generic_chain(poset: RequirementPoset, dense: list[DensePredicate], start,
         if moves >= steps:
             raise DensityError(requirement.name, tip.element)
         target = _bfs(poset, tip.element, requirement, horizon)
-        if poset._leq is not None and not poset.leq(tip.element, target):
+        if not poset.leq(tip.element, target):
             raise ArgumentError(
                 f"extension enumerator disagrees with the order: "
                 f"{target!r} does not extend {tip.element!r}")
@@ -127,12 +127,12 @@ def generic_chain(poset: RequirementPoset, dense: list[DensePredicate], start,
 
 def _bfs(poset: RequirementPoset, origin, requirement: DensePredicate, horizon: int):
     seen = {origin}
-    queue = [origin]
+    queue = deque([origin])
     expanded = 0
     while queue:
         if expanded >= horizon:
             break
-        element = queue.pop(0)
+        element = queue.popleft()
         expanded += 1
         for ext in poset.extensions(element):
             if ext in seen:

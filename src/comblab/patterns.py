@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import combs as combs_mod
 from .combs import (CombClass, RECURSIVE, comb_entries, comb_order, is_comb,
                     mask_indices, name_keys, wide_right)
-from .errors import (ArgumentError, ComblabError, ParseError, ResourceError,
-                     require_within)
+from .errors import ArgumentError, ComblabError, ParseError, require_within
 from .index_core import Node, encode, enumerate_level, level_size
 
 DEFAULT_SEED = 0xC0FFEE
@@ -1151,29 +1150,29 @@ def _maximal_independent_sets(n: int, masks) -> list[tuple]:
     """The maximal independent sets, as sorted vertex tuples in sorted order.
 
     They are the maximal cliques of the complement, listed by the
-    Bron-Kerbosch recursion with a pivot over vertex masks.
+    Bron-Kerbosch walk with a pivot over vertex masks, on an explicit stack.
+    The complement's vertex pairs are held to the budget before any mask is
+    made, and the sets as they are found.
     """
-    if n > 20:
-        raise ResourceError(f"maximal independent set scan limited to 20 vertices, got {n}")
+    require_within(n * (n - 1) // 2, f"graph witness on {n} vertices would have", "vertex pairs")
     full = (1 << n) - 1
     others = [full & ~masks[v] & ~(1 << v) for v in range(n)]  # non-neighbours
     out = []
-
-    def expand(chosen: int, candidates: int, excluded: int) -> None:
+    stack = [(0, full, 0)] if n else []
+    while stack:
+        chosen, candidates, excluded = stack.pop()
         if not candidates | excluded:
-            out.append(tuple(v for v in range(n) if chosen >> v & 1))
-            return
+            out.append(mask_indices(chosen))
+            require_within(len(out), "graph witness lists at least", "maximal independent sets")
+            continue
         # Every maximal set still reachable holds the pivot or one of its
         # neighbours in the graph, so only those open a branch.
         pivot = max(mask_indices(candidates | excluded),
                     key=lambda u: (candidates & others[u]).bit_count())
         for v in mask_indices(candidates & ~others[pivot]):
-            expand(chosen | 1 << v, candidates & others[v], excluded & others[v])
+            stack.append((chosen | 1 << v, candidates & others[v], excluded & others[v]))
             candidates &= ~(1 << v)
             excluded |= 1 << v
-
-    if n:
-        expand(0, full, 0)
     return sorted(out)
 
 

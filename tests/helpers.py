@@ -4,6 +4,7 @@ paths are checked against."""
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations, compress
+from math import prod
 from typing import Optional
 
 from comblab import errors
@@ -512,6 +513,70 @@ def reference_graph_witness(graph):
     family = {v: {name for name, group in zip(names, mis) if v in group}
               for v in range(graph.n)}
     return SetSystem(sorted(names), family)
+
+
+def reference_reach(elements, order_pairs):
+    """The element index and the reflexive-transitive reach masks of an order
+    table, closed by Warshall's loop: bit j of reach[i] when element i
+    reaches element j through the pairs."""
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    if len(index) != n:
+        raise ArgumentError("poset elements must be distinct")
+    reach = [1 << i for i in range(n)]  # reflexive
+    for a, b in order_pairs:
+        if a not in index or b not in index:
+            raise ArgumentError(f"order pair ({a!r}, {b!r}) mentions unknown elements")
+        reach[index[a]] |= 1 << index[b]
+    # transitive closure, by Warshall: after step k, i reaches j through
+    # intermediates among the first k + 1 elements
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return index, reach
+
+
+def reference_from_table(elements, order_pairs):
+    """RequirementPoset.from_table with its order closed by Warshall's loop
+    and its cycles found by a scan over all pairs of elements."""
+    from comblab.genericity import RequirementPoset
+
+    elements = list(elements)
+    index, reach = reference_reach(elements, order_pairs)
+    n = len(elements)
+    for i in range(n):
+        for j in range(n):
+            if i != j and (reach[i] >> j) & 1 and (reach[j] >> i) & 1:
+                raise ArgumentError(
+                    f"order has a cycle through {elements[i]!r} and {elements[j]!r}")
+
+    def extensions(element):
+        i = index[element]
+        return [elements[j] for j in range(n) if j != i and (reach[i] >> j) & 1]
+
+    def leq(a, b):
+        return bool((reach[index[a]] >> index[b]) & 1)
+
+    return RequirementPoset(extensions, leq)
+
+
+def cotree_mis_count(tree):
+    """The number of maximal independent sets of the cograph a cotree
+    denotes: a union takes one set from each child, so its count is the
+    product of theirs; a join takes a set of any one child, so it is the sum."""
+    from comblab.cographs import LEAF, UNION
+
+    counts = []
+    for op, value in tree.nodes:
+        if op == LEAF:
+            counts.append(1)
+            continue
+        children = counts[-value:]
+        del counts[-value:]
+        counts.append(prod(children) if op == UNION else sum(children))
+    [count] = counts
+    return count
 
 
 def reference_realizable(template):

@@ -1004,6 +1004,46 @@ def test_triangle_demo_is_held_to_its_pair_count(monkeypatch, tmp_path):
     assert "triangle-free demo of length 5 has 10 pairs, over the limit 6" in err
 
 
+def test_poset_and_graph_witness_are_refused_before_the_work(monkeypatch, tmp_path):
+    # The poset table's elements plus pairs are counted before its order is
+    # checked, and the graph witness's vertex pairs, then its sets, before
+    # they are made.  Neither kept a guard: a 100,000-element table ran on
+    # unrefused, and a graph over 20 vertices met a limit of its own.
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["a", "b", "c"], "order": [["a", "b"], ["b", "c"]],
+                                 "start": "a", "dense": [{"name": "top", "members": ["c"]}]}))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 20, "edges": [[v, v + 1] for v in range(0, 20, 2)]}))
+    monkeypatch.setattr("comblab.errors.BUDGET", 5)
+    assert run_cli(["generic-chain", "--in", str(poset)])[0] == 0
+
+    def unreachable(*args):
+        raise AssertionError("the order was checked before the count")
+
+    monkeypatch.setattr("comblab.genericity.TopologicalSorter", unreachable)
+    monkeypatch.setattr("comblab.errors.BUDGET", 4)
+    code, out, err = run_cli(["generic-chain", "--in", str(poset)])
+    assert (code, out) == (3, "")
+    assert "poset table has 5 elements and pairs, over the limit 4" in err
+    for budget, message in ((189, "graph witness on 20 vertices would have 190 vertex pairs, "
+                                  "over the limit 189"),
+                            (1023, "graph witness lists at least 1024 maximal independent "
+                                   "sets, over the limit 1023")):
+        monkeypatch.setattr("comblab.errors.BUDGET", budget)
+        code, out, err = run_cli(["witness", "graph", "--graph", str(graph)])
+        assert (code, out) == (3, "") and message in err, err
+    monkeypatch.setattr("comblab.errors.BUDGET", 1024)
+    assert run_cli(["witness", "graph", "--graph", str(graph)])[0] == 0
+    # At the real budget 2,001 vertices (2,001,000 pairs) are refused at
+    # about the peak of a command refused at once.
+    graph.write_text(json.dumps({"n": 2001, "edges": []}))
+    path = str(tmp_path / "out.json")
+    other_code, other_kb = peak_of(["triangle-free-demo", "--len", "2001", "--out", path])
+    code, peak_kb = peak_of(["witness", "graph", "--graph", str(graph), "--out", path])
+    assert (other_code, code) == (3, 3) and abs(peak_kb - other_kb) < 10 * 1024, \
+        (peak_kb, other_kb)
+
+
 def test_enum_combs_writes_each_comb_as_it_is_reached(tmp_path):
     # Every comb was made as a frozenset, and then as a sorted list of
     # texts, before the first was written: depth 3's wide-right combs up to

@@ -1,9 +1,22 @@
+import ast
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from comblab import genericity
 from comblab.errors import ArgumentError
 from comblab.genericity import (ChainStep, DensePredicate, DensityError,
                                 RequirementPoset, binary_string_poset,
                                 generic_chain, length_requirements)
+from helpers import SEED, reference_from_table, reference_reach
+
+SRC = str(Path(genericity.__file__).resolve().parents[1])
 
 
 def test_length_demo_meets_all_requirements():
@@ -102,3 +115,82 @@ def test_inconsistent_enumerator_is_reported():
         generic_chain(poset, [DensePredicate("reach-b", lambda e: e == "b")],
                       "a", steps=1)
     assert "does not extend" in str(err.value)
+
+
+CYCLE = re.compile(r"^order has a cycle through (.+) and (.+)$")
+
+
+def _random_table(rng, acyclic):
+    """Up to 12 elements, named in an order of their own, and up to twice as
+    many pairs; an acyclic table runs its pairs up a random ranking, and a
+    few pairs of the others name an element the table does not hold."""
+    elements = [f"e{i}" for i in range(rng.randint(1, 12))]
+    ranking = rng.sample(elements, len(elements))
+    pairs = []
+    for _ in range(rng.randint(0, 2 * len(elements))):
+        i, j = sorted(rng.randrange(len(elements)) for _ in range(2))
+        if acyclic:
+            pairs.append((ranking[i], ranking[j]))
+        else:
+            pairs.append((rng.choice(elements), "zz" if rng.random() < 0.02 else rng.choice(elements)))
+    return elements, pairs
+
+
+def test_closure_free_poset_matches_the_warshall_closure():
+    # The order was closed by Warshall's loop over n-bit masks and checked
+    # for cycles pair by pair.  Walked up the pairs per query, it keeps the
+    # same extensions, order test and refusals; a cycle is named by two of
+    # its elements, distinct and each reaching the other.
+    rng = random.Random(SEED + 37)
+    cycles = 0
+    for t in range(300):
+        elements, pairs = _random_table(rng, acyclic=t < 50)
+        try:
+            want = reference_from_table(elements, pairs)
+        except ArgumentError as err:
+            assert t >= 50, (elements, pairs)
+            with pytest.raises(ArgumentError) as got:
+                RequirementPoset.from_table(elements, pairs)
+            if not str(err).startswith("order has a cycle"):
+                continue
+            cycles += 1
+            named = CYCLE.match(str(got.value))
+            index, reach = reference_reach(elements, pairs)
+            i, j = (index[ast.literal_eval(name)] for name in named.groups())
+            assert i != j and reach[i] >> j & 1 and reach[j] >> i & 1, (elements, pairs)
+            continue
+        got = RequirementPoset.from_table(elements, pairs)
+        for a in elements:
+            assert got.extensions(a) == want.extensions(a), (elements, pairs, a)
+            assert [got.leq(a, b) for b in elements] == [want.leq(a, b) for b in elements]
+    assert 50 < cycles < 250
+
+
+def test_cycle_message_does_not_depend_on_the_hash_seed(tmp_path):
+    # Three cycles, among elements listed out of order: the two elements
+    # named are the same whatever order string hashes give to sets.
+    path = tmp_path / "cycles.json"
+    order = [["x9", "x4"], ["x4", "x7"], ["x7", "x9"], ["x2", "x5"], ["x5", "x2"],
+             ["x0", "x1"], ["x1", "x8"], ["x8", "x0"], ["x3", "x6"]]
+    path.write_text(json.dumps({"elements": [f"x{i}" for i in (5, 2, 9, 0, 7, 3, 1, 8, 6, 4)],
+                                "order": order, "start": "x0", "dense": []}))
+    runs = set()
+    for seed in range(4):
+        proc = subprocess.run([sys.executable, "-m", "comblab.cli", "generic-chain",
+                               "--in", str(path)], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed)))
+        runs.add((proc.returncode, proc.stdout, proc.stderr))
+    [(code, out, err)] = runs
+    assert (code, out) == (2, "") and CYCLE.match(err.removeprefix("error: ").strip()), err
+
+
+def test_long_tables_are_walked_not_closed():
+    # Warshall's loop took 4.4 s on a 4,000-element antichain, and a
+    # 100,000-element table never finished.
+    elements = [f"e{i}" for i in range(100_000)]
+    chain = RequirementPoset.from_table(elements, zip(elements, elements[1:]))
+    top = DensePredicate("top", lambda e: e == elements[-1])
+    assert generic_chain(chain, [top], elements[0], steps=1)[-1] == ChainStep(elements[-1], (0,))
+    assert chain.leq(elements[0], elements[-1]) and not chain.leq(elements[-1], elements[0])
+    antichain = RequirementPoset.from_table(elements[:4000], [])
+    assert all(antichain.extensions(e) == [] for e in elements[:4000])

@@ -7,8 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from comblab import errors, patterns
-from comblab.combs import OMEGA, CombTable, comb_order, name_keys
-from comblab.cographs import Graph, comb_graph, graph_to_weave_oracle
+from comblab.combs import (OMEGA, CombTable, comb_entries, comb_order, mask_indices, name_keys,
+                           wide_right)
+from comblab.cographs import (Graph, comb_graph, eval_cotree, graph_to_weave_oracle,
+                              random_cotree)
 from comblab.errors import ArgumentError, ParseError, ResourceError
 from comblab.index_core import decode, encode, enumerate_level
 from comblab.oracle import assignment_oracle
@@ -22,10 +24,10 @@ from comblab.patterns import (_above, _maximal_independent_sets, _require_chain_
                               default_cap, product_leq, strictly_below)
 from comblab.transforms import strongify_weave
 
-from helpers import (SEED, assignment_oracle_slow, direct_grid_ok, direct_weave_ok,
-                     downward_closed, is_antichain, materialized, random_graph, random_set_system,
-                     random_subsystem_mutations, reference_atom_names, reference_chains,
-                     reference_check_graph_pattern, reference_check_grid,
+from helpers import (SEED, assignment_oracle_slow, cotree_mis_count, direct_grid_ok,
+                     direct_weave_ok, downward_closed, is_antichain, materialized, random_graph,
+                     random_set_system, random_subsystem_mutations, reference_atom_names,
+                     reference_chains, reference_check_graph_pattern, reference_check_grid,
                      reference_check_weave, reference_comb_order, reference_grid_witness,
                      reference_graph_witness, reference_maximal_independent_sets,
                      reference_realizable, reference_triangle_p_predicate,
@@ -879,11 +881,58 @@ def test_check_graph_pattern_report_matches_reference():
     assert kinds[CONSISTENCY] and kinds[INCONSISTENCY]
 
 
-def test_maximal_independent_sets_limit():
-    with pytest.raises(ResourceError, match="limited to 20 vertices, got 21"):
-        _maximal_independent_sets(21, (0,) * 21)
-    empty = Graph(20, [])
-    assert _maximal_independent_sets(20, empty.adjacency_masks()) == [tuple(range(20))]
+def test_maximal_independent_sets_are_held_to_the_budget(monkeypatch):
+    # The listing kept a limit of its own, 20 vertices.  Now the complement's
+    # vertex pairs are counted before any mask is made, and the sets as they
+    # are found: a perfect matching on 20 vertices has 190 pairs and 1,024
+    # sets.
+    matching = Graph(20, [(v, v + 1) for v in range(0, 20, 2)]).adjacency_masks()
+    monkeypatch.setattr("comblab.errors.BUDGET", 189)
+    with pytest.raises(ResourceError, match="^graph witness on 20 vertices would have 190 "
+                                            "vertex pairs, over the limit 189$"):
+        _maximal_independent_sets(20, matching)
+    monkeypatch.setattr("comblab.errors.BUDGET", 1023)
+    with pytest.raises(ResourceError, match="^graph witness lists at least 1024 maximal "
+                                            "independent sets, over the limit 1023$"):
+        _maximal_independent_sets(20, matching)
+    monkeypatch.setattr("comblab.errors.BUDGET", 1024)
+    assert len(_maximal_independent_sets(20, matching)) == 1024
+    # One set of 1,000 vertices is found 1,000 branches deep, beyond the
+    # recursion a recursive walk could take.
+    monkeypatch.undo()
+    assert _maximal_independent_sets(1000, (0,) * 1000) == [tuple(range(1000))]
+
+
+@pytest.mark.parametrize("d, count", [(1, 4), (2, 64), (3, 16384)])
+def test_comb_graph_witness_atoms_are_the_maximal_wide_omega_combs(d, count):
+    # The comb graph's independent sets are the wide omega combs (vertex v
+    # is level node v), so its maximal ones are the table's maximal masks:
+    # those no other mask of the table extends by one node.
+    masks = comb_entries(d, wide_right(OMEGA), 4 ** d).masks
+    below = {mask ^ 1 << v for mask in masks for v in mask_indices(mask)}
+    maximal = sorted(mask_indices(mask) for mask in set(masks) - below)
+    graph = comb_graph(d)[0]
+    witness = graph_witness(graph, materialize=True)
+    assert len(maximal) == len(witness.universe) == count
+    assert _maximal_independent_sets(graph.n, graph.adjacency_masks()) == maximal
+    assert list(witness.universe) == sorted("{" + ",".join(map(str, group)) + "}"
+                                            for group in maximal)
+
+
+def test_maximal_independent_sets_of_cographs_beyond_20_vertices():
+    # Every set listed is independent and maximal, none repeats, and there
+    # are as many as the cotree counts.
+    rng = random.Random(SEED + 37)
+    for _ in range(12):
+        tree = random_cotree(rng.randint(21, 40), rng.randrange(1 << 30))
+        graph = eval_cotree(tree)
+        masks = graph.adjacency_masks()
+        sets = _maximal_independent_sets(graph.n, masks)
+        assert len(set(sets)) == len(sets) == cotree_mis_count(tree), tree
+        for group in sets:
+            chosen = sum(1 << v for v in group)
+            assert not any(masks[v] & chosen for v in group), (tree, group)
+            assert all(masks[v] & chosen for v in range(graph.n) if not chosen >> v & 1)
 
 
 def test_graph_witness_matches_reference():

@@ -1,4 +1,5 @@
-"""The library's source holds no code that only the tests use."""
+"""The library's source holds no code that only the tests use, and no
+resource limit outside the one budget."""
 
 import ast
 from collections import Counter
@@ -29,3 +30,28 @@ def test_every_top_level_definition_is_used_in_src():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
               and uses[node.name] == Counter(_names(node))[node.name]]
     assert unused == []
+
+
+def _resource_refusals(node: ast.AST, function: str):
+    """The innermost enclosing function of each call to `ResourceError`, and
+    of each raise of the bare class, below `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and not isinstance(child.exc, ast.Call):
+            target = child.exc
+        else:
+            target = child.func if isinstance(child, ast.Call) else None
+        if target is not None and "ResourceError" in _names(target):
+            yield function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else function
+        yield from _resource_refusals(child, inner)
+
+
+def test_every_resource_refusal_goes_through_the_one_budget():
+    # require_within holds a count to errors.BUDGET; the JSON reader's
+    # nesting refusal counts nothing.  No other function keeps a limit of
+    # its own.
+    refusals = {(path.name, function) for path in sorted(SRC.glob("*.py"))
+                for function in _resource_refusals(
+                    ast.parse(path.read_text(encoding="utf-8")), "<module>")}
+    assert refusals == {("errors.py", "require_within"), ("cli.py", "_read_json")}
